@@ -29,6 +29,7 @@ from .engine import (
     CSV_HEADER,
     DROP,
     Burst,
+    Engine,
     Explicit,
     IPL_SET,
     MASK,
@@ -44,7 +45,6 @@ from .engine import (
     Storm,
     TIMER_SET,
     UNMASK,
-    run_scenario,
 )
 from .feasibility import BoundsExceeded, FeasibilityError, check_ooe_feasible
 from .model import INFINITE_PERIOD, ResponseOption, Task, TaskSet
@@ -292,7 +292,8 @@ def load_scenario(path) -> Scenario:
 def cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
-        trace, metrics = run_scenario(scenario)
+        engine = Engine(scenario)
+        trace, metrics = engine.run()
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -306,6 +307,8 @@ def cmd_run(args) -> int:
                 f"t={rec.time} {rec.kind} line={rec.line} {rec.detail}",
                 file=sys.stderr,
             )
+        print(f"steps={engine.steps} ticks={engine.horizon + 1}",
+              file=sys.stderr)
     misses = len(trace.of_kind(MISS))
     drops = len(trace.of_kind(DROP))
     faults = sum(
@@ -573,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--metrics", help="write the metrics JSON here")
     p_run.add_argument(
         "--verbose", action="store_true",
-        help="echo IPL and timer records to stderr",
+        help="echo IPL and timer records and the step count to stderr",
     )
     p_run.set_defaults(func=cmd_run)
 

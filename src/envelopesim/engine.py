@@ -1,11 +1,26 @@
 """Deterministic discrete-event simulation of the whole system.
 
-The engine advances in integer ticks. Within one tick it processes due
-timers first, then raises in interrupt priority order, internalizes
-whatever the controller delivers, finalizes overdue jobs, and finally
-takes a schedule point (dispatch plus, when enabled, recomputation of the
-interrupt priority level). Execution of the dispatched job fills the tick
-itself, with pending kernel time from interrupt top halves served first.
+Time is measured in integer ticks, but the engine only visits the time
+steps where something can happen (next-event time advance). At each
+visited step t it runs the phases in a fixed order:
+
+1. due timers (window expiries before episode decays, then line id);
+2. the raises scheduled at t, in interrupt priority order;
+3. internalization of whatever the controller delivers;
+4. due timers;
+5. finalization of overdue jobs (shed);
+6. due timers;
+7. a schedule point, when anything above changed the ready set
+   (dispatch plus, when enabled, recomputation of the interrupt
+   priority level).
+
+The engine then jumps to the earliest of the next raise, the earliest
+pending timer, the earliest deadline of an active job, the running job's
+completion after the pending kernel time is served, and the horizon. The
+ticks in between are executed in one span: pending kernel time from
+interrupt top halves first, then the dispatched job. No job is released
+or finalized inside a span, so skipping those steps changes nothing; a
+completion is logged at the end of its span, which is the next step.
 
 Identical scenarios, including seeds, produce bit-identical traces. Every
 tie is broken by a fixed rule: time, then timers before raises, then
@@ -13,6 +28,7 @@ interrupt priority descending, then line id.
 """
 
 import csv
+import heapq
 import io
 import random
 from dataclasses import dataclass, field
@@ -21,7 +37,6 @@ from typing import Dict, List, Optional, Tuple, Union
 from .model import (
     Job,
     JobState,
-    TIMER_LINE,
     Task,
     TaskSet,
     assign_importance_monotonic,
@@ -311,7 +326,13 @@ class Engine:
         for line, spec in scenario.workload:
             for t in generate_workload(spec, self.horizon, scenario.seed):
                 self.raises.setdefault(t, []).append(line)
-        self.timers: Dict[int, List[Tuple[str, str]]] = {}
+        self._raise_times = sorted(self.raises)
+        self._next_raise = 0
+        # (due, rank, line, seq): window expiries (rank 0) before episode
+        # decays (rank 1), then line id, then registration order
+        self.timers: List[Tuple[int, int, str, int]] = []
+        self._timer_seq = 0
+        self.steps = 0
         self._ipl_suppressed: Dict[str, bool] = {l: False for l in self.line_task}
         self._ipl_snap: Dict[str, object] = {}
         self._bh_trigger: Dict[str, Job] = {}
@@ -335,7 +356,10 @@ class Engine:
     # main loop
 
     def run(self) -> Tuple[Trace, Metrics]:
-        for t in range(self.horizon + 1):
+        sched = self.sched
+        t = 0
+        while True:
+            self.steps += 1
             self._process_timers(t)
             if t < self.horizon:
                 self._process_raises(t)
@@ -346,57 +370,81 @@ class Engine:
             if self._needs_dispatch:
                 self._schedule_point(t)
                 self._needs_dispatch = False
-            if t < self.horizon:
-                self._execute(t)
+            if t == self.horizon:
+                break
+            until = self._next_step(t)
+            if sched.running is None and sched.active \
+                    and sched.kernel_pending < until - t:
+                raise EngineError(
+                    f"idle at t={t + sched.kernel_pending} with released "
+                    f"work pending"
+                )
+            res = sched.execute_tick(t, until)
+            if res.completed:
+                job = res.job
+                self._log(
+                    until, COMPLETE, self.line_of(job), job.task_id, job.seq,
+                    detail=f"response={job.completion - job.release}",
+                )
+                self._after_finalize(job, until)
+                self._needs_dispatch = True
+            t = until
         return self.trace, self._metrics()
 
-    def _execute(self, t: int) -> None:
-        res = self.sched.execute_tick(t)
-        if res.kind == "idle" and self.sched.active:
-            raise EngineError(f"idle at t={t} with released work pending")
-        if res.completed:
-            job = res.job
-            self._log(
-                t + 1, COMPLETE, self.line_of(job), job.task_id, job.seq,
-                detail=f"response={job.completion - job.release}",
+    def _next_step(self, t: int) -> int:
+        """The earliest time after t at which anything can happen: a
+        raise, a timer, a deadline, the running job's completion after
+        the pending kernel time, or the horizon."""
+        times = self._raise_times
+        while self._next_raise < len(times) and times[self._next_raise] <= t:
+            self._next_raise += 1
+        candidates = [self.horizon]
+        if self._next_raise < len(times):
+            candidates.append(times[self._next_raise])
+        if self.timers:
+            candidates.append(self.timers[0][0])
+        candidates.extend(job.abs_deadline for job in self.sched.active)
+        running = self.sched.running
+        if running is not None:
+            candidates.append(
+                t + self.sched.kernel_pending + running.remaining
             )
-            self._after_finalize(job, t + 1)
-            self._needs_dispatch = True
+        # every candidate lies after t (timers due at t have fired and
+        # deadlines at t were shed); the floor keeps time moving anyway
+        return max(min(candidates), t + 1)
 
     def line_of(self, job: Job) -> str:
         return self.sched.tasks[job.task_id].line
 
     def _process_timers(self, t: int) -> None:
-        due_times = sorted(k for k in self.timers if k <= t)
-        for when in due_times:
-            entries = self.timers.pop(when)
-            order = sorted(
-                entries, key=lambda e: (0 if e[0] == "window" else 1, e[1])
-            )
-            for kind, line in order:
-                mon = self.monitors[line]
-                if kind == "window":
-                    if mon.window_timer is None or mon.window_timer > t:
-                        continue  # re-armed or already handled
-                    eff = mon.handle_window_timer(self.vic, t)
-                    for a in eff.alarms:
-                        self._alarm(t, line, a.kind)
-                    if eff.unmasked or eff.resumed:
-                        self._log(t, UNMASK, line, self.line_task[line].id,
-                                  detail="window")
-                        self._ipl_refresh_line(line, t)
-                        self._needs_dispatch = True
-                    if eff.rearm_at is not None:
-                        self._register_timer(eff.rearm_at, "window", line, t)
-                else:
-                    if mon.decay(t):
-                        self._needs_dispatch = True
+        timers = self.timers
+        while timers and timers[0][0] <= t:
+            _, rank, line, _ = heapq.heappop(timers)
+            mon = self.monitors[line]
+            if rank == 0:
+                if mon.window_timer is None or mon.window_timer > t:
+                    continue  # re-armed or already handled
+                eff = mon.handle_window_timer(self.vic, t)
+                for a in eff.alarms:
+                    self._alarm(t, line, a.kind)
+                if eff.unmasked or eff.resumed:
+                    self._log(t, UNMASK, line, self.line_task[line].id,
+                              detail="window")
+                    self._ipl_refresh_line(line, t)
+                    self._needs_dispatch = True
+                if eff.rearm_at is not None:
+                    self._register_timer(eff.rearm_at, "window", line, t)
+            elif mon.decay(t):
+                self._needs_dispatch = True
 
     def _register_timer(self, due: int, kind: str, line: str,
                         now: int) -> None:
         self._log(now, TIMER_SET, line, self.line_task[line].id,
                   detail=f"{kind}_expiry={due}")
-        self.timers.setdefault(max(due, now), []).append((kind, line))
+        rank = 0 if kind == "window" else 1
+        heapq.heappush(self.timers, (max(due, now), rank, line,
+                                     self._timer_seq))
+        self._timer_seq += 1
 
     def _process_raises(self, t: int) -> None:
         lines = self.raises.get(t)
@@ -424,8 +472,6 @@ class Engine:
             line = self.vic.poll_deliverable()
             if line is None:
                 return
-            if line == TIMER_LINE:
-                continue
             self._internalize(line, t, t, deferred=False)
             self._needs_dispatch = True
 

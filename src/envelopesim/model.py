@@ -147,6 +147,9 @@ def validate_task_set(task_set: TaskSet) -> ValidationReport:
     """Static sanity checks. Returns a report instead of raising so a
     caller can show every problem at once."""
     problems = []
+    hp = None
+    if all(t.exception_only or t.period >= 1 for t in task_set):
+        hp = hyperperiod(task_set)
     seen_ids = set()
     seen_importance = {}
     seen_lines = {}
@@ -200,6 +203,15 @@ def validate_task_set(task_set: TaskSet) -> ValidationReport:
                     f"(also used by {seen_priorities[t.priority]})"
                 )
             seen_priorities.setdefault(t.priority, t.id)
+        if hp is not None:
+            # overrides are keyed by seq mod k, so other keys never apply
+            k = 1 if t.exception_only else max(1, hp // int(t.period))
+            for key in sorted(t.job_priority_overrides):
+                if not 0 <= key < k:
+                    problems.append(
+                        f"task {t.id}: job_priority_overrides key {key} "
+                        f"outside [0, {k})"
+                    )
     return ValidationReport(problems)
 
 

@@ -143,9 +143,6 @@ class LineMonitor:
     def bottom_half_masked(self) -> bool:
         return self._bh_active
 
-    def classify(self) -> LineState:
-        return self.state
-
     # core protocol
 
     def _prune(self, t: int) -> None:

@@ -142,31 +142,44 @@ class Scheduler:
             self.running.interference += self.delta_th
         return self.delta_th
 
-    def execute_tick(self, t: int) -> TickResult:
-        """Advance the processor by one tick, kernel time first."""
-        if self.kernel_pending > 0:
-            self.kernel_pending -= 1
-            return TickResult(kind="kernel")
+    def execute_tick(self, t: int, until: Optional[int] = None) -> TickResult:
+        """Advance the processor over the ticks [t, until), one tick by
+        default. Pending kernel time is served first, then the running
+        job; execution stops early when the job completes, and the job
+        then completes at the end of its last tick.
+
+        The result's kind is "ran" when the job executed at all, else
+        "kernel" when kernel time was served, else "idle". The caller
+        ends a span at the next release and the next deadline, so the
+        active jobs are the same on every tick of it.
+        """
+        if until is None:
+            until = t + 1
+        kernel = min(self.kernel_pending, until - t)
+        self.kernel_pending -= kernel
+        start = t + kernel
         job = self.running
-        if job is None:
-            return TickResult(kind="idle")
-        job.remaining -= 1
+        if job is None or start == until:
+            return TickResult(kind="kernel" if kernel else "idle")
+        end = start + min(job.remaining, until - start)
+        job.remaining -= end - start
         if job.task_id in self.elevated:
-            self._mark_starved(job, t)
+            self._mark_starved(job, start, end)
         if job.remaining == 0:
-            job.finalize(JobState.COMPLETED, t + 1)
+            job.finalize(JobState.COMPLETED, end)
             self.active.remove(job)
             self.running = None
             return TickResult(kind="ran", job=job, completed=True)
         return TickResult(kind="ran", job=job)
 
-    def _mark_starved(self, elevated_job: Job, t: int) -> None:
+    def _mark_starved(self, elevated_job: Job, start: int, end: int) -> None:
         # Definition of a sanctioned sacrifice: an elevated, more
-        # important task ate processor time inside the victim's window.
+        # important task ate processor time inside the victim's window,
+        # i.e. on some tick of [start, end) within [release, deadline).
         imp = self.importance(elevated_job.task_id)
         for other in self.active:
             if other is elevated_job:
                 continue
             if self.importance(other.task_id) < imp \
-                    and other.release <= t < other.abs_deadline:
+                    and other.release < end and start < other.abs_deadline:
                 other.starved_by_elevated = True

@@ -7,11 +7,11 @@ what happened while a line was masked or below the interrupt priority
 level (IPL).
 
 A line is deliverable when it is pending, unmasked, and its priority is
-strictly above the IPL. The timer line is special: it can never be masked
-and outranks every device line.
+strictly above the IPL. Kernel timers are not a line here: the engine
+keeps them, and the timer line's name is reserved so no device can take
+it.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, Optional
@@ -62,7 +62,6 @@ class VicState:
                 raise VicError(f"duplicate line id '{ln.id}'")
             self.lines[ln.id] = ln
         self.ipl = 0
-        self.timer_pending = False
         self.mask_ops: Dict[str, int] = {ln: 0 for ln in self.lines}
 
     def _line(self, line_id: str) -> InterruptLine:
@@ -79,9 +78,6 @@ class VicState:
         them), except that a line masked in level-trigger mode keeps one
         pending occurrence for the unmask.
         """
-        if line_id == TIMER_LINE:
-            self.timer_pending = True
-            return RaiseOutcome.DELIVERED_NOW
         ln = self._line(line_id)
         ln.device_counter += 1
         if ln.masked:
@@ -98,8 +94,6 @@ class VicState:
 
     def set_line_mask(self, line_id: str, masked: bool,
                       latch: bool = False) -> None:
-        if line_id == TIMER_LINE:
-            raise VicError("the timer line cannot be masked")
         ln = self._line(line_id)
         if ln.masked != masked:
             self.mask_ops[line_id] += 1
@@ -115,17 +109,12 @@ class VicState:
         self.ipl = level
 
     def deliverable(self, line_id: str) -> bool:
-        if line_id == TIMER_LINE:
-            return self.timer_pending
         ln = self._line(line_id)
         return ln.pending and not ln.masked and ln.irq_priority > self.ipl
 
     def poll_deliverable(self) -> Optional[str]:
         """Return the highest-priority deliverable pending line and clear
-        its pending flag. The timer always goes first."""
-        if self.timer_pending:
-            self.timer_pending = False
-            return TIMER_LINE
+        its pending flag."""
         candidates = [
             ln for ln in self.lines.values()
             if ln.pending and not ln.masked and ln.irq_priority > self.ipl
@@ -144,7 +133,3 @@ class VicState:
 
     def delta_since(self, snapshot: Snapshot) -> int:
         return self.read_counter(snapshot.line) - snapshot.counter
-
-    @property
-    def timer_priority(self) -> float:
-        return math.inf

@@ -1,13 +1,17 @@
 """Shared oracles and generators for the test suite.
 
 The window oracle and the conservation counts are deliberately naive,
-independent re-implementations; tests compare the engine against them.
+independent re-implementations; the tick engine drives the engine's own
+phases through every tick, as the engine did before next-event time
+advance. Tests compare the engine against them.
 """
 
 import random
 
 from envelopesim import (
     Burst,
+    Engine,
+    EngineError,
     Explicit,
     FaultPolicy,
     Periodic,
@@ -48,6 +52,41 @@ def conservation_counts(trace, line):
     suppressed = len(trace.of_kind("SUPPRESS", line=line))
     deferred = sum(1 for r in internalized if ";deferred" in r.detail)
     return raised, len(internalized), suppressed - deferred
+
+
+class TickEngine(Engine):
+    """The engine's phases driven one tick at a time: every step of
+    range(horizon + 1) is visited and the processor advances by single
+    ticks. Next-event time advance must reproduce its traces byte for
+    byte."""
+
+    def run(self):
+        for t in range(self.horizon + 1):
+            self.steps += 1
+            self._process_timers(t)
+            if t < self.horizon:
+                self._process_raises(t)
+            self._drain_deliverable(t)
+            self._process_timers(t)
+            self._process_shed(t)
+            self._process_timers(t)
+            if self._needs_dispatch:
+                self._schedule_point(t)
+                self._needs_dispatch = False
+            if t == self.horizon:
+                break
+            res = self.sched.execute_tick(t)
+            if res.kind == "idle" and self.sched.active:
+                raise EngineError(f"idle at t={t} with released work pending")
+            if res.completed:
+                job = res.job
+                self._log(
+                    t + 1, "COMPLETE", self.line_of(job), job.task_id,
+                    job.seq, detail=f"response={job.completion - job.release}",
+                )
+                self._after_finalize(job, t + 1)
+                self._needs_dispatch = True
+        return self.trace, self._metrics()
 
 
 def random_scenario(seed):
@@ -104,6 +143,64 @@ def random_scenario(seed):
         ipl_optimization=rng.random() < 0.5,
         mask_until_bottom_half=rng.random() < 0.5,
         delta_th=rng.randrange(3),
+    )
+    return Scenario(
+        task_set=TaskSet(tasks),
+        policy=policy,
+        workload=workload,
+        horizon=horizon,
+        seed=seed,
+    )
+
+
+def sparse_coincident_scenario(seed):
+    """A long, mostly idle scenario whose events pile onto shared ticks.
+
+    Each task has W = D = T and C = D - k * delta_th with k in {1, 2}
+    and delta_th > 0, so a job released at r whose start was delayed by
+    k top halves completes exactly at its deadline r + D, which is also
+    when a window timer armed at r expires. A second raise a few ticks later starts an out-of-envelope
+    episode whose decay timer is due at r + T as well. Clusters of
+    raises sit far apart, leaving long idle spans between them."""
+    rng = random.Random(seed)
+    n_tasks = rng.randint(1, 3)
+    horizon = rng.randint(2000, 20000)
+    delta_th = rng.randint(1, 2)
+    importances = rng.sample(range(0, 50), n_tasks)
+    priorities = rng.sample(range(1, 50), n_tasks)
+    tasks = []
+    workload = []
+    for i in range(n_tasks):
+        period = rng.randint(8, 300)
+        wcet = max(1, period - delta_th * rng.randint(1, 2))
+        line = f"l{i}"
+        tasks.append(
+            Task(
+                id=f"t{i}",
+                wcet=wcet,
+                period=period,
+                importance=importances[i],
+                line=line,
+                envelope_n=rng.randint(1, 2),
+                envelope_w=period,
+                priority=priorities[i],
+            )
+        )
+        times = set()
+        for _ in range(rng.randint(2, 6)):
+            r = rng.randrange(horizon)
+            times.add(r)
+            if rng.random() < 0.6:
+                times.add(r + rng.randint(1, period - 1))
+            if rng.random() < 0.3:
+                times.add(r + period)
+        workload.append((line, Explicit(tuple(sorted(times)))))
+    policy = Policy(
+        assignment=rng.choice(["importance_monotonic", "explicit"]),
+        fault_policy=rng.choice([FaultPolicy.PERMANENT, FaultPolicy.AUTO_RESUME]),
+        ipl_optimization=rng.random() < 0.5,
+        mask_until_bottom_half=rng.random() < 0.5,
+        delta_th=delta_th,
     )
     return Scenario(
         task_set=TaskSet(tasks),

@@ -114,6 +114,15 @@ def test_run_semantic_errors_exit_invalid(tmp_path, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_run_rejects_out_of_range_override_keys(tmp_path, capsys):
+    obj = two_task_obj(override=True)  # tau_l releases 2 jobs per cycle
+    obj["tasks"][0]["job_priority_overrides"] = {"7": 10, "-1": 5}
+    code = main(["run", "--scenario", write_scenario(tmp_path, obj)])
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "key -1 outside [0, 2)" in err and "key 7 outside [0, 2)" in err
+
+
 # run
 
 
@@ -162,6 +171,23 @@ def test_run_verbose_echoes_timers(tmp_path, capsys):
     scenario = write_scenario(tmp_path, storm_obj())
     main(["run", "--scenario", scenario, "--verbose"])
     assert "TIMER_SET" in capsys.readouterr().err
+
+
+def test_run_verbose_reports_visited_steps(tmp_path, capsys):
+    obj = {
+        "tasks": [{"id": "t", "C": 5, "T": 1000, "importance": 0,
+                   "line": "l", "n": 1, "W": 500}],
+        "workload": [{"kind": "periodic", "line": "l", "offset": 0,
+                      "period": 1000}],
+        "horizon": 10000,
+    }
+    scenario = write_scenario(tmp_path, obj)
+    main(["run", "--scenario", scenario, "--verbose"])
+    out, err = capsys.readouterr()
+    assert "steps=31 ticks=10001" in err.splitlines()
+    assert "steps=" not in out
+    main(["run", "--scenario", scenario])
+    assert "steps=" not in capsys.readouterr().err
 
 
 def test_run_missing_file(tmp_path, capsys):

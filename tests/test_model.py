@@ -86,6 +86,7 @@ def test_validate_clean_set():
     (dict(envelope_n=0), "envelope_n"),
     (dict(envelope_w=0), "envelope_w"),
     (dict(line="timer"), "reserved"),
+    (dict(job_priority_overrides={1: 5}), "outside [0, 1)"),
 ])
 def test_validate_rejects(kw, fragment):
     report = validate_task_set(TaskSet([task(**kw)]))
@@ -98,6 +99,26 @@ def test_validate_duplicate_importance_and_line():
     report = validate_task_set(ts)
     assert any("duplicate importance" in p for p in report.problems)
     assert any("line collision" in p for p in report.problems)
+
+
+def test_validate_rejects_override_keys_outside_the_cycle():
+    # two jobs per hyperperiod: seq mod 2 never reaches 7 or -1
+    ts = TaskSet([task(id="a", period=3, line="la",
+                       job_priority_overrides={7: 10, -1: 5, 1: 4}),
+                  task(id="b", period=6, line="lb", importance=1)])
+    problems = validate_task_set(ts).problems
+    assert problems == [
+        "task a: job_priority_overrides key -1 outside [0, 2)",
+        "task a: job_priority_overrides key 7 outside [0, 2)",
+    ]
+
+
+def test_validate_exception_only_override_cycle_is_one():
+    ts = TaskSet([task(period=INFINITE_PERIOD, deadline=5,
+                       job_priority_overrides={0: 3, 1: 4})])
+    assert validate_task_set(ts).problems == [
+        "task t: job_priority_overrides key 1 outside [0, 1)"
+    ]
 
 
 def test_importance_monotonic_map():

@@ -30,12 +30,12 @@ def test_window_fills_and_reopens():
     assert eff.masked
     assert eff.window_timer == 10  # earliest buffered ts plus window
     assert [a.kind for a in eff.alarms] == [AlarmKind.WINDOW_BOUND_REACHED]
-    assert mon.classify() is LineState.WINDOW_MASKED
+    assert mon.state is LineState.WINDOW_MASKED
     assert vic.lines["l"].masked
 
     teff = mon.handle_window_timer(vic, 10)
     assert teff.unmasked and not teff.fault_declared
-    assert mon.classify() is LineState.IN_ENVELOPE
+    assert mon.state is LineState.IN_ENVELOPE
     assert not vic.lines["l"].masked
     assert mon.ring == [4, 8]  # the event at 0 aged out of the window
 
@@ -88,7 +88,7 @@ def test_episode_enter_and_alarm_once():
     eff = mon.record_internalization(vic, 3)
     assert eff.entered_ooe
     assert [a.kind for a in eff.alarms] == [AlarmKind.OUT_OF_ENVELOPE_ENTERED]
-    assert mon.classify() is LineState.OUT_OF_ENVELOPE
+    assert mon.state is LineState.OUT_OF_ENVELOPE
     # still in the same episode: no second alarm
     eff = mon.record_internalization(vic, 5)
     assert not eff.entered_ooe and not eff.alarms
@@ -103,7 +103,7 @@ def test_episode_decays_after_violating_pair_ages_out():
     assert mon.ooe_active(5)
     assert not mon.ooe_active(6)
     assert mon.decay(6)
-    assert mon.classify() is LineState.IN_ENVELOPE
+    assert mon.state is LineState.IN_ENVELOPE
 
 
 def test_episode_memoryless_exit_on_period_gap():
@@ -115,7 +115,7 @@ def test_episode_memoryless_exit_on_period_gap():
     eff = mon.record_internalization(vic, 12)  # gap 9 >= period
     assert eff.exited_ooe
     assert not mon.ooe_active(12)
-    assert mon.classify() is LineState.IN_ENVELOPE
+    assert mon.state is LineState.IN_ENVELOPE
 
 
 def test_episode_decay_tracks_latest_violating_pair():
@@ -136,7 +136,7 @@ def test_fault_permanent():
     assert [a.kind for a in eff.alarms] == [AlarmKind.SENSOR_FAULT]
     assert eff.rearm_at is None
     assert mon.window_timer is None
-    assert mon.classify() is LineState.FAULTY
+    assert mon.state is LineState.FAULTY
     assert vic.lines["l"].masked  # masked forever
 
 
@@ -159,7 +159,7 @@ def test_fault_auto_resume_probes_and_resumes():
     eff = mon.handle_window_timer(vic, 30)
     assert eff.resumed
     assert [a.kind for a in eff.alarms] == [AlarmKind.SENSOR_RESUMED]
-    assert mon.classify() is LineState.IN_ENVELOPE
+    assert mon.state is LineState.IN_ENVELOPE
     assert not vic.lines["l"].masked
 
 
@@ -173,7 +173,7 @@ def test_fault_auto_resume_threshold_is_strict():
     vic.raise_event("l", 12)
     vic.raise_event("l", 13)
     eff = mon.handle_window_timer(vic, 20)
-    assert not eff.resumed and mon.classify() is LineState.FAULTY
+    assert not eff.resumed and mon.state is LineState.FAULTY
 
 
 def test_bottom_half_defer_and_release():
@@ -215,7 +215,7 @@ def test_window_defense_takes_over_bottom_half():
     eff = mon.record_internalization(vic, 1)  # backfill fills the ring
     assert eff.masked
     assert not mon.bottom_half_masked
-    assert mon.classify() is LineState.WINDOW_MASKED
+    assert mon.state is LineState.WINDOW_MASKED
 
 
 def view(running, *lines):

@@ -1,0 +1,109 @@
+"""Differential test: next-event time advance against the tick-by-tick
+loop it replaced (`support.TickEngine`). Traces and metrics must agree
+byte for byte."""
+
+from pathlib import Path
+
+import pytest
+
+from envelopesim import (
+    Engine,
+    Periodic,
+    Scenario,
+    Scheduler,
+    TaskSet,
+    assign_importance_monotonic,
+)
+from envelopesim.cli import load_scenario
+from envelopesim.model import Task
+from support import TickEngine, random_scenario, sparse_coincident_scenario
+
+DEMO_SCENARIOS = sorted(
+    (Path(__file__).parent.parent / "demos" / "scenarios").glob("*.json")
+)
+
+
+def assert_same_run(scenario):
+    engine = Engine(scenario)
+    trace, metrics = engine.run()
+    ticked, ticked_metrics = TickEngine(scenario).run()
+    assert trace.to_csv_string() == ticked.to_csv_string()
+    assert metrics.to_json_string() == ticked_metrics.to_json_string()
+    return engine
+
+
+def test_random_suite_matches_tick_loop():
+    for seed in range(1000):
+        assert_same_run(random_scenario(seed))
+
+
+@pytest.mark.parametrize("path", DEMO_SCENARIOS, ids=lambda p: p.stem)
+def test_demo_scenarios_match_tick_loop(path):
+    assert_same_run(load_scenario(path))
+
+
+def test_demo_scenarios_are_all_covered():
+    assert len(DEMO_SCENARIOS) == 6
+
+
+def test_sparse_coincident_scenarios_match_tick_loop():
+    # the batch must really stack a completion onto a timer expiry and a
+    # deadline, with kernel backlog, or it proves nothing about spans
+    coincidences = {"timer": 0, "shed": 0, "decay": 0}
+    steps = ticks = 0
+    for seed in range(60):
+        scenario = sparse_coincident_scenario(seed)
+        assert scenario.policy.delta_th > 0
+        engine = assert_same_run(scenario)
+        steps += engine.steps
+        ticks += engine.horizon + 1
+        kinds_at = {}
+        for rec in engine.trace.records:
+            kinds_at.setdefault(rec.time, set()).add(rec.kind)
+            if rec.detail.startswith("decay_expiry="):
+                kinds_at.setdefault(int(rec.detail.split("=")[1]),
+                                    set()).add("decay")
+        for kinds in kinds_at.values():
+            if "COMPLETE" not in kinds:
+                continue
+            coincidences["timer"] += "UNMASK" in kinds or "ALARM" in kinds
+            coincidences["shed"] += "MISS" in kinds or "DROP" in kinds
+            coincidences["decay"] += "decay" in kinds
+    assert all(coincidences.values()), coincidences
+    assert steps * 50 < ticks  # long idle spans are skipped
+
+
+def test_steps_count_visited_time_steps():
+    task = Task(id="t", wcet=5, period=1000, importance=0, line="l",
+                envelope_n=1, envelope_w=500)
+    scenario = Scenario(task_set=TaskSet([task]),
+                        workload=[("l", Periodic(0, 1000))], horizon=10_000)
+    engine = assert_same_run(scenario)
+    # per period: the raise, the completion at +5 and the window expiry
+    # at +500; then the horizon
+    assert engine.steps == 3 * 10 + 1
+    ticked = TickEngine(scenario)
+    ticked.run()
+    assert ticked.steps == 10_001
+
+
+def test_execute_tick_serves_a_span():
+    tasks = [
+        Task(id="low", wcet=4, period=10, importance=1, line="ll",
+             envelope_n=2, envelope_w=10),
+        Task(id="high", wcet=5, period=20, importance=2, line="lh",
+             envelope_n=2, envelope_w=20),
+    ]
+    ts = TaskSet(tasks)
+    sched = Scheduler(ts, assign_importance_monotonic(ts), delta_th=2)
+    low = sched.on_internalize("low", 0, ooe=False).job
+    high = sched.on_internalize("high", 0, ooe=True).job
+    sched.account_top_half(0)
+    sched.dispatch(high, 0)
+    res = sched.execute_tick(0, 4)  # two kernel ticks, two job ticks
+    assert res.kind == "ran" and not res.completed
+    assert sched.kernel_pending == 0 and high.remaining == 3
+    assert low.starved_by_elevated
+    res = sched.execute_tick(4, 20)  # stops at the completion
+    assert res.completed and high.completion == 7
+    assert sched.execute_tick(7, 9).kind == "idle"

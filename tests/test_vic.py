@@ -84,25 +84,10 @@ def test_poll_tie_breaks_on_id():
     assert vic.poll_deliverable() == "a"
 
 
-def test_timer_line_polled_first():
-    vic = make_vic(dict(id="dev", irq_priority=99))
-    vic.raise_event("dev", 0)
-    vic.raise_event(TIMER_LINE, 0)
-    assert vic.poll_deliverable() == TIMER_LINE
-    assert vic.poll_deliverable() == "dev"
-
-
 def test_timer_line_cannot_be_masked():
     vic = make_vic()
     with pytest.raises(VicError):
         vic.set_line_mask(TIMER_LINE, True)
-
-
-def test_timer_line_ignores_ipl():
-    vic = make_vic()
-    vic.set_ipl(1000)
-    vic.raise_event(TIMER_LINE, 0)
-    assert vic.poll_deliverable() == TIMER_LINE
 
 
 def test_mask_ops_counts_effective_toggles_only():
