@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from .model import (
     Job,
     JobState,
+    PriorityMap,
     Task,
     TaskSet,
     assign_importance_monotonic,
@@ -294,6 +295,16 @@ def _validate_scenario(scenario: Scenario) -> None:
         raise ScenarioError(problems)
 
 
+def select_priority_map(task_set: TaskSet, policy: Policy) -> PriorityMap:
+    """The scheduler priorities that policy.assignment selects."""
+    if policy.assignment != "explicit":
+        return assign_importance_monotonic(task_set)
+    try:
+        return explicit_priority_map(task_set)
+    except ValueError as exc:
+        raise ScenarioError([str(exc)]) from None
+
+
 class Engine:
     def __init__(self, scenario: Scenario):
         _validate_scenario(scenario)
@@ -311,15 +322,9 @@ class Engine:
             t.line: LineMonitor(t, scenario.policy.fault_policy)
             for t in self.task_set
         }
-        if scenario.policy.assignment == "explicit":
-            try:
-                pmap = explicit_priority_map(self.task_set)
-            except ValueError as exc:
-                raise ScenarioError([str(exc)]) from None
-        else:
-            pmap = assign_importance_monotonic(self.task_set)
-        self.pmap = pmap
-        self.sched = Scheduler(self.task_set, pmap, scenario.policy.delta_th)
+        self.pmap = select_priority_map(self.task_set, scenario.policy)
+        self.sched = Scheduler(self.task_set, self.pmap,
+                               scenario.policy.delta_th)
         self.trace = Trace()
         self.alarms: List[Alarm] = []
         self.raises: Dict[int, List[str]] = {}
@@ -333,7 +338,8 @@ class Engine:
         self.timers: List[Tuple[int, int, str, int]] = []
         self._timer_seq = 0
         self.steps = 0
-        self._ipl_suppressed: Dict[str, bool] = {l: False for l in self.line_task}
+        # counter snapshots of the lines the IPL suppresses, taken when
+        # the suppression began
         self._ipl_snap: Dict[str, object] = {}
         self._bh_trigger: Dict[str, Job] = {}
         self._needs_dispatch = True
@@ -572,7 +578,12 @@ class Engine:
     # schedule points
 
     def _schedule_point(self, t: int) -> None:
-        for _ in range(100):
+        # Dispatch and the IPL feed back into each other, so iterate to a
+        # fixed point. No raise happens inside a schedule point, so each
+        # line's counter delta can be backfilled at most once; an
+        # iteration without a backfill is followed by at most one more
+        # (nothing left to change). Hence at most 2 * (lines + 1) rounds.
+        for _ in range(2 * (len(self.line_task) + 1)):
             changed = False
             elevated = {
                 mon.task_id for mon in self.monitors.values()
@@ -633,12 +644,10 @@ class Engine:
                 self._ipl_clear_line(line)
                 continue
             now_sup = ln.irq_priority <= self.vic.ipl
-            was = self._ipl_suppressed[line]
+            was = line in self._ipl_snap
             if now_sup and not was:
-                self._ipl_suppressed[line] = True
                 self._ipl_snap[line] = self.vic.snapshot_counter(line, t)
             elif not now_sup and was:
-                self._ipl_suppressed[line] = False
                 snap = self._ipl_snap.pop(line)
                 delta = self.vic.delta_since(snap)
                 if delta > 0 and self._backfill(line, t, snap.time, delta):
@@ -652,12 +661,10 @@ class Engine:
         ln = self.vic.lines[line]
         if ln.masked:
             return
-        if ln.irq_priority <= self.vic.ipl and not self._ipl_suppressed[line]:
-            self._ipl_suppressed[line] = True
+        if ln.irq_priority <= self.vic.ipl and line not in self._ipl_snap:
             self._ipl_snap[line] = self.vic.snapshot_counter(line, t)
 
     def _ipl_clear_line(self, line: str) -> None:
-        self._ipl_suppressed[line] = False
         self._ipl_snap.pop(line, None)
 
     # metrics

@@ -12,12 +12,16 @@ check enumerates every admissible pattern combination exhaustively, so it
 only accepts toy instances; anything larger raises BoundsExceeded instead
 of silently sampling.
 
-Verdicts inside the enumeration come from a self-contained job-level
-simulator rather than the full engine. The two routes are redundant on
-purpose: agreement between them is checkable, and the small simulator
-keeps the inner loop cheap. A violating pattern is always replayed
-through the full engine to produce the witness trace, and the replay must
-reproduce the miss.
+Verdicts inside the enumeration come from reference_verdicts, a
+job-level tick loop that calls the engine's own rule functions: the
+episode rule (monitor.episode_decay), the dispatch key
+(scheduler.dispatch_key) and the starvation rule (scheduler.mark_starved).
+It leaves out only what cannot matter within the envelope, the interrupt
+controller, the line monitors and the trace, which keeps the inner loop
+cheap. A violating pattern is always replayed through the full engine to
+produce the witness trace, and the replay must reproduce the miss. An
+independent re-implementation of the rules, the oracle the tests compare
+both routes against, lives in tests/support.py.
 """
 
 import itertools
@@ -35,17 +39,20 @@ from .engine import (
     RELEASE,
     Scenario,
     Trace,
+    _validate_scenario,
     run_scenario,
+    select_priority_map,
 )
 from .model import (
+    Job,
     PriorityMap,
     ResponseOption,
     Task,
     TaskSet,
-    assign_importance_monotonic,
-    explicit_priority_map,
     hyperperiod,
 )
+from .monitor import episode_decay
+from .scheduler import dispatch_key, mark_starved
 
 COMPLETED = "completed"
 MISSED = "missed"
@@ -85,12 +92,6 @@ class OoeCheckResult:
     witness_pattern: Optional[Dict[str, Tuple[int, ...]]] = None
     witness_verdicts: Optional[Dict[Tuple[str, int], str]] = None
     witness_trace: Optional[Trace] = None
-
-
-def _priority_map(task_set: TaskSet, policy: Policy) -> PriorityMap:
-    if policy.assignment == "explicit":
-        return explicit_priority_map(task_set)
-    return assign_importance_monotonic(task_set)
 
 
 def normal_pattern(task: Task, horizon: int) -> Tuple[int, ...]:
@@ -168,19 +169,6 @@ def check_normal(task_set: TaskSet,
     )
 
 
-# self-contained reference simulator for the enumeration inner loop
-
-
-@dataclass
-class _RefJob:
-    task_id: str
-    seq: int
-    release: int
-    deadline: int
-    remaining: int
-    starved: bool = False
-
-
 def reference_verdicts(
     task_set: TaskSet,
     pmap: PriorityMap,
@@ -193,8 +181,8 @@ def reference_verdicts(
     Within the envelope no defense mask ever suppresses an event (a raise
     landing inside a masked span would be the n+1st event of one window),
     so internalization happens at raise time and the only moving parts
-    are releases, the out-of-envelope episode predicate, two-band
-    dispatch, top-half kernel time, and deadline finalization.
+    are releases, the out-of-envelope episodes, two-band dispatch,
+    top-half kernel time, and deadline finalization.
     """
     tasks = {t.id: t for t in task_set}
     arrivals: Dict[int, List[Task]] = {}
@@ -204,44 +192,28 @@ def reference_verdicts(
     verdicts: Dict[Tuple[str, int], str] = {}
     seqs = {t.id: 0 for t in task_set}
     last: Dict[str, Optional[int]] = {t.id: None for t in task_set}
-    ooe = {t.id: False for t in task_set}
-    decay_at: Dict[str, Optional[float]] = {t.id: None for t in task_set}
-    active: List[_RefJob] = []
+    # the elevated tasks: decay time of each live episode, by task id
+    episodes: Dict[str, float] = {}
+    active: List[Job] = []
     kernel = 0
 
-    def elevated(tid: str, t: int) -> bool:
-        return ooe[tid] and (decay_at[tid] is None or t < decay_at[tid])
-
-    def key(job: _RefJob, t: int):
-        if elevated(job.task_id, t):
-            return (0, -tasks[job.task_id].importance, job.task_id, job.seq)
-        return (
-            1,
-            -pmap.priority(job.task_id, job.seq),
-            job.task_id,
-            job.seq,
-        )
+    def key(job: Job):
+        return dispatch_key(job, episodes, tasks, pmap)
 
     for t in range(horizon + 1):
-        for tid in ooe:
-            if ooe[tid] and decay_at[tid] is not None and t >= decay_at[tid]:
-                ooe[tid] = False
-                decay_at[tid] = None
+        for tid in [tid for tid, decay in episodes.items() if t >= decay]:
+            del episodes[tid]
         if t < horizon:
             batch = sorted(
                 arrivals.get(t, ()), key=lambda tk: (-tk.importance, tk.line)
             )
             for task in batch:
-                prev = last[task.id]
-                if prev is not None:
-                    if t - prev < task.period:
-                        ooe[task.id] = True
-                        decay_at[task.id] = prev + max(
-                            task.period, task.envelope_w
-                        )
-                    else:
-                        ooe[task.id] = False
-                        decay_at[task.id] = None
+                decay = episode_decay(last[task.id], t, task.period,
+                                      task.envelope_w)
+                if decay is None:
+                    episodes.pop(task.id, None)
+                else:
+                    episodes[task.id] = decay
                 last[task.id] = t
                 kernel += delta_th
                 if task.response is ResponseOption.NOTIFY_RUNNING and any(
@@ -250,15 +222,14 @@ def reference_verdicts(
                     continue
                 seq = seqs[task.id]
                 seqs[task.id] = seq + 1
-                active.append(
-                    _RefJob(task.id, seq, t, t + task.deadline, task.wcet)
-                )
+                active.append(Job(task.id, seq, t, t + task.deadline,
+                                  task.wcet, task.wcet))
         for job in sorted(
-            [j for j in active if j.deadline <= t and j.remaining > 0],
+            [j for j in active if j.abs_deadline <= t and j.remaining > 0],
             key=lambda j: (j.task_id, j.seq),
         ):
             verdicts[(job.task_id, job.seq)] = (
-                DROPPED if job.starved else MISSED
+                DROPPED if job.starved_by_elevated else MISSED
             )
             active.remove(job)
         if t >= horizon:
@@ -268,16 +239,10 @@ def reference_verdicts(
             continue
         if not active:
             continue
-        job = min(active, key=lambda j: key(j, t))
+        job = min(active, key=key)
         job.remaining -= 1
-        if elevated(job.task_id, t):
-            imp = tasks[job.task_id].importance
-            for other in active:
-                if other is job:
-                    continue
-                if tasks[other.task_id].importance < imp \
-                        and other.release <= t < other.deadline:
-                    other.starved = True
+        if job.task_id in episodes:
+            mark_starved(job, active, tasks, t, t + 1)
         if job.remaining == 0:
             verdicts[(job.task_id, job.seq)] = COMPLETED
             active.remove(job)
@@ -333,11 +298,15 @@ def check_ooe_feasible(
     """Exhaustively decide whether every admissible arrival pattern meets
     all deadlines, sanctioned drops aside.
 
-    Raises BoundsExceeded when the instance is too large to enumerate.
+    Raises ScenarioError when the task set or policy is invalid, and
+    BoundsExceeded when the instance is too large to enumerate.
     On a violation the witness pattern is replayed through the full
     engine; the resulting trace is attached to the verdict.
     """
     policy = _normalized_policy(policy)
+    _validate_scenario(
+        Scenario(task_set=task_set, policy=policy, horizon=horizon)
+    )
     if horizon is None:
         horizon = hyperperiod(task_set)
     if len(task_set) > bounds.max_tasks:
@@ -350,7 +319,7 @@ def check_ooe_feasible(
             f"horizon {horizon} exceeds the enumeration bound of "
             f"{bounds.max_horizon}"
         )
-    pmap = _priority_map(task_set, policy)
+    pmap = select_priority_map(task_set, policy)
     task_ids = [t.id for t in task_set]
     per_task = [admissible_patterns(t, horizon) for t in task_set]
     for task, options in zip(task_set, per_task):

@@ -107,12 +107,6 @@ class TaskSet:
     def __len__(self):
         return len(self.tasks)
 
-    def by_id(self, task_id: str) -> Task:
-        for t in self.tasks:
-            if t.id == task_id:
-                return t
-        raise KeyError(task_id)
-
     def lines(self) -> Dict[str, Task]:
         return {t.line: t for t in self.tasks}
 
@@ -295,10 +289,6 @@ class Job:
     starved_by_elevated: bool = False
     interference: Duration = 0
     completion: Optional[TimeInstant] = None
-
-    @property
-    def executed(self) -> Duration:
-        return self.wcet - self.remaining
 
     @property
     def finalized(self) -> bool:

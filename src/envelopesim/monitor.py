@@ -21,7 +21,9 @@ together than the task period. It ends either at the first internalization
 whose gap reaches the period again, or once the violating pair has aged
 out of the last max(period, window) ticks. This is the weakest memoryless
 exit rule; the trace records every internalization timestamp, so stricter
-rules can be evaluated offline against the same run.
+rules can be evaluated offline against the same run. The rule is the pure
+function episode_decay, which LineMonitor and the feasibility checker
+both call.
 """
 
 import math
@@ -94,6 +96,22 @@ class BottomHalfRelease:
     assigned_timestamp: int
 
 
+def episode_decay(prev: Optional[int], t: int, period: float,
+                  window: int) -> Optional[float]:
+    """The episode rule: what an internalization at t leaves behind when
+    the line's previous internalization was at prev (None for the first).
+
+    A gap below the period starts or prolongs an out-of-envelope episode
+    that decays once the violating pair has aged out, at
+    prev + max(period, window), which lies after t; the result is that
+    decay time (infinite for exception-only tasks). Otherwise no episode
+    is live after t and the result is None.
+    """
+    if prev is not None and t - prev < period:
+        return prev + max(period, window)
+    return None
+
+
 class LineMonitor:
     def __init__(self, task: Task, fault_policy: FaultPolicy = FaultPolicy.PERMANENT):
         self.line = task.line
@@ -107,7 +125,7 @@ class LineMonitor:
         self.last_internalize: Optional[int] = None
         self.mask_snapshot: Optional[Snapshot] = None
         self.window_timer: Optional[int] = None
-        self._ooe_active = False
+        # decay time of the live out-of-envelope episode, None when none
         self._ooe_decay_at: Optional[float] = None
         self._bh_active = False
         self._bh_timestamp: Optional[int] = None
@@ -117,12 +135,10 @@ class LineMonitor:
 
     def ooe_active(self, t: int) -> bool:
         """Is the out-of-envelope episode live at time t?"""
-        if not self._ooe_active:
-            return False
-        return self._ooe_decay_at is None or t < self._ooe_decay_at
+        return self._ooe_decay_at is not None and t < self._ooe_decay_at
 
     def decay_due(self) -> Optional[int]:
-        if self._ooe_active and self._ooe_decay_at is not None \
+        if self._ooe_decay_at is not None \
                 and math.isfinite(self._ooe_decay_at):
             return int(self._ooe_decay_at)
         return None
@@ -130,9 +146,7 @@ class LineMonitor:
     def decay(self, t: int) -> bool:
         """Retire the episode once the violating pair has aged out.
         Returns True when the episode ended at this call."""
-        if self._ooe_active and self._ooe_decay_at is not None \
-                and t >= self._ooe_decay_at:
-            self._ooe_active = False
+        if self._ooe_decay_at is not None and t >= self._ooe_decay_at:
             self._ooe_decay_at = None
             if self.state is LineState.OUT_OF_ENVELOPE:
                 self.state = LineState.IN_ENVELOPE
@@ -162,22 +176,16 @@ class LineMonitor:
         eff = MonitorEffect()
         self.decay(t)
         self._prune(t)
-        prev = self.last_internalize
-        if prev is not None:
-            gap = t - prev
-            if gap < self.period:
-                if not self._ooe_active:
-                    eff.entered_ooe = True
-                    eff.alarms.append(
-                        Alarm(t, self.line, AlarmKind.OUT_OF_ENVELOPE_ENTERED)
-                    )
-                self._ooe_active = True
-                self._ooe_decay_at = prev + max(self.period, self.window)
-            else:
-                if self._ooe_active:
-                    eff.exited_ooe = True
-                self._ooe_active = False
-                self._ooe_decay_at = None
+        decay_at = episode_decay(self.last_internalize, t, self.period,
+                                 self.window)
+        if decay_at is not None and self._ooe_decay_at is None:
+            eff.entered_ooe = True
+            eff.alarms.append(
+                Alarm(t, self.line, AlarmKind.OUT_OF_ENVELOPE_ENTERED)
+            )
+        elif decay_at is None and self._ooe_decay_at is not None:
+            eff.exited_ooe = True
+        self._ooe_decay_at = decay_at
         self.last_internalize = t
         insort(self.ring, t)
         self.state = (

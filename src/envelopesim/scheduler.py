@@ -10,10 +10,13 @@ A job that reaches its deadline incomplete is classified Dropped when an
 elevated, more important task consumed processor time inside the job's
 release-to-deadline window (the sanctioned sacrifice), and Missed
 otherwise (a genuine scheduling failure).
+
+Both rules are pure functions, dispatch_key and mark_starved, which the
+Scheduler and the feasibility checker both call.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Container, Dict, List, Mapping, Optional, Set, Tuple
 
 from .model import (
     Job,
@@ -38,6 +41,30 @@ class TickResult:
     completed: bool = False
 
 
+def dispatch_key(job: Job, elevated: Container[str],
+                 tasks: Mapping[str, Task], pmap: PriorityMap) -> Tuple:
+    """The two-band dispatch rule: the active job with the smallest key
+    runs. Jobs of elevated tasks (elevated holds their ids) come first,
+    by importance descending; the rest follow by scheduler priority,
+    overrides applied."""
+    if job.task_id in elevated:
+        return (0, -tasks[job.task_id].importance, job.task_id, job.seq)
+    return (1, -pmap.priority(job.task_id, job.seq), job.task_id, job.seq)
+
+
+def mark_starved(runner: Job, active: List[Job],
+                 tasks: Mapping[str, Task], start: int, end: int) -> None:
+    """The starvation rule, for an elevated job that ran over the ticks
+    [start, end): every less important active job whose window
+    [release, deadline) shares a tick with that span was starved by it,
+    which turns its miss into a sanctioned drop."""
+    imp = tasks[runner.task_id].importance
+    for other in active:
+        if other is not runner and tasks[other.task_id].importance < imp \
+                and other.release < end and start < other.abs_deadline:
+            other.starved_by_elevated = True
+
+
 class Scheduler:
     def __init__(self, task_set: TaskSet, priority_map: PriorityMap,
                  delta_th: int = 0):
@@ -51,9 +78,6 @@ class Scheduler:
         self.elevated: Set[str] = set()
         self.kernel_pending = 0
         self.total_top_half = 0
-
-    def importance(self, task_id: str) -> int:
-        return self.tasks[task_id].importance
 
     def set_elevated(self, task_ids) -> None:
         self.elevated = set(task_ids)
@@ -84,20 +108,12 @@ class Scheduler:
         self.active.append(job)
         return ReleaseEffect(job=job)
 
-    def _key(self, job: Job) -> Tuple:
-        if job.task_id in self.elevated:
-            return (0, -self.importance(job.task_id), job.task_id, job.seq)
-        return (
-            1,
-            -self.pmap.priority(job.task_id, job.seq),
-            job.task_id,
-            job.seq,
-        )
-
     def pick_next(self, t: int) -> Optional[Job]:
         if not self.active:
             return None
-        return min(self.active, key=self._key)
+        elevated, tasks, pmap = self.elevated, self.tasks, self.pmap
+        return min(self.active,
+                   key=lambda j: dispatch_key(j, elevated, tasks, pmap))
 
     def dispatch(self, job: Optional[Job],
                  t: int) -> Tuple[Optional[Job], bool]:
@@ -164,22 +180,10 @@ class Scheduler:
         end = start + min(job.remaining, until - start)
         job.remaining -= end - start
         if job.task_id in self.elevated:
-            self._mark_starved(job, start, end)
+            mark_starved(job, self.active, self.tasks, start, end)
         if job.remaining == 0:
             job.finalize(JobState.COMPLETED, end)
             self.active.remove(job)
             self.running = None
             return TickResult(kind="ran", job=job, completed=True)
         return TickResult(kind="ran", job=job)
-
-    def _mark_starved(self, elevated_job: Job, start: int, end: int) -> None:
-        # Definition of a sanctioned sacrifice: an elevated, more
-        # important task ate processor time inside the victim's window,
-        # i.e. on some tick of [start, end) within [release, deadline).
-        imp = self.importance(elevated_job.task_id)
-        for other in self.active:
-            if other is elevated_job:
-                continue
-            if self.importance(other.task_id) < imp \
-                    and other.release < end and start < other.abs_deadline:
-                other.starved_by_elevated = True

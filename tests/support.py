@@ -1,12 +1,15 @@
 """Shared oracles and generators for the test suite.
 
-The window oracle and the conservation counts are deliberately naive,
-independent re-implementations; the tick engine drives the engine's own
-phases through every tick, as the engine did before next-event time
-advance. Tests compare the engine against them.
+The window oracle, the conservation counts and the verdict oracle are
+deliberately naive, independent re-implementations; the tick engine
+drives the engine's own phases through every tick, as the engine did
+before next-event time advance. Tests compare the engine and the checker
+against them.
 """
 
 import random
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from envelopesim import (
     Burst,
@@ -16,12 +19,15 @@ from envelopesim import (
     FaultPolicy,
     Periodic,
     Policy,
+    PriorityMap,
+    ResponseOption,
     Scenario,
     Sporadic,
     Storm,
     Task,
     TaskSet,
 )
+from envelopesim.feasibility import COMPLETED, DROPPED, INCOMPLETE, MISSED
 
 
 def window_violations(timestamps, n, w):
@@ -52,6 +58,123 @@ def conservation_counts(trace, line):
     suppressed = len(trace.of_kind("SUPPRESS", line=line))
     deferred = sum(1 for r in internalized if ";deferred" in r.detail)
     return raised, len(internalized), suppressed - deferred
+
+
+@dataclass
+class _RefJob:
+    task_id: str
+    seq: int
+    release: int
+    deadline: int
+    remaining: int
+    starved: bool = False
+
+
+def oracle_verdicts(
+    task_set: TaskSet,
+    pmap: PriorityMap,
+    patterns: Dict[str, Tuple[int, ...]],
+    horizon: int,
+    delta_th: int = 0,
+) -> Dict[Tuple[str, int], str]:
+    """Job verdicts for one arrival pattern, computed without the engine
+    or its rule functions (the checker's inner loop before it shared
+    them, kept as an independent oracle).
+
+    Within the envelope no defense mask ever suppresses an event (a raise
+    landing inside a masked span would be the n+1st event of one window),
+    so internalization happens at raise time and the only moving parts
+    are releases, the out-of-envelope episode predicate, two-band
+    dispatch, top-half kernel time, and deadline finalization.
+    """
+    tasks = {t.id: t for t in task_set}
+    arrivals: Dict[int, List[Task]] = {}
+    for tid, times in patterns.items():
+        for t in times:
+            arrivals.setdefault(t, []).append(tasks[tid])
+    verdicts: Dict[Tuple[str, int], str] = {}
+    seqs = {t.id: 0 for t in task_set}
+    last: Dict[str, Optional[int]] = {t.id: None for t in task_set}
+    ooe = {t.id: False for t in task_set}
+    decay_at: Dict[str, Optional[float]] = {t.id: None for t in task_set}
+    active: List[_RefJob] = []
+    kernel = 0
+
+    def elevated(tid: str, t: int) -> bool:
+        return ooe[tid] and (decay_at[tid] is None or t < decay_at[tid])
+
+    def key(job: _RefJob, t: int):
+        if elevated(job.task_id, t):
+            return (0, -tasks[job.task_id].importance, job.task_id, job.seq)
+        return (
+            1,
+            -pmap.priority(job.task_id, job.seq),
+            job.task_id,
+            job.seq,
+        )
+
+    for t in range(horizon + 1):
+        for tid in ooe:
+            if ooe[tid] and decay_at[tid] is not None and t >= decay_at[tid]:
+                ooe[tid] = False
+                decay_at[tid] = None
+        if t < horizon:
+            batch = sorted(
+                arrivals.get(t, ()), key=lambda tk: (-tk.importance, tk.line)
+            )
+            for task in batch:
+                prev = last[task.id]
+                if prev is not None:
+                    if t - prev < task.period:
+                        ooe[task.id] = True
+                        decay_at[task.id] = prev + max(
+                            task.period, task.envelope_w
+                        )
+                    else:
+                        ooe[task.id] = False
+                        decay_at[task.id] = None
+                last[task.id] = t
+                kernel += delta_th
+                if task.response is ResponseOption.NOTIFY_RUNNING and any(
+                    j.task_id == task.id for j in active
+                ):
+                    continue
+                seq = seqs[task.id]
+                seqs[task.id] = seq + 1
+                active.append(
+                    _RefJob(task.id, seq, t, t + task.deadline, task.wcet)
+                )
+        for job in sorted(
+            [j for j in active if j.deadline <= t and j.remaining > 0],
+            key=lambda j: (j.task_id, j.seq),
+        ):
+            verdicts[(job.task_id, job.seq)] = (
+                DROPPED if job.starved else MISSED
+            )
+            active.remove(job)
+        if t >= horizon:
+            break
+        if kernel > 0:
+            kernel -= 1
+            continue
+        if not active:
+            continue
+        job = min(active, key=lambda j: key(j, t))
+        job.remaining -= 1
+        if elevated(job.task_id, t):
+            imp = tasks[job.task_id].importance
+            for other in active:
+                if other is job:
+                    continue
+                if tasks[other.task_id].importance < imp \
+                        and other.release <= t < other.deadline:
+                    other.starved = True
+        if job.remaining == 0:
+            verdicts[(job.task_id, job.seq)] = COMPLETED
+            active.remove(job)
+    for job in active:
+        verdicts[(job.task_id, job.seq)] = INCOMPLETE
+    return verdicts
 
 
 class TickEngine(Engine):

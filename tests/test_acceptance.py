@@ -34,6 +34,7 @@ from conftest import scenario_monotonic, scenario_override, scenario_override_bu
 from support import (
     conservation_counts,
     internalize_timestamps,
+    oracle_verdicts,
     random_scenario,
     window_violations,
 )
@@ -273,6 +274,8 @@ def test_criterion_6_oracle_equivalence():
                                      policy.delta_th)
             eng, _ = engine_verdicts(ts, normalized, patterns, horizon)
             assert ref == eng, (name, patterns)
+            assert ref == oracle_verdicts(ts, pmap, patterns, horizon,
+                                          policy.delta_th), (name, patterns)
             any_missed = any_missed or MISSED in ref.values()
         result = check_ooe_feasible(ts, policy, horizon)
         assert result.feasible == (not any_missed), name

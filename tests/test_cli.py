@@ -254,6 +254,36 @@ def test_check_bounds_exceeded(tmp_path, capsys):
     assert "bounds exceeded" in capsys.readouterr().err
 
 
+def _duplicate_importance_and_bad_keys(obj):
+    obj["tasks"][1]["importance"] = 1
+    obj["tasks"][0]["job_priority_overrides"].update({"7": 10, "-1": 5})
+
+
+@pytest.mark.parametrize("mutate,fragments", [
+    (_duplicate_importance_and_bad_keys,
+     ["duplicate importance 1", "key -1 outside [0, 2)",
+      "key 7 outside [0, 2)"]),
+    (lambda o: o.update(horizon=0), ["horizon must be positive, got 0"]),
+    (lambda o: o["policy"].update(delta_th=-3), ["delta_th must be >= 0"]),
+    (lambda o: o["policy"].update(assignment="explicitt"),
+     ["unknown priority assignment 'explicitt'"]),
+    (lambda o: o["tasks"][1].pop("priority"),
+     ["task tau_h: explicit priority assignment requires a priority"]),
+], ids=["duplicates", "horizon", "delta_th", "assignment", "no_priority"])
+def test_check_rejects_invalid_scenario_like_run(tmp_path, capsys, mutate,
+                                                 fragments):
+    # feasible before the mutation, so no witness replay runs the engine
+    obj = two_task_obj(override=True)
+    obj["tasks"][0]["C"] = 1
+    mutate(obj)
+    scenario = write_scenario(tmp_path, obj)
+    assert main(["check", "--scenario", scenario]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert all(f in err for f in fragments), err
+    assert main(["run", "--scenario", scenario]) == EXIT_INVALID
+    assert capsys.readouterr().err == err
+
+
 def test_check_rejects_self_breaching_envelope(tmp_path, capsys):
     obj = {
         "tasks": [{"id": "t", "C": 1, "T": 3, "importance": 0,

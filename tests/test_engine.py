@@ -3,6 +3,7 @@ import pytest
 from envelopesim import (
     INFINITE_PERIOD,
     Burst,
+    Engine,
     EngineError,
     Explicit,
     FaultPolicy,
@@ -339,6 +340,37 @@ def test_ipl_suppression_and_backfill():
     assert metrics.per_task["t"]["completions"] == 2
     raised, internalized, counter_only = conservation_counts(trace, "l")
     assert raised == internalized + counter_only == 2
+
+
+class RoundCountingEngine(Engine):
+    """Counts the IPL rounds (calls of _apply_ipl) of each schedule
+    point."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.rounds = []
+
+    def _schedule_point(self, t):
+        self.rounds.append(0)
+        super()._schedule_point(t)
+
+    def _apply_ipl(self, t):
+        self.rounds[-1] += 1
+        return super()._apply_ipl(t)
+
+
+def test_schedule_point_rounds_stay_under_the_derived_cap():
+    most = 0
+    for seed in range(1000):
+        sc = random_scenario(seed)
+        if not sc.policy.ipl_optimization:
+            continue
+        engine = RoundCountingEngine(sc)
+        engine.run()
+        cap = 2 * (len(sc.task_set) + 1)
+        assert max(engine.rounds) <= cap, seed
+        most = max(most, max(engine.rounds))
+    assert most >= 3  # backfills really make schedule points iterate
 
 
 def test_ipl_off_means_no_ipl_records():

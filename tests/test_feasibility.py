@@ -26,7 +26,7 @@ from envelopesim.feasibility import (
 )
 from envelopesim.model import assign_importance_monotonic, explicit_priority_map
 from conftest import two_task_set
-from support import window_violations
+from support import oracle_verdicts, window_violations
 
 
 def envelope_task(n, w, period=6, **kw):
@@ -254,8 +254,9 @@ def random_small_instance(seed):
 
 
 def test_reference_agrees_with_engine_on_sampled_patterns():
-    # the enumeration's inner simulator and the full engine must reach
-    # the same verdict for every job, pattern by pattern
+    # the enumeration's inner simulator, the full engine and the
+    # independent oracle must reach the same verdict for every job,
+    # pattern by pattern
     for seed in range(40):
         ts, policy, horizon, rng = random_small_instance(seed)
         pmap = explicit_priority_map(ts) if policy.assignment == "explicit" \
@@ -272,3 +273,5 @@ def test_reference_agrees_with_engine_on_sampled_patterns():
                                      policy.delta_th)
             eng, _ = engine_verdicts(ts, policy, patterns, horizon)
             assert ref == eng, (seed, patterns)
+            assert ref == oracle_verdicts(ts, pmap, patterns, horizon,
+                                          policy.delta_th), (seed, patterns)
