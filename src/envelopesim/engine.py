@@ -51,8 +51,6 @@ from .monitor import (
     FaultPolicy,
     LineMonitor,
     LineState,
-    LineView,
-    SchedulerView,
     compute_ipl,
 )
 from .scheduler import Scheduler
@@ -313,6 +311,13 @@ class Engine:
         self.horizon = scenario.resolved_horizon()
         self.task_set = scenario.task_set
         self.line_task: Dict[str, Task] = {t.line: t for t in self.task_set}
+        # the tasks in interrupt priority order: importance descending,
+        # then line id
+        self._irq_order: List[Task] = sorted(
+            self.task_set, key=lambda task: (-task.importance, task.line)
+        )
+        self._irq_rank = {task.line: i
+                          for i, task in enumerate(self._irq_order)}
         # irq = importance + 1: level 0 must mean "nothing suppressed"
         # even for an importance-0 task under the strict > comparison
         self.vic = VicState(
@@ -456,10 +461,7 @@ class Engine:
         lines = self.raises.get(t)
         if not lines:
             return
-        order = sorted(
-            lines, key=lambda l: (-self.line_task[l].importance, l)
-        )
-        for line in order:
+        for line in sorted(lines, key=self._irq_rank.__getitem__):
             outcome = self.vic.raise_event(line, t)
             task = self.line_task[line].id
             self.line_raised[line] += 1
@@ -478,13 +480,15 @@ class Engine:
             line = self.vic.poll_deliverable()
             if line is None:
                 return
-            self._internalize(line, t, t, deferred=False)
+            reff = self._internalize(line, t, t, deferred=False)
+            self.line_top_half[line] += self.sched.account_top_half(t)
+            self._mask_bottom_half(line, t, t, reff.job or reff.notified)
             self._needs_dispatch = True
 
-    def _internalize(self, line: str, now: int, ts: int, deferred: bool,
-                     charge: bool = True, allow_bh: bool = True):
+    def _internalize(self, line: str, now: int, ts: int, deferred: bool):
         """Internalize one occurrence of a line with event timestamp ts
-        (equal to now except for backfilled occurrences)."""
+        (equal to now except for backfilled occurrences). Charging the
+        top half and the bottom-half mask are left to the caller."""
         mon = self.monitors[line]
         task = self.line_task[line]
         eff = mon.record_internalization(self.vic, ts)
@@ -502,27 +506,32 @@ class Engine:
             self._alarm(now, line, a.kind)
         if eff.masked:
             self._log(now, MASK, line, task.id, detail="window")
-            self._ipl_clear_line(line)
+            self._ipl_snap.pop(line, None)
             self._register_timer(eff.window_timer, "window", line, now)
         decay_due = mon.decay_due()
         if decay_due is not None:
             self._register_timer(decay_due, "decay", line, now)
-        reff = self.sched.on_internalize(task.id, now, ooe)
+        reff = self.sched.on_internalize(task.id, now)
         if reff.job is not None:
             self._log(now, RELEASE, line, task.id, reff.job.seq,
                       detail=f"deadline={reff.job.abs_deadline}")
         elif reff.notified is not None:
             self._log(now, NOTIFY, line, task.id, reff.notified.seq,
                       detail="ooe" if ooe else "in_envelope")
-        if charge:
-            charged = self.sched.account_top_half(now)
-            self.line_top_half[line] += charged
-        if allow_bh and self.policy.mask_until_bottom_half:
-            trigger = reff.job or reff.notified
-            if trigger is not None and mon.apply_bottom_half_mask(self.vic, ts):
-                self._log(now, MASK, line, task.id, detail="bottom_half")
-                self._bh_trigger[line] = trigger
         return reff
+
+    def _mask_bottom_half(self, line: str, now: int, ts: int,
+                          trigger: Optional[Job]) -> None:
+        """In bottom-half mode, mask the line until trigger, the job its
+        last internalization released or notified, is finalized."""
+        if (
+            self.policy.mask_until_bottom_half
+            and trigger is not None
+            and self.monitors[line].apply_bottom_half_mask(self.vic, ts)
+        ):
+            self._log(now, MASK, line, self.line_task[line].id,
+                      detail="bottom_half")
+            self._bh_trigger[line] = trigger
 
     def _backfill(self, line: str, now: int, ts: int, count: int) -> int:
         """Internalize occurrences deferred by a mask, all carrying the
@@ -534,22 +543,12 @@ class Engine:
         for _ in range(count):
             if mon.state in (LineState.WINDOW_MASKED, LineState.FAULTY):
                 break
-            reff = self._internalize(
-                line, now, ts, deferred=True, charge=False, allow_bh=False
-            )
+            reff = self._internalize(line, now, ts, deferred=True)
             last_trigger = reff.job or reff.notified
             done += 1
         if done:
             self._needs_dispatch = True
-        if (
-            self.policy.mask_until_bottom_half
-            and last_trigger is not None
-            and mon.state not in (LineState.WINDOW_MASKED, LineState.FAULTY)
-            and mon.apply_bottom_half_mask(self.vic, ts)
-        ):
-            self._log(now, MASK, line, self.line_task[line].id,
-                      detail="bottom_half")
-            self._bh_trigger[line] = last_trigger
+        self._mask_bottom_half(line, now, ts, last_trigger)
         return done
 
     def _after_finalize(self, job: Job, now: int) -> None:
@@ -583,6 +582,9 @@ class Engine:
         # line's counter delta can be backfilled at most once; an
         # iteration without a backfill is followed by at most one more
         # (nothing left to change). Hence at most 2 * (lines + 1) rounds.
+        # This is the only writer of the elevated set: every
+        # internalization is followed by a round before the next dispatch
+        # or span reads it, since a backfill repeats the round.
         for _ in range(2 * (len(self.line_task) + 1)):
             changed = False
             elevated = {
@@ -611,37 +613,23 @@ class Engine:
         raise EngineError(f"schedule point at t={t} did not stabilize")
 
     def _apply_ipl(self, t: int) -> bool:
-        view = SchedulerView(
-            running_priority=(
-                None if self.sched.running is None
-                else self.pmap.priority(
-                    self.sched.running.task_id, self.sched.running.seq
-                )
-            ),
-            lines=tuple(
-                LineView(
-                    line=line,
-                    importance=task.importance,
-                    next_job_priority=self.pmap.priority(
-                        task.id, self.sched.seq[task.id]
-                    ),
-                )
-                for line, task in sorted(self.line_task.items())
-            ),
+        running = self.sched.running
+        priority, seq = self.pmap.priority, self.sched.seq
+        level = compute_ipl(
+            None if running is None
+            else priority(running.task_id, running.seq),
+            ((task.importance, priority(task.id, seq[task.id]))
+             for task in self._irq_order),
         )
-        level = compute_ipl(view)
         if level != self.vic.ipl:
             self.vic.set_ipl(level)
             self._log(t, IPL_SET, detail=f"level={level}")
         recon = False
-        order = sorted(
-            self.line_task,
-            key=lambda l: (-self.line_task[l].importance, l),
-        )
-        for line in order:
+        for task in self._irq_order:
+            line = task.line
             ln = self.vic.lines[line]
             if ln.masked:
-                self._ipl_clear_line(line)
+                self._ipl_snap.pop(line, None)
                 continue
             now_sup = ln.irq_priority <= self.vic.ipl
             was = line in self._ipl_snap
@@ -663,9 +651,6 @@ class Engine:
             return
         if ln.irq_priority <= self.vic.ipl and line not in self._ipl_snap:
             self._ipl_snap[line] = self.vic.snapshot_counter(line, t)
-
-    def _ipl_clear_line(self, line: str) -> None:
-        self._ipl_snap.pop(line, None)
 
     # metrics
 

@@ -242,7 +242,7 @@ def reference_verdicts(
         job = min(active, key=key)
         job.remaining -= 1
         if job.task_id in episodes:
-            mark_starved(job, active, tasks, t, t + 1)
+            mark_starved(job, active, tasks)
         if job.remaining == 0:
             verdicts[(job.task_id, job.seq)] = COMPLETED
             active.remove(job)

@@ -107,9 +107,6 @@ class TaskSet:
     def __len__(self):
         return len(self.tasks)
 
-    def lines(self) -> Dict[str, Task]:
-        return {t.line: t for t in self.tasks}
-
 
 def hyperperiod(task_set: TaskSet) -> int:
     """Least common multiple of all finite periods, or 1 if none exist."""

@@ -30,7 +30,7 @@ import math
 from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from .model import Task
 from .vic import Snapshot, VicState
@@ -303,25 +303,15 @@ class LineMonitor:
         return BottomHalfRelease(deferred=deferred, assigned_timestamp=assigned)
 
 
-@dataclass(frozen=True)
-class LineView:
-    line: str
-    importance: int
-    next_job_priority: int
-
-
-@dataclass(frozen=True)
-class SchedulerView:
-    """What the IPL rule needs to know: the running job's priority and,
-    per line, the priority the line's next released job would get."""
-
-    running_priority: Optional[int]
-    lines: tuple
-
-
-def compute_ipl(view: SchedulerView) -> int:
+def compute_ipl(running_priority: Optional[int],
+                lines: Iterable[Tuple[int, int]]) -> int:
     """Interrupt priority level that suppresses lines whose next job
     would not preempt the running job.
+
+    running_priority is the running job's priority, or None when the
+    processor is idle; lines gives, per line, its task's importance and
+    the priority the line's next released job would get. When nothing
+    runs, lines is not read.
 
     Device lines carry irq priority importance + 1, so a level L
     suppresses exactly the lines with importance below L. The level is
@@ -332,12 +322,12 @@ def compute_ipl(view: SchedulerView) -> int:
     over-suppressed lines are corrected at the next schedule point via
     their counters.
     """
-    if view.running_priority is None or not view.lines:
+    if running_priority is None:
         return 0
-    preempting = [
-        lv for lv in view.lines
-        if lv.next_job_priority > view.running_priority
-    ]
+    lines = list(lines)
+    if not lines:
+        return 0
+    preempting = [imp for imp, prio in lines if prio > running_priority]
     if not preempting:
-        return max(lv.importance for lv in view.lines) + 1
-    return min(lv.importance for lv in preempting)
+        return max(imp for imp, _ in lines) + 1
+    return min(preempting)

@@ -53,15 +53,19 @@ def dispatch_key(job: Job, elevated: Container[str],
 
 
 def mark_starved(runner: Job, active: List[Job],
-                 tasks: Mapping[str, Task], start: int, end: int) -> None:
-    """The starvation rule, for an elevated job that ran over the ticks
-    [start, end): every less important active job whose window
-    [release, deadline) shares a tick with that span was starved by it,
-    which turns its miss into a sanctioned drop."""
+                 tasks: Mapping[str, Task]) -> None:
+    """The starvation rule, for an elevated job that just ran: every less
+    important active job was starved by it, which turns its miss into a
+    sanctioned drop.
+
+    Each such job's window [release, deadline) covers the whole span the
+    runner executed: the job was active when the span began, so it was
+    released at or before its start, and callers end spans at the
+    earliest active deadline after shedding the jobs whose deadline has
+    arrived, so the deadline lies at or after its end."""
     imp = tasks[runner.task_id].importance
     for other in active:
-        if other is not runner and tasks[other.task_id].importance < imp \
-                and other.release < end and start < other.abs_deadline:
+        if other is not runner and tasks[other.task_id].importance < imp:
             other.starved_by_elevated = True
 
 
@@ -82,12 +86,11 @@ class Scheduler:
     def set_elevated(self, task_ids) -> None:
         self.elevated = set(task_ids)
 
-    def on_internalize(self, task_id: str, t: int, ooe: bool) -> ReleaseEffect:
+    def on_internalize(self, task_id: str, t: int) -> ReleaseEffect:
         """Respond to an internalized event: release a job, or notify a
-        live one for NOTIFY_RUNNING tasks."""
+        live one for NOTIFY_RUNNING tasks. The elevated set is left to
+        set_elevated, which the caller runs before the next dispatch."""
         task = self.tasks[task_id]
-        if ooe:
-            self.elevated.add(task_id)
         if task.response is ResponseOption.NOTIFY_RUNNING:
             live = [j for j in self.active if j.task_id == task_id]
             if live:
@@ -180,7 +183,7 @@ class Scheduler:
         end = start + min(job.remaining, until - start)
         job.remaining -= end - start
         if job.task_id in self.elevated:
-            mark_starved(job, self.active, self.tasks, start, end)
+            mark_starved(job, self.active, self.tasks)
         if job.remaining == 0:
             job.finalize(JobState.COMPLETED, end)
             self.active.remove(job)

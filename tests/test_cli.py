@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,8 @@ from envelopesim.cli import (
     parse_scenario,
 )
 from envelopesim.engine import ScenarioError
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def two_task_obj(override=False):
@@ -369,10 +373,12 @@ def test_gantt_rows_close_open_runs():
 
 def test_console_script(tmp_path):
     scenario = write_scenario(tmp_path, two_task_obj())
+    # the package is importable from the source tree, installed or not
+    env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run(
         [sys.executable, "-m", "envelopesim.cli", "run",
          "--scenario", scenario],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == EXIT_MISS
     assert "misses=1" in proc.stdout

@@ -342,6 +342,31 @@ def test_ipl_suppression_and_backfill():
     assert raised == internalized + counter_only == 2
 
 
+def test_lines_are_served_by_importance_not_line_id():
+    # line ids sort against importance: "a" is the least important line
+    tasks = TaskSet([
+        Task(id="r", wcet=5, period=20, importance=9, line="r",
+             envelope_n=2, envelope_w=20),
+        Task(id="ta", wcet=1, period=20, importance=1, line="a",
+             envelope_n=2, envelope_w=20),
+        Task(id="tb", wcet=1, period=20, importance=2, line="b",
+             envelope_n=2, envelope_w=20),
+    ])
+    sc = Scenario(task_set=tasks, horizon=20,
+                  policy=Policy(ipl_optimization=True),
+                  workload=[("r", Explicit((0,))), ("a", Explicit((1, 10))),
+                            ("b", Explicit((2, 10)))])
+    trace, _ = run_scenario(sc)
+    # r runs over [0, 5) and no released job would preempt it, so the
+    # raises at 1 and 2 are suppressed and both backfilled at 5
+    assert [r.line for r in trace.of_kind("SUPPRESS")] == ["a", "b"]
+    deferred = [(r.time, r.line) for r in trace.of_kind("INTERNALIZE")
+                if ";deferred" in r.detail]
+    assert deferred == [(5, "b"), (5, "a")]
+    same_tick = [r.line for r in trace.of_kind("RAISE") if r.time == 10]
+    assert same_tick == ["b", "a"]
+
+
 class RoundCountingEngine(Engine):
     """Counts the IPL rounds (calls of _apply_ipl) of each schedule
     point."""

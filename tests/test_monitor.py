@@ -6,9 +6,7 @@ from envelopesim import (
     InterruptLine,
     LineMonitor,
     LineState,
-    LineView,
     MonitorError,
-    SchedulerView,
     Task,
     VicState,
     compute_ipl,
@@ -218,33 +216,23 @@ def test_window_defense_takes_over_bottom_half():
     assert mon.state is LineState.WINDOW_MASKED
 
 
-def view(running, *lines):
-    return SchedulerView(
-        running_priority=running,
-        lines=tuple(LineView(line=l, importance=i, next_job_priority=p)
-                    for l, i, p in lines),
-    )
-
-
 def test_ipl_idle_is_zero():
-    assert compute_ipl(view(None, ("a", 8, 7))) == 0
+    assert compute_ipl(None, [(8, 7)]) == 0
 
 
 def test_ipl_no_lines_is_zero():
-    assert compute_ipl(view(5)) == 0
+    assert compute_ipl(5, []) == 0
 
 
 def test_ipl_least_important_preemptor_sets_level():
-    v = view(5, ("a", 8, 7), ("b", 6, 6), ("c", 4, 4))
     # b preempts and is least important; only c sits below level 6
-    assert compute_ipl(v) == 6
+    assert compute_ipl(5, [(8, 7), (6, 6), (4, 4)]) == 6
 
 
 def test_ipl_no_preemptor_suppresses_everything():
-    v = view(9, ("a", 8, 7), ("b", 6, 6))
-    assert compute_ipl(v) == 9  # above every line's irq priority
+    # above every line's irq priority
+    assert compute_ipl(9, [(8, 7), (6, 6)]) == 9
 
 
 def test_ipl_importance_zero_preemptor_stays_deliverable():
-    v = view(5, ("a", 0, 7))
-    assert compute_ipl(v) == 0
+    assert compute_ipl(5, [(0, 7)]) == 0

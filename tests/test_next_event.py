@@ -109,8 +109,9 @@ def test_execute_tick_serves_a_span():
     ]
     ts = TaskSet(tasks)
     sched = Scheduler(ts, assign_importance_monotonic(ts), delta_th=2)
-    low = sched.on_internalize("low", 0, ooe=False).job
-    high = sched.on_internalize("high", 0, ooe=True).job
+    low = sched.on_internalize("low", 0).job
+    high = sched.on_internalize("high", 0).job
+    sched.set_elevated({"high"})
     sched.account_top_half(0)
     sched.dispatch(high, 0)
     res = sched.execute_tick(0, 4)  # two kernel ticks, two job ticks

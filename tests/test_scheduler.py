@@ -27,16 +27,16 @@ def two_tasks(**low_kw):
 
 def test_release_assigns_deadline_and_seq():
     sched = make_sched(two_tasks())
-    j0 = sched.on_internalize("low", 3, ooe=False).job
-    j1 = sched.on_internalize("low", 5, ooe=False).job
+    j0 = sched.on_internalize("low", 3).job
+    j1 = sched.on_internalize("low", 5).job
     assert (j0.seq, j0.release, j0.abs_deadline) == (0, 3, 13)
     assert (j1.seq, j1.release, j1.abs_deadline) == (1, 5, 15)
 
 
 def test_pick_prefers_higher_priority():
     sched = make_sched(two_tasks())
-    jl = sched.on_internalize("low", 0, ooe=False).job
-    jh = sched.on_internalize("high", 0, ooe=False).job
+    jl = sched.on_internalize("low", 0).job
+    jh = sched.on_internalize("high", 0).job
     assert sched.pick_next(0) is jh
     sched.dispatch(jh, 0)
     assert jh.state is JobState.RUNNING
@@ -51,16 +51,17 @@ def test_elevation_outranks_priority():
     # low importance 1 < high importance 2, but explicit priorities invert
     tasks = two_tasks(priority=9)
     sched = make_sched(tasks, explicit=True)
-    jl = sched.on_internalize("low", 0, ooe=False).job
-    jh = sched.on_internalize("high", 0, ooe=True).job
-    assert "high" in sched.elevated
+    jl = sched.on_internalize("low", 0).job
+    jh = sched.on_internalize("high", 0).job
+    sched.set_elevated({"high"})
     assert sched.pick_next(0) is jh
 
 
 def test_elevated_order_by_importance():
     sched = make_sched(two_tasks())
-    jl = sched.on_internalize("low", 0, ooe=True).job
-    jh = sched.on_internalize("high", 0, ooe=True).job
+    jl = sched.on_internalize("low", 0).job
+    jh = sched.on_internalize("high", 0).job
+    sched.set_elevated({"low", "high"})
     assert sched.pick_next(0) is jh
 
 
@@ -68,22 +69,22 @@ def test_job_priority_override_applies_per_seq():
     # low runs twice per hyperperiod, so the override cycle has length 2
     tasks = two_tasks(period=5, job_priority_overrides={0: 10})
     sched = make_sched(tasks, explicit=True)
-    jl = sched.on_internalize("low", 0, ooe=False).job
-    jh = sched.on_internalize("high", 0, ooe=False).job
+    jl = sched.on_internalize("low", 0).job
+    jh = sched.on_internalize("high", 0).job
     assert sched.pick_next(0) is jl  # override 10 beats base 2
     sched.active.remove(jl)
-    jl1 = sched.on_internalize("low", 5, ooe=False).job
+    jl1 = sched.on_internalize("low", 5).job
     assert sched.pick_next(5) is jh  # seq 1 falls back to base 1
     sched.active.remove(jl1)
-    jl2 = sched.on_internalize("low", 10, ooe=False).job
+    jl2 = sched.on_internalize("low", 10).job
     assert sched.pick_next(10) is jl2  # seq 2 wraps back to the override
 
 
 def test_notify_running_targets_live_job():
     tasks = two_tasks(response=ResponseOption.NOTIFY_RUNNING)
     sched = make_sched(tasks)
-    j0 = sched.on_internalize("low", 0, ooe=False).job
-    eff = sched.on_internalize("low", 1, ooe=True)
+    j0 = sched.on_internalize("low", 0).job
+    eff = sched.on_internalize("low", 1)
     assert eff.job is None and eff.notified is j0
     assert j0.notifications == 1
     assert sched.seq["low"] == 1  # no second job was created
@@ -92,14 +93,15 @@ def test_notify_running_targets_live_job():
 def test_notify_running_degenerates_to_release():
     tasks = two_tasks(response=ResponseOption.NOTIFY_RUNNING)
     sched = make_sched(tasks)
-    eff = sched.on_internalize("low", 0, ooe=False)
+    eff = sched.on_internalize("low", 0)
     assert eff.job is not None and eff.notified is None
 
 
 def test_shed_miss_vs_drop():
     sched = make_sched(two_tasks())
-    jl = sched.on_internalize("low", 0, ooe=False).job
-    jh = sched.on_internalize("high", 0, ooe=True).job
+    jl = sched.on_internalize("low", 0).job
+    jh = sched.on_internalize("high", 0).job
+    sched.set_elevated({"high"})
     sched.dispatch(jh, 0)
     sched.execute_tick(0)  # elevated high runs: low is being starved
     assert jl.starved_by_elevated
@@ -109,7 +111,7 @@ def test_shed_miss_vs_drop():
     assert jl.state is JobState.DROPPED
 
     sched = make_sched(two_tasks())
-    jl = sched.on_internalize("low", 0, ooe=False).job
+    jl = sched.on_internalize("low", 0).job
     jl.abs_deadline = 1
     shed = sched.shed_check(1)
     assert shed[0].state is JobState.MISSED  # nobody starved it
@@ -117,7 +119,7 @@ def test_shed_miss_vs_drop():
 
 def test_shed_ignores_complete_jobs():
     sched = make_sched(two_tasks())
-    jl = sched.on_internalize("low", 0, ooe=False).job
+    jl = sched.on_internalize("low", 0).job
     sched.dispatch(jl, 0)
     sched.execute_tick(0)
     sched.execute_tick(1)
@@ -128,8 +130,8 @@ def test_shed_ignores_complete_jobs():
 
 def test_starvation_requires_lower_importance_and_open_window():
     sched = make_sched(two_tasks())
-    jl = sched.on_internalize("low", 0, ooe=True).job
-    jh = sched.on_internalize("high", 0, ooe=False).job
+    jl = sched.on_internalize("low", 0).job
+    jh = sched.on_internalize("high", 0).job
     sched.dispatch(jl, 0)
     sched.set_elevated({"low"})
     sched.execute_tick(0)
@@ -139,7 +141,7 @@ def test_starvation_requires_lower_importance_and_open_window():
 
 def test_kernel_time_precedes_job_execution():
     sched = make_sched(two_tasks(), delta_th=2)
-    jl = sched.on_internalize("low", 0, ooe=False).job
+    jl = sched.on_internalize("low", 0).job
     sched.dispatch(jl, 0)
     assert sched.account_top_half(0) == 2
     assert sched.kernel_pending == 2
@@ -158,7 +160,7 @@ def test_idle_tick():
 
 def test_completion_time_is_end_of_tick():
     sched = make_sched(two_tasks(wcet=1))
-    jl = sched.on_internalize("low", 4, ooe=False).job
+    jl = sched.on_internalize("low", 4).job
     sched.dispatch(jl, 4)
     res = sched.execute_tick(4)
     assert res.completed and jl.completion == 5
