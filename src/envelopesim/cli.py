@@ -341,6 +341,13 @@ def cmd_check(args) -> int:
     except (ScenarioError, FeasibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    if args.verbose:
+        print(
+            f"combinations={result.patterns_checked} "
+            f"ticks={result.ticks_simulated} of "
+            f"{result.patterns_checked * (result.horizon + 1)}",
+            file=sys.stderr,
+        )
     if result.feasible:
         print(
             f"Feasible: {result.patterns_checked} admissible pattern "
@@ -587,6 +594,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--witness",
         help="witness trace path (default: <scenario>.witness.csv)",
+    )
+    p_check.add_argument(
+        "--verbose", action="store_true",
+        help="print the combinations checked and the ticks simulated "
+             "to stderr",
     )
     p_check.set_defaults(func=cmd_check)
 

@@ -8,25 +8,42 @@ pattern lead to a genuine miss? Admissible means each task's expected
 periodic arrivals all happen and an adversary adds extra events, as many
 as the envelope permits. Drops of less important tasks in favor of
 elevated ones are sanctioned and do not count against feasibility. The
-check enumerates every admissible pattern combination exhaustively, so it
-only accepts toy instances; anything larger raises BoundsExceeded instead
-of silently sampling.
+check decides every combination of the tasks' admissible patterns, so it
+only accepts toy instances: it counts the patterns first, without
+building them, and anything too large raises BoundsExceeded instead of
+silently sampling.
 
-Verdicts inside the enumeration come from reference_verdicts, a
-job-level tick loop that calls the engine's own rule functions: the
-episode rule (monitor.episode_decay), the dispatch key
-(scheduler.dispatch_key) and the starvation rule (scheduler.mark_starved).
-It leaves out only what cannot matter within the envelope, the interrupt
-controller, the line monitors and the trace, which keeps the inner loop
-cheap. A violating pattern is always replayed through the full engine to
-produce the witness trace, and the replay must reproduce the miss. An
-independent re-implementation of the rules, the oracle the tests compare
-both routes against, lives in tests/support.py.
+Verdicts come from one job-level tick step (_CheckerState.step) that
+calls the engine's own rule functions: the episode rule
+(monitor.episode_decay), the dispatch key (scheduler.dispatch_key) and
+the starvation rule (scheduler.mark_starved). It leaves out only what
+cannot matter within the envelope, the interrupt controller, the line
+monitors and the trace, which keeps it cheap. reference_verdicts runs
+the step over one pattern from t=0.
+
+The sweep visits the combinations in itertools.product order (the last
+task's pattern varies fastest) and keeps a snapshot of the state at
+every tick of the current combination. The state at the start of tick d
+depends only on the arrivals before d, so the next combination resumes
+from the snapshot at its divergence tick: the earliest tick at which a
+task whose pattern changed has a different arrival set. A combination
+stops at its first MISS, which ends the sweep. patterns_checked is the
+1-based product-order index of the first violating combination, or the
+number of combinations when the instance is feasible; ticks_simulated is
+the number of ticks the sweep stepped, at most patterns_checked *
+(horizon + 1).
+
+The violating combination is confirmed by a reference_verdicts run from
+t=0 and replayed through the full engine to produce the witness trace;
+both must show the miss. An independent re-implementation of the rules
+and the product loop that simulated every combination from t=0, the
+oracles the tests compare against, live in tests/support.py.
 """
 
-import itertools
+import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import (
     COMPLETE,
@@ -44,7 +61,6 @@ from .engine import (
     select_priority_map,
 )
 from .model import (
-    Job,
     PriorityMap,
     ResponseOption,
     Task,
@@ -92,6 +108,7 @@ class OoeCheckResult:
     witness_pattern: Optional[Dict[str, Tuple[int, ...]]] = None
     witness_verdicts: Optional[Dict[Tuple[str, int], str]] = None
     witness_trace: Optional[Trace] = None
+    ticks_simulated: int = 0
 
 
 def normal_pattern(task: Task, horizon: int) -> Tuple[int, ...]:
@@ -114,31 +131,60 @@ def admissible_patterns(task: Task, horizon: int) -> List[Tuple[int, ...]]:
     mandatory = frozenset(normal_pattern(task, horizon))
     out: List[Tuple[int, ...]] = []
     chosen: List[int] = []
+    picked = [False] * horizon
 
-    def admits(t: int) -> bool:
-        inside = 1 + sum(1 for s in chosen if s > t - w)
-        return inside <= n
-
-    def grow(t: int) -> None:
+    def grow(t: int, inside: int) -> None:
+        # inside: the chosen events in [t-W, t); the one at t-W, if any,
+        # leaves before the envelope test at t
         if t == horizon:
             out.append(tuple(chosen))
             return
-        if t in mandatory:
-            # no pattern omits an expected arrival; a branch where it
-            # cannot fit dies here
-            if admits(t):
-                chosen.append(t)
-                grow(t + 1)
-                chosen.pop()
-            return
-        grow(t + 1)
-        if admits(t):
+        leaving = t - w
+        if leaving >= 0 and picked[leaving]:
+            inside -= 1
+        # no pattern omits an expected arrival, so a branch where one
+        # cannot fit dies here
+        if t not in mandatory:
+            grow(t + 1, inside)
+        if inside < n:
             chosen.append(t)
-            grow(t + 1)
+            picked[t] = True
+            grow(t + 1, inside + 1)
+            picked[t] = False
             chosen.pop()
 
-    grow(0)
+    grow(0, 0)
     return out
+
+
+def count_admissible_patterns(task: Task, horizon: int) -> int:
+    """len(admissible_patterns(task, horizon)), without building a pattern.
+
+    A count over the ticks whose state is what a later envelope test can
+    still see of the events chosen so far: how many lie at or after
+    horizon - W, inside every later window, and the times of the others
+    that are still inside the current window. So at most
+    min(W, horizon - W) event times are ever tracked."""
+    n, w = task.envelope_n, task.envelope_w
+    mandatory = frozenset(normal_pattern(task, horizon))
+    lasting = max(horizon - w, 0)
+    recent = (1 << lasting) - 1
+    # a state is one int: a bitmask of the times of the events chosen
+    # before `lasting` still inside the window, plus the number of the
+    # later ones shifted above it; it maps to its number of prefixes
+    states: Dict[int, int] = {0: 1}
+    for t in range(horizon):
+        kept = ~((1 << max(t + 1 - w, 0)) - 1)
+        grown: Dict[int, int] = {}
+        for state, ways in states.items():
+            state &= kept
+            if t not in mandatory:
+                grown[state] = grown.get(state, 0) + ways
+            if (state >> lasting) + (state & recent).bit_count() < n:
+                state += 1 << (lasting if t >= lasting else t)
+                grown[state] = grown.get(state, 0) + ways
+        states = grown
+    return sum(states.values())
 
 
 def check_normal(task_set: TaskSet,
@@ -169,14 +215,40 @@ def check_normal(task_set: TaskSet,
     )
 
 
-def reference_verdicts(
-    task_set: TaskSet,
-    pmap: PriorityMap,
-    patterns: Dict[str, Tuple[int, ...]],
-    horizon: int,
-    delta_th: int = 0,
-) -> Dict[Tuple[str, int], str]:
-    """Job verdicts for one arrival pattern, computed without the engine.
+class _CheckerJob:
+    """A released job as the checker tracks it: what the rule functions
+    read and write, and the job's two dispatch keys. The keys do not
+    change during the job's life, so both come from dispatch_key once,
+    at release: key while its task is not elevated, elevated_key while
+    it is."""
+
+    __slots__ = ("task_id", "seq", "abs_deadline", "remaining",
+                 "starved_by_elevated", "key", "elevated_key")
+
+    def __init__(self, task_id: str, seq: int, abs_deadline: int,
+                 remaining: int):
+        self.task_id = task_id
+        self.seq = seq
+        self.abs_deadline = abs_deadline
+        self.remaining = remaining
+        self.starved_by_elevated = False
+
+
+_plain_key = attrgetter("key")
+_finalize_order = attrgetter("task_id", "seq")
+
+
+def _interrupt_order(task_set: TaskSet) -> List[Task]:
+    """The order in which arrivals at one tick are internalized:
+    importance descending, then line id."""
+    return sorted(task_set, key=lambda tk: (-tk.importance, tk.line))
+
+
+class _CheckerState:
+    """The checker's simulation state at the start of a tick: pending
+    top-half kernel time, the active jobs, the live out-of-envelope
+    episodes (decay time by task id), and each task's last arrival and
+    next sequence number.
 
     Within the envelope no defense mask ever suppresses an event (a raise
     landing inside a masked span would be the n+1st event of one window),
@@ -184,71 +256,194 @@ def reference_verdicts(
     are releases, the out-of-envelope episodes, two-band dispatch,
     top-half kernel time, and deadline finalization.
     """
-    tasks = {t.id: t for t in task_set}
-    arrivals: Dict[int, List[Task]] = {}
-    for tid, times in patterns.items():
-        for t in times:
-            arrivals.setdefault(t, []).append(tasks[tid])
-    verdicts: Dict[Tuple[str, int], str] = {}
-    seqs = {t.id: 0 for t in task_set}
-    last: Dict[str, Optional[int]] = {t.id: None for t in task_set}
-    # the elevated tasks: decay time of each live episode, by task id
-    episodes: Dict[str, float] = {}
-    active: List[Job] = []
-    kernel = 0
 
-    def key(job: Job):
-        return dispatch_key(job, episodes, tasks, pmap)
+    def __init__(self, task_set: TaskSet, pmap: PriorityMap, horizon: int,
+                 delta_th: int,
+                 verdicts: Optional[Dict[Tuple[str, int], str]] = None):
+        self.tasks = {t.id: t for t in task_set}
+        self.pmap = pmap
+        self.horizon = horizon
+        self.delta_th = delta_th
+        # finalized jobs' verdicts, kept only when a dict is given
+        self.verdicts = verdicts
+        self.kernel = 0
+        self.active: List[_CheckerJob] = []
+        # step replaces these three dicts instead of changing them, so a
+        # snapshot can share them
+        self.episodes: Dict[str, float] = {}
+        self.last: Dict[str, int] = {}
+        self.seqs: Dict[str, int] = {t.id: 0 for t in task_set}
 
-    for t in range(horizon + 1):
-        for tid in [tid for tid, decay in episodes.items() if t >= decay]:
-            del episodes[tid]
-        if t < horizon:
-            batch = sorted(
-                arrivals.get(t, ()), key=lambda tk: (-tk.importance, tk.line)
-            )
+    def snapshot(self) -> tuple:
+        return (self.kernel, self.episodes, self.last, self.seqs,
+                [(j, j.remaining, j.starved_by_elevated)
+                 for j in self.active])
+
+    def restore(self, snap: tuple) -> None:
+        self.kernel, self.episodes, self.last, self.seqs, jobs = snap
+        self.active = active = []
+        for job, remaining, starved in jobs:
+            job.remaining = remaining
+            job.starved_by_elevated = starved
+            active.append(job)
+
+    def step(self, t: int, batch: Sequence[Task]) -> bool:
+        """Advance over tick t: live episodes decay, the tasks in batch
+        arrive in that order, jobs whose deadline has come are finalized,
+        and below the horizon the processor serves one tick of kernel
+        time or of the job dispatch_key picks. Returns whether a job
+        missed its deadline at t."""
+        episodes = self.episodes
+        if episodes and min(episodes.values()) <= t:
+            episodes = self.episodes = {
+                tid: decay for tid, decay in episodes.items() if t < decay
+            }
+        active = self.active
+        if batch:
+            tasks, pmap = self.tasks, self.pmap
+            episodes = self.episodes = dict(episodes)
+            last = self.last = dict(self.last)
+            seqs = self.seqs = dict(self.seqs)
             for task in batch:
-                decay = episode_decay(last[task.id], t, task.period,
+                tid = task.id
+                decay = episode_decay(last.get(tid), t, task.period,
                                       task.envelope_w)
                 if decay is None:
-                    episodes.pop(task.id, None)
+                    episodes.pop(tid, None)
                 else:
-                    episodes[task.id] = decay
-                last[task.id] = t
-                kernel += delta_th
+                    episodes[tid] = decay
+                last[tid] = t
+                self.kernel += self.delta_th
                 if task.response is ResponseOption.NOTIFY_RUNNING and any(
-                    j.task_id == task.id for j in active
+                    j.task_id == tid for j in active
                 ):
                     continue
-                seq = seqs[task.id]
-                seqs[task.id] = seq + 1
-                active.append(Job(task.id, seq, t, t + task.deadline,
-                                  task.wcet, task.wcet))
-        for job in sorted(
-            [j for j in active if j.abs_deadline <= t and j.remaining > 0],
-            key=lambda j: (j.task_id, j.seq),
-        ):
-            verdicts[(job.task_id, job.seq)] = (
-                DROPPED if job.starved_by_elevated else MISSED
-            )
-            active.remove(job)
-        if t >= horizon:
-            break
-        if kernel > 0:
-            kernel -= 1
-            continue
+                seq = seqs[tid]
+                seqs[tid] = seq + 1
+                job = _CheckerJob(tid, seq, t + task.deadline, task.wcet)
+                job.key = dispatch_key(job, (), tasks, pmap)
+                job.elevated_key = dispatch_key(job, (tid,), tasks, pmap)
+                active.append(job)
+        missed = False
+        due = [j for j in active if j.abs_deadline <= t]
+        if due:
+            due.sort(key=_finalize_order)
+            for job in due:
+                active.remove(job)
+                if not job.starved_by_elevated:
+                    missed = True
+                if self.verdicts is not None:
+                    self.verdicts[(job.task_id, job.seq)] = (
+                        DROPPED if job.starved_by_elevated else MISSED
+                    )
+        if t >= self.horizon:
+            return missed
+        if self.kernel:
+            self.kernel -= 1
+            return missed
         if not active:
-            continue
-        job = min(active, key=key)
+            return missed
+        if len(active) == 1:
+            job = active[0]
+        elif episodes:
+            job = min(active, key=lambda j: j.elevated_key
+                      if j.task_id in episodes else j.key)
+        else:
+            job = min(active, key=_plain_key)
         job.remaining -= 1
         if job.task_id in episodes:
-            mark_starved(job, active, tasks)
+            mark_starved(job, active, self.tasks)
         if job.remaining == 0:
-            verdicts[(job.task_id, job.seq)] = COMPLETED
             active.remove(job)
-    for job in active:
+            if self.verdicts is not None:
+                self.verdicts[(job.task_id, job.seq)] = COMPLETED
+        return missed
+
+
+def reference_verdicts(
+    task_set: TaskSet,
+    pmap: PriorityMap,
+    patterns: Dict[str, Tuple[int, ...]],
+    horizon: int,
+    delta_th: int = 0,
+) -> Dict[Tuple[str, int], str]:
+    """Job verdicts for one arrival pattern, computed without the engine:
+    the checker's step over ticks 0..horizon from the initial state."""
+    verdicts: Dict[Tuple[str, int], str] = {}
+    state = _CheckerState(task_set, pmap, horizon, delta_th, verdicts)
+    arrivals: Dict[int, List[Task]] = {}
+    for task in _interrupt_order(task_set):
+        for t in patterns.get(task.id, ()):
+            if t < horizon:
+                arrivals.setdefault(t, []).append(task)
+    for t in range(horizon + 1):
+        state.step(t, arrivals.get(t, ()))
+    for job in state.active:
         verdicts[(job.task_id, job.seq)] = INCOMPLETE
     return verdicts
+
+
+def _first_difference(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
+    """The earliest tick in exactly one of two distinct sorted patterns."""
+    for x, y in zip(a, b):
+        if x != y:
+            return min(x, y)
+    shorter = min(len(a), len(b))
+    return (a if len(a) > shorter else b)[shorter]
+
+
+def _sweep(
+    task_set: TaskSet,
+    pmap: PriorityMap,
+    per_task: List[List[Tuple[int, ...]]],
+    horizon: int,
+    delta_th: int,
+) -> Tuple[int, int, Optional[List[Tuple[int, ...]]]]:
+    """Step every combination of per_task in product order, each from the
+    snapshot at its divergence tick, until one misses a deadline.
+    Returns the combinations checked, the ticks stepped, and the
+    violating combination (None when there is none)."""
+    state = _CheckerState(task_set, pmap, horizon, delta_th)
+    order = _interrupt_order(task_set)
+    # position of each product slot's task in interrupt order
+    slot = [order.index(task) for task in task_set]
+    idx = [0] * len(per_task)
+    arrive = [frozenset()] * len(order)
+    for i, options in enumerate(per_task):
+        arrive[slot[i]] = frozenset(options[0])
+    snaps = [state.snapshot()] + [None] * horizon
+    start = checked = ticks = 0
+    while True:
+        checked += 1
+        state.restore(snaps[start])
+        t = start
+        while True:
+            ticks += 1
+            batch = [task for task, times in zip(order, arrive)
+                     if t in times]
+            if state.step(t, batch):
+                return checked, ticks, [
+                    options[i] for options, i in zip(per_task, idx)
+                ]
+            if t == horizon:
+                break
+            t += 1
+            snaps[t] = state.snapshot()
+        # the next combination: the rightmost slot that can advance does,
+        # and every slot after it wraps to its first pattern
+        j = len(idx) - 1
+        while j >= 0 and idx[j] == len(per_task[j]) - 1:
+            j -= 1
+        if j < 0:
+            return checked, ticks, None
+        start = horizon
+        for i in range(j, len(idx)):
+            old = per_task[i][idx[i]]
+            idx[i] = idx[i] + 1 if i == j else 0
+            new = per_task[i][idx[i]]
+            if new is not old:
+                start = min(start, _first_difference(old, new))
+                arrive[slot[i]] = frozenset(new)
 
 
 def engine_verdicts(
@@ -299,7 +494,8 @@ def check_ooe_feasible(
     all deadlines, sanctioned drops aside.
 
     Raises ScenarioError when the task set or policy is invalid, and
-    BoundsExceeded when the instance is too large to enumerate.
+    BoundsExceeded when the instance is too large to enumerate; the
+    pattern count is checked before any pattern is built.
     On a violation the witness pattern is replayed through the full
     engine; the resulting trace is attached to the verdict.
     """
@@ -320,47 +516,49 @@ def check_ooe_feasible(
             f"{bounds.max_horizon}"
         )
     pmap = select_priority_map(task_set, policy)
-    task_ids = [t.id for t in task_set]
-    per_task = [admissible_patterns(t, horizon) for t in task_set]
-    for task, options in zip(task_set, per_task):
-        if not options:
+    counts = [count_admissible_patterns(t, horizon) for t in task_set]
+    for task, count in zip(task_set, counts):
+        if not count:
             raise FeasibilityError(
                 f"task {task.id}: the normal arrival pattern already "
                 f"breaches envelope ({task.envelope_n}, {task.envelope_w})"
             )
-    total = 1
-    for options in per_task:
-        total *= len(options)
+    total = math.prod(counts)
     if total > bounds.max_patterns:
         raise BoundsExceeded(
             f"{total} pattern combinations exceed the enumeration bound "
             f"of {bounds.max_patterns}"
         )
-    checked = 0
-    for combo in itertools.product(*per_task):
-        checked += 1
-        patterns = dict(zip(task_ids, combo))
-        verdicts = reference_verdicts(
-            task_set, pmap, patterns, horizon, policy.delta_th
-        )
-        if MISSED not in verdicts.values():
-            continue
-        engine_view, trace = engine_verdicts(
-            task_set, policy, patterns, horizon
-        )
-        if MISSED not in engine_view.values():
-            raise FeasibilityError(
-                f"reference simulator reports a miss for pattern "
-                f"{patterns} but the engine replay does not"
-            )
+    per_task = [admissible_patterns(t, horizon) for t in task_set]
+    checked, ticks, witness = _sweep(
+        task_set, pmap, per_task, horizon, policy.delta_th
+    )
+    if witness is None:
         return OoeCheckResult(
-            feasible=False,
-            patterns_checked=checked,
-            horizon=horizon,
-            witness_pattern=patterns,
-            witness_verdicts=engine_view,
-            witness_trace=trace,
+            feasible=True, patterns_checked=checked, horizon=horizon,
+            ticks_simulated=ticks,
+        )
+    patterns = dict(zip([t.id for t in task_set], witness))
+    verdicts = reference_verdicts(
+        task_set, pmap, patterns, horizon, policy.delta_th
+    )
+    if MISSED not in verdicts.values():
+        raise FeasibilityError(
+            f"the sweep reports a miss for pattern {patterns} but a run "
+            f"from t=0 does not"
+        )
+    engine_view, trace = engine_verdicts(task_set, policy, patterns, horizon)
+    if MISSED not in engine_view.values():
+        raise FeasibilityError(
+            f"reference simulator reports a miss for pattern "
+            f"{patterns} but the engine replay does not"
         )
     return OoeCheckResult(
-        feasible=True, patterns_checked=checked, horizon=horizon
+        feasible=False,
+        patterns_checked=checked,
+        horizon=horizon,
+        witness_pattern=patterns,
+        witness_verdicts=engine_view,
+        witness_trace=trace,
+        ticks_simulated=ticks,
     )

@@ -3,15 +3,19 @@
 The window oracle, the conservation counts and the verdict oracle are
 deliberately naive, independent re-implementations; the tick engine
 drives the engine's own phases through every tick, as the engine did
-before next-event time advance. Tests compare the engine and the checker
-against them.
+before next-event time advance, and the product check simulates every
+pattern combination from t=0, as the checker did before it shared
+prefixes. Tests compare the engine and the checker against them.
 """
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from envelopesim import (
+    INFINITE_PERIOD,
     Burst,
     Engine,
     EngineError,
@@ -26,8 +30,17 @@ from envelopesim import (
     Storm,
     Task,
     TaskSet,
+    admissible_patterns,
+    hyperperiod,
 )
-from envelopesim.feasibility import COMPLETED, DROPPED, INCOMPLETE, MISSED
+from envelopesim.engine import select_priority_map
+from envelopesim.feasibility import (
+    COMPLETED,
+    DROPPED,
+    INCOMPLETE,
+    MISSED,
+    count_admissible_patterns,
+)
 
 
 def window_violations(timestamps, n, w):
@@ -175,6 +188,86 @@ def oracle_verdicts(
     for job in active:
         verdicts[(job.task_id, job.seq)] = INCOMPLETE
     return verdicts
+
+
+def product_check(task_set: TaskSet, policy: Optional[Policy] = None,
+                  horizon: Optional[int] = None):
+    """The exhaustive check as a product loop, the checker before it
+    shared prefixes: every combination of the tasks' admissible patterns
+    in itertools.product order, each simulated from t=0 by
+    oracle_verdicts, until one misses a deadline. Returns (feasible,
+    patterns_checked, witness_pattern)."""
+    policy = policy if policy is not None else Policy()
+    if horizon is None:
+        horizon = hyperperiod(task_set)
+    pmap = select_priority_map(task_set, policy)
+    task_ids = [t.id for t in task_set]
+    per_task = [admissible_patterns(t, horizon) for t in task_set]
+    checked = 0
+    for combo in itertools.product(*per_task):
+        checked += 1
+        patterns = dict(zip(task_ids, combo))
+        verdicts = oracle_verdicts(task_set, pmap, patterns, horizon,
+                                   policy.delta_th)
+        if MISSED in verdicts.values():
+            return False, checked, patterns
+    return True, checked, None
+
+
+def random_check_instance(seed, max_combinations=300):
+    """A small random instance for the exhaustive checker, as (task set,
+    policy, horizon): 1-3 tasks, either priority assignment, job-level
+    overrides on about half the tasks, delta_th 0 or 1, both response
+    options, and exception-only tasks. Periods divide 12, so the
+    hyperperiod stays small; the horizon is the hyperperiod or an
+    explicit one. Draws are repeated until the instance has at most
+    max_combinations pattern combinations, which bounds its cost."""
+    rng = random.Random(seed)
+    while True:
+        n_tasks = rng.randint(1, 3)
+        periods = [INFINITE_PERIOD if rng.random() < 0.2
+                   else rng.choice([2, 3, 4, 6, 12]) for _ in range(n_tasks)]
+        finite = [p for p in periods if p != INFINITE_PERIOD]
+        hp = math.lcm(*finite) if finite else 1
+        horizon = hp if hp >= 4 and rng.random() < 0.5 \
+            else rng.randint(4, 12)
+        importances = rng.sample(range(10), n_tasks)
+        priorities = rng.sample(range(1, 10), n_tasks)
+        tasks = []
+        for i, period in enumerate(periods):
+            if period == INFINITE_PERIOD:
+                deadline, k = rng.randint(2, 6), 1
+                n, w = rng.randint(1, 2), rng.randint(3, 12)
+            else:
+                deadline, k = period, hp // period
+                n, w = rng.randint(1, 2), rng.randint(1, period)
+            overrides = {}
+            if rng.random() < 0.5:
+                overrides = {key: rng.randint(1, 12)
+                             for key in rng.sample(range(k),
+                                                   rng.randint(1, k))}
+            tasks.append(Task(
+                id=f"t{i}",
+                wcet=rng.randint(1, deadline),
+                period=period,
+                deadline=deadline,
+                importance=importances[i],
+                line=f"l{i}",
+                envelope_n=n,
+                envelope_w=w,
+                response=rng.choice([ResponseOption.RELEASE_ALL,
+                                     ResponseOption.NOTIFY_RUNNING]),
+                priority=priorities[i],
+                job_priority_overrides=overrides,
+            ))
+        policy = Policy(
+            assignment=rng.choice(["importance_monotonic", "explicit"]),
+            delta_th=rng.randrange(2),
+        )
+        total = math.prod(count_admissible_patterns(t, horizon)
+                          for t in tasks)
+        if total <= max_combinations:
+            return TaskSet(tasks), policy, horizon
 
 
 class TickEngine(Engine):

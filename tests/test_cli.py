@@ -227,6 +227,24 @@ def test_check_feasible(tmp_path, capsys):
     assert out.startswith("Feasible: 6 admissible pattern")
 
 
+def test_check_verbose_reports_simulated_ticks(tmp_path, capsys):
+    feasible = two_task_obj(override=True)
+    feasible["horizon"] = 12
+    violating = two_task_obj()
+    for obj, code, counts in [
+        (feasible, EXIT_OK, "combinations=26 ticks=133 of 338"),
+        # the sweep stops at the miss at t=3
+        (violating, EXIT_VIOLATION, "combinations=1 ticks=4 of 7"),
+    ]:
+        scenario = write_scenario(tmp_path, obj)
+        assert main(["check", "--scenario", scenario]) == code
+        quiet = capsys.readouterr()
+        assert main(["check", "--scenario", scenario, "--verbose"]) == code
+        out, err = capsys.readouterr()
+        assert out == quiet.out
+        assert err.splitlines() == [counts]
+
+
 def test_check_violation_writes_default_witness(tmp_path, capsys):
     scenario = write_scenario(tmp_path, two_task_obj())
     code = main(["check", "--scenario", scenario])

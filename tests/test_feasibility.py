@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,17 +17,27 @@ from envelopesim import (
     check_normal,
     check_ooe_feasible,
 )
+from envelopesim import feasibility
+from envelopesim.cli import load_scenario
 from envelopesim.feasibility import (
     COMPLETED,
     DROPPED,
     MISSED,
+    count_admissible_patterns,
     engine_verdicts,
     normal_pattern,
     reference_verdicts,
 )
 from envelopesim.model import assign_importance_monotonic, explicit_priority_map
 from conftest import two_task_set
-from support import oracle_verdicts, window_violations
+from support import (
+    oracle_verdicts,
+    product_check,
+    random_check_instance,
+    window_violations,
+)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
 
 def envelope_task(n, w, period=6, **kw):
@@ -61,6 +72,20 @@ def test_admissible_patterns_match_brute_force(n, w, period, horizon):
     got = admissible_patterns(task, horizon)
     assert len(got) == len(set(got))
     assert sorted(got) == sorted(brute_force_patterns(task, horizon))
+    assert count_admissible_patterns(task, horizon) == len(got)
+
+
+def test_refusal_comes_before_any_pattern_is_built(monkeypatch):
+    # 2**23 patterns: every subset of the ticks 1..23 joins the arrival
+    # at 0, so enumerating them first would take seconds and gigabytes
+    def no_enumeration(task, horizon):
+        raise AssertionError("patterns built before the bound check")
+
+    monkeypatch.setattr(feasibility, "admissible_patterns", no_enumeration)
+    task = envelope_task(1, 1, period=24)
+    assert count_admissible_patterns(task, 24) == 2 ** 23
+    with pytest.raises(BoundsExceeded, match="8388608 pattern combinations"):
+        check_ooe_feasible(TaskSet([task]))
 
 
 def test_patterns_are_supersets_of_the_normal_arrivals():
@@ -73,6 +98,7 @@ def test_exception_only_task_admits_the_empty_pattern():
     patterns = admissible_patterns(task, 6)
     assert patterns[0] == ()
     assert (0, 3) in patterns
+    assert count_admissible_patterns(task, 6) == len(patterns)
 
 
 def test_normal_pattern_first_when_admissible():
@@ -150,16 +176,19 @@ def test_override_assignment_is_ooe_feasible():
     assert result.witness_pattern is None
 
 
-def test_tighter_envelope_stays_feasible():
-    # shrinking n only removes admissible patterns
-    ts = two_task_set(override=True)
-    tighter = TaskSet([
+def tighter_task_set():
+    return TaskSet([
         t if t.id != "tau_h" else Task(
             id="tau_h", wcet=2, period=6, importance=2, line="l_high",
             envelope_n=1, envelope_w=6, priority=2)
-        for t in ts
+        for t in two_task_set(override=True)
     ])
-    result = check_ooe_feasible(tighter, Policy(assignment="explicit"))
+
+
+def test_tighter_envelope_stays_feasible():
+    # shrinking n only removes admissible patterns
+    result = check_ooe_feasible(tighter_task_set(),
+                                Policy(assignment="explicit"))
     assert result.feasible
     assert result.patterns_checked == 1  # neither line can add anything
 
@@ -275,3 +304,111 @@ def test_reference_agrees_with_engine_on_sampled_patterns():
             assert ref == eng, (seed, patterns)
             assert ref == oracle_verdicts(ts, pmap, patterns, horizon,
                                           policy.delta_th), (seed, patterns)
+
+
+# the sweep against the product loop it replaced
+
+def assert_sweep_matches_product(ts, policy=None, horizon=None):
+    result = check_ooe_feasible(ts, policy, horizon)
+    assert (result.feasible, result.patterns_checked,
+            result.witness_pattern) == product_check(ts, policy, horizon)
+    assert 0 < result.ticks_simulated \
+        <= result.patterns_checked * (result.horizon + 1)
+    return result
+
+
+def overload_task_set():
+    return TaskSet([envelope_task(2, 4, period=4, wcet=3)])
+
+
+@pytest.mark.parametrize("ts,policy,horizon", [
+    (two_task_set(), None, None),
+    (two_task_set(override=True), Policy(assignment="explicit"), None),
+    (two_task_set(override=True), Policy(assignment="explicit"), 12),
+    (tighter_task_set(), Policy(assignment="explicit"), None),
+    (TaskSet([envelope_task(2, 4, period=4)]), None, None),
+    (TaskSet([envelope_task(2, 4, period=4)]),
+     Policy(ipl_optimization=True, mask_until_bottom_half=True), None),
+    (overload_task_set(), None, None),
+    (overload_task_set(), None, 8),
+    (TaskSet([envelope_task(2, 4, period=25)]), None, 4),
+], ids=["monotonic", "override", "override_h12", "tighter", "single",
+        "knobs", "overload_h4", "overload_h8", "long_period_h4"])
+def test_sweep_matches_product_on_test_instances(ts, policy, horizon):
+    assert_sweep_matches_product(ts, policy, horizon)
+
+
+def test_sweep_matches_product_on_accepted_demo_scenarios():
+    accepted = []
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scenario = load_scenario(str(path))
+        try:
+            check_ooe_feasible(scenario.task_set, scenario.policy,
+                               scenario.horizon)
+        except BoundsExceeded:
+            continue
+        assert_sweep_matches_product(scenario.task_set, scenario.policy,
+                                     scenario.horizon)
+        accepted.append(path.stem)
+    assert accepted == ["counterexample", "override", "override_burst"]
+
+
+def test_sweep_matches_product_on_random_instances():
+    seen = set()
+    for seed in range(240):
+        ts, policy, horizon = random_check_instance(seed)
+        result = assert_sweep_matches_product(ts, policy, horizon)
+        seen.add(policy.assignment)
+        seen.add(f"delta_th={policy.delta_th}")
+        for task in ts:
+            if task.job_priority_overrides:
+                seen.add(f"overrides under {policy.assignment}")
+            if task.exception_only:
+                seen.add("exception-only")
+            seen.add(task.response.value)
+        if result.feasible:
+            seen.add("feasible")
+        elif result.patterns_checked > 1:
+            seen.add("violation after the first combination")
+    assert seen >= {
+        "overrides under explicit", "overrides under importance_monotonic",
+        "delta_th=0", "delta_th=1", "notify_running", "release_all",
+        "exception-only", "feasible",
+        "violation after the first combination",
+    }
+
+
+def test_sweep_restores_state_changed_after_the_divergence_tick():
+    # a job starved in one combination must not stay starved where the
+    # next one resumes before the starvation (patterns_checked 5), and
+    # sequence numbers, which pick job-level overrides, must be rewound
+    # (patterns_checked 13); the random instances rarely hit either
+    starving = TaskSet([
+        Task(id="t0", wcet=1, period=3, importance=6, line="l0",
+             envelope_n=1, envelope_w=2, priority=6,
+             job_priority_overrides={0: 12, 1: 8, 3: 12}),
+        Task(id="t1", wcet=12, period=12, importance=7, line="l1",
+             envelope_n=1, envelope_w=2, priority=2),
+    ])
+    overridden = TaskSet([
+        Task(id="t0", wcet=1, period=3, importance=6, line="l0",
+             envelope_n=1, envelope_w=2, priority=4,
+             response=ResponseOption.NOTIFY_RUNNING),
+        Task(id="t1", wcet=1, period=2, importance=7, line="l1",
+             envelope_n=1, envelope_w=1, priority=5,
+             job_priority_overrides={0: 1, 1: 9, 2: 6}),
+    ])
+    for ts, delta_th, checked in [(starving, 1, 5), (overridden, 0, 13)]:
+        result = assert_sweep_matches_product(
+            ts, Policy(assignment="explicit", delta_th=delta_th), 6)
+        assert result.patterns_checked == checked
+
+
+def test_sweep_resumes_from_shared_prefixes():
+    # a silent fallback to simulating every combination from t=0 would
+    # step all 26 * 13 ticks
+    result = check_ooe_feasible(two_task_set(override=True),
+                                Policy(assignment="explicit"), horizon=12)
+    assert result.feasible
+    assert result.patterns_checked == 26
+    assert result.ticks_simulated < 0.6 * 26 * 13
