@@ -4,8 +4,9 @@ While a job runs, any interrupt whose task would not preempt it is pure
 overhead: taking it now only delays the running job. The optimization
 computes, at every schedule point, the least important line that would
 actually preempt, and raises the controller's level just high enough to
-suppress everything below it. Suppressed lines stay latched and are
-internalized later, stamped with the moment they became invisible.
+suppress everything below it. A suppressed occurrence sets no pending
+bit; the line's counter keeps it, and it is internalized later, stamped
+with the moment its line became invisible.
 
 Four tasks: tau_cur (runs first), tau_a (would preempt it), tau_b and
 tau_c (would not). Watch who gets through while tau_cur runs.
@@ -47,5 +48,5 @@ for ipl_on in (True, False):
         print(f"  t={rec.time:>2}  {rec.kind:<11} {where:<8} {rec.detail}")
 
 print("\nWith the optimization on, only e_a interrupts tau_cur; e_b and")
-print("e_c wait in the latch and are back-filled when the level drops.")
+print("e_c are only counted and are back-filled when the level drops.")
 print("With it off, every raise takes a top half immediately.")

@@ -46,4 +46,4 @@ report("auto-resume: probed every window, back in service at t=60",
        storm_scenario(FaultPolicy.AUTO_RESUME))
 
 print("\nEither way the processor only ever paid for two top halves;")
-print("the other 28 raises cost nothing but a latch bit.")
+print("the other 28 raises cost nothing but a counter increment.")

@@ -7,10 +7,9 @@ visited step t it runs the phases in a fixed order:
 1. due timers (window expiries before episode decays, then line id);
 2. the raises scheduled at t, in interrupt priority order;
 3. internalization of whatever the controller delivers;
-4. due timers;
-5. finalization of overdue jobs (shed);
-6. due timers;
-7. a schedule point, when anything above changed the ready set
+4. finalization of overdue jobs (shed);
+5. due timers;
+6. a schedule point, when anything above changed the ready set
    (dispatch plus, when enabled, recomputation of the interrupt
    priority level).
 
@@ -43,6 +42,7 @@ from .model import (
     assign_importance_monotonic,
     explicit_priority_map,
     hyperperiod,
+    interrupt_order,
     validate_task_set,
 )
 from .monitor import (
@@ -311,11 +311,7 @@ class Engine:
         self.horizon = scenario.resolved_horizon()
         self.task_set = scenario.task_set
         self.line_task: Dict[str, Task] = {t.line: t for t in self.task_set}
-        # the tasks in interrupt priority order: importance descending,
-        # then line id
-        self._irq_order: List[Task] = sorted(
-            self.task_set, key=lambda task: (-task.importance, task.line)
-        )
+        self._irq_order: List[Task] = interrupt_order(self.task_set)
         self._irq_rank = {task.line: i
                           for i, task in enumerate(self._irq_order)}
         # irq = importance + 1: level 0 must mean "nothing suppressed"
@@ -343,9 +339,6 @@ class Engine:
         self.timers: List[Tuple[int, int, str, int]] = []
         self._timer_seq = 0
         self.steps = 0
-        # counter snapshots of the lines the IPL suppresses, taken when
-        # the suppression began
-        self._ipl_snap: Dict[str, object] = {}
         self._bh_trigger: Dict[str, Job] = {}
         self._needs_dispatch = True
         self.line_raised = {l: 0 for l in self.line_task}
@@ -375,7 +368,6 @@ class Engine:
             if t < self.horizon:
                 self._process_raises(t)
             self._drain_deliverable(t)
-            self._process_timers(t)
             self._process_shed(t)
             self._process_timers(t)
             if self._needs_dispatch:
@@ -441,7 +433,6 @@ class Engine:
                 if eff.unmasked or eff.resumed:
                     self._log(t, UNMASK, line, self.line_task[line].id,
                               detail="window")
-                    self._ipl_refresh_line(line, t)
                     self._needs_dispatch = True
                 if eff.rearm_at is not None:
                     self._register_timer(eff.rearm_at, "window", line, t)
@@ -506,7 +497,6 @@ class Engine:
             self._alarm(now, line, a.kind)
         if eff.masked:
             self._log(now, MASK, line, task.id, detail="window")
-            self._ipl_snap.pop(line, None)
             self._register_timer(eff.window_timer, "window", line, now)
         decay_due = mon.decay_due()
         if decay_due is not None:
@@ -560,7 +550,6 @@ class Engine:
                 rel = mon.release_bottom_half_mask(self.vic, now)
                 self._log(now, UNMASK, line, job.task_id,
                           detail="bottom_half")
-                self._ipl_refresh_line(line, now)
                 if rel.deferred:
                     self._backfill(line, now, rel.assigned_timestamp,
                                    rel.deferred)
@@ -621,36 +610,15 @@ class Engine:
             ((task.importance, priority(task.id, seq[task.id]))
              for task in self._irq_order),
         )
-        if level != self.vic.ipl:
-            self.vic.set_ipl(level)
-            self._log(t, IPL_SET, detail=f"level={level}")
+        if level == self.vic.ipl:
+            return False
+        released = self.vic.set_ipl(level, t)
+        self._log(t, IPL_SET, detail=f"level={level}")
         recon = False
-        for task in self._irq_order:
-            line = task.line
-            ln = self.vic.lines[line]
-            if ln.masked:
-                self._ipl_snap.pop(line, None)
-                continue
-            now_sup = ln.irq_priority <= self.vic.ipl
-            was = line in self._ipl_snap
-            if now_sup and not was:
-                self._ipl_snap[line] = self.vic.snapshot_counter(line, t)
-            elif not now_sup and was:
-                snap = self._ipl_snap.pop(line)
-                delta = self.vic.delta_since(snap)
-                if delta > 0 and self._backfill(line, t, snap.time, delta):
-                    recon = True
+        for line, since, held in released:
+            if held > 0 and self._backfill(line, t, since, held):
+                recon = True
         return recon
-
-    def _ipl_refresh_line(self, line: str, t: int) -> None:
-        """Restart IPL bookkeeping for a line that just got unmasked."""
-        if not self.policy.ipl_optimization:
-            return
-        ln = self.vic.lines[line]
-        if ln.masked:
-            return
-        if ln.irq_priority <= self.vic.ipl and line not in self._ipl_snap:
-            self._ipl_snap[line] = self.vic.snapshot_counter(line, t)
 
     # metrics
 

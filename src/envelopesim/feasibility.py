@@ -66,6 +66,7 @@ from .model import (
     Task,
     TaskSet,
     hyperperiod,
+    interrupt_order,
 )
 from .monitor import episode_decay
 from .scheduler import dispatch_key, mark_starved
@@ -238,12 +239,6 @@ _plain_key = attrgetter("key")
 _finalize_order = attrgetter("task_id", "seq")
 
 
-def _interrupt_order(task_set: TaskSet) -> List[Task]:
-    """The order in which arrivals at one tick are internalized:
-    importance descending, then line id."""
-    return sorted(task_set, key=lambda tk: (-tk.importance, tk.line))
-
-
 class _CheckerState:
     """The checker's simulation state at the start of a tick: pending
     top-half kernel time, the active jobs, the live out-of-envelope
@@ -372,7 +367,7 @@ def reference_verdicts(
     verdicts: Dict[Tuple[str, int], str] = {}
     state = _CheckerState(task_set, pmap, horizon, delta_th, verdicts)
     arrivals: Dict[int, List[Task]] = {}
-    for task in _interrupt_order(task_set):
+    for task in interrupt_order(task_set):
         for t in patterns.get(task.id, ()):
             if t < horizon:
                 arrivals.setdefault(t, []).append(task)
@@ -404,7 +399,7 @@ def _sweep(
     Returns the combinations checked, the ticks stepped, and the
     violating combination (None when there is none)."""
     state = _CheckerState(task_set, pmap, horizon, delta_th)
-    order = _interrupt_order(task_set)
+    order = interrupt_order(task_set)
     # position of each product slot's task in interrupt order
     slot = [order.index(task) for task in task_set]
     idx = [0] * len(per_task)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 TimeInstant = int
 Duration = int
@@ -106,6 +106,12 @@ class TaskSet:
 
     def __len__(self):
         return len(self.tasks)
+
+
+def interrupt_order(task_set: TaskSet) -> List[Task]:
+    """The tasks in interrupt priority order, importance descending, then
+    line id: the order in which raises at one tick are internalized."""
+    return sorted(task_set, key=lambda task: (-task.importance, task.line))
 
 
 def hyperperiod(task_set: TaskSet) -> int:
@@ -284,7 +290,6 @@ class Job:
     state: JobState = JobState.RELEASED
     notifications: int = 0
     starved_by_elevated: bool = False
-    interference: Duration = 0
     completion: Optional[TimeInstant] = None
 
     @property

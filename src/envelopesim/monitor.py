@@ -3,18 +3,19 @@
 Each line owns a ring buffer of the last envelope_n internalization
 timestamps. When the buffer fills inside one sliding window the line is
 masked, an alarm is raised, and a timer is set to the earliest buffered
-timestamp plus the window length. At expiry the device counter decides:
-no occurrences while masked means the sensor calmed down and the line is
-unmasked; any occurrence means the source exceeded its envelope for a
-full window and is declared faulty.
+timestamp plus the window length. At expiry the controller's hold on the
+line decides, that is the occurrences its device counter took since the
+mask began: none means the sensor calmed down and the line is unmasked;
+any means the source exceeded its envelope for a full window and is
+declared faulty.
 
 Two masking regimes can defer occurrences instead of losing them. The
-window defense above reconstructs nothing (suppressed occurrences only
+window defense above reconstructs nothing (held-back occurrences only
 count toward the fault decision). The bottom-half mode masks a line for
-the duration of one deferred handler and afterwards internalizes the
-occurrences that queued up meanwhile, all carrying the timestamp of the
-event that caused the mask. Assigning the earlier timestamp is a safe
-over-approximation: pressure on the window can only start sooner.
+the duration of one deferred handler; ending the mask ends its hold,
+whose count the caller then internalizes, all carrying the timestamp of
+the event that caused the mask. Assigning the earlier timestamp is a
+safe over-approximation: pressure on the window can only start sooner.
 
 An out-of-envelope episode starts when two internalizations arrive closer
 together than the task period. It ends either at the first internalization
@@ -33,7 +34,7 @@ from enum import Enum
 from typing import Iterable, List, Optional, Tuple
 
 from .model import Task
-from .vic import Snapshot, VicState
+from .vic import VicState
 
 
 class MonitorError(Exception):
@@ -123,13 +124,10 @@ class LineMonitor:
         self.ring: List[int] = []
         self.state = LineState.IN_ENVELOPE
         self.last_internalize: Optional[int] = None
-        self.mask_snapshot: Optional[Snapshot] = None
         self.window_timer: Optional[int] = None
         # decay time of the live out-of-envelope episode, None when none
         self._ooe_decay_at: Optional[float] = None
         self._bh_active = False
-        self._bh_timestamp: Optional[int] = None
-        self._bh_snapshot: Optional[Snapshot] = None
 
     # episode bookkeeping
 
@@ -193,13 +191,10 @@ class LineMonitor:
             else LineState.IN_ENVELOPE
         )
         if len(self.ring) >= self.n:
-            vic.set_line_mask(self.line, True)
+            vic.set_line_mask(self.line, True, t)
             self.state = LineState.WINDOW_MASKED
-            self.mask_snapshot = vic.snapshot_counter(self.line, t)
             self.window_timer = self.ring[0] + self.window
             self._bh_active = False
-            self._bh_timestamp = None
-            self._bh_snapshot = None
             eff.masked = True
             eff.window_timer = self.window_timer
             eff.alarms.append(
@@ -223,7 +218,7 @@ class LineMonitor:
             )
         eff = TimerEffect()
         self._prune(t)
-        delta = vic.delta_since(self.mask_snapshot)
+        _, delta = vic.held(self.line)
         if self.state is LineState.WINDOW_MASKED:
             if delta == 0:
                 self._unmask(vic, t)
@@ -233,7 +228,7 @@ class LineMonitor:
                 eff.alarms.append(Alarm(t, self.line, AlarmKind.SENSOR_FAULT))
                 self.state = LineState.FAULTY
                 if self.fault_policy is FaultPolicy.AUTO_RESUME:
-                    self.mask_snapshot = vic.snapshot_counter(self.line, t)
+                    vic.set_line_mask(self.line, True, t)
                     self.window_timer = t + self.window
                     eff.rearm_at = self.window_timer
                 else:
@@ -247,15 +242,14 @@ class LineMonitor:
                     Alarm(t, self.line, AlarmKind.SENSOR_RESUMED)
                 )
             else:
-                self.mask_snapshot = vic.snapshot_counter(self.line, t)
+                vic.set_line_mask(self.line, True, t)
                 self.window_timer = t + self.window
                 eff.rearm_at = self.window_timer
         return eff
 
     def _unmask(self, vic: VicState, t: int) -> None:
-        vic.set_line_mask(self.line, False)
+        vic.set_line_mask(self.line, False, t)
         self.window_timer = None
-        self.mask_snapshot = None
         self.decay(t)
         self.state = (
             LineState.OUT_OF_ENVELOPE if self.ooe_active(t)
@@ -265,16 +259,16 @@ class LineMonitor:
     # bottom-half masking mode
 
     def apply_bottom_half_mask(self, vic: VicState, t: int) -> bool:
-        """Mask the line until its deferred handler finishes. No-op when
-        the window defense already owns the mask."""
+        """Mask the line until its deferred handler finishes. t is the
+        timestamp of the event that caused the mask, and the line's hold
+        starts there. No-op when the window defense already owns the
+        mask."""
         if self.state in (LineState.WINDOW_MASKED, LineState.FAULTY):
             return False
         if self._bh_active:
             return False
-        vic.set_line_mask(self.line, True, latch=True)
+        vic.set_line_mask(self.line, True, t)
         self._bh_active = True
-        self._bh_timestamp = t
-        self._bh_snapshot = vic.snapshot_counter(self.line, t)
         return True
 
     def release_bottom_half_mask(self, vic: VicState,
@@ -289,13 +283,8 @@ class LineMonitor:
             raise MonitorError(
                 f"line {self.line}: bottom-half release without a mask"
             )
-        deferred = vic.delta_since(self._bh_snapshot)
-        assigned = self._bh_timestamp
         self._bh_active = False
-        self._bh_timestamp = None
-        self._bh_snapshot = None
-        vic.set_line_mask(self.line, False)
-        vic.clear_pending(self.line)
+        assigned, deferred = vic.set_line_mask(self.line, False, t_unmask)
         self.state = (
             LineState.OUT_OF_ENVELOPE if self.ooe_active(t_unmask)
             else LineState.IN_ENVELOPE

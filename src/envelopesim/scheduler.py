@@ -157,8 +157,6 @@ class Scheduler:
         ticks to kernel time."""
         self.kernel_pending += self.delta_th
         self.total_top_half += self.delta_th
-        if self.running is not None:
-            self.running.interference += self.delta_th
         return self.delta_th
 
     def execute_tick(self, t: int, until: Optional[int] = None) -> TickResult:

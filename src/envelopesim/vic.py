@@ -1,20 +1,26 @@
 """Vectored interrupt controller with per-line masks and a priority level.
 
 The controller keeps one line per event source. Every raise increments the
-line's device counter whether or not the event gets through; suppressed
-occurrences therefore stay countable and the monitor layer can reconstruct
-what happened while a line was masked or below the interrupt priority
+line's device counter whether or not the event gets through. A suppressed
+occurrence sets no pending bit: the counter alone carries it, so nothing
+is lost while a line is masked or at or below the interrupt priority
 level (IPL).
 
-A line is deliverable when it is pending, unmasked, and its priority is
-strictly above the IPL. Kernel timers are not a line here: the engine
-keeps them, and the timer line's name is reserved so no device can take
-it.
+While the controller holds a line back (masked, or unmasked at or below
+the IPL), the line keeps one hold: the tick at which the holding began
+and the counter reading at that tick. The counter difference is the
+number of occurrences held back since then, which the monitor layer uses
+to decide faults and the engine uses to backfill deferred occurrences.
+
+A line is deliverable when it is pending and not held back. Lines are
+kept in interrupt order: priority descending, then line id. Kernel
+timers are not a line here: the engine keeps them, and the timer line's
+name is reserved so no device can take it.
 """
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .model import TIMER_LINE
 
@@ -30,15 +36,6 @@ class RaiseOutcome(Enum):
     SUPPRESSED_IPL = "suppressed_ipl"
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """A device counter reading taken at a known time."""
-
-    line: str
-    counter: int
-    time: int
-
-
 @dataclass
 class InterruptLine:
     id: str
@@ -46,16 +43,23 @@ class InterruptLine:
     masked: bool = False
     device_counter: int = 0
     pending: bool = False
-    # Level-trigger retention: while masked, remember that at least one
-    # occurrence arrived. Only the bottom-half masking mode wants this;
-    # the window defense relies on the counter alone.
-    latch_while_masked: bool = False
+    # (since, device_counter at since) while the controller holds the line
+    # back (masked, or at or below the IPL), None while it lets the line
+    # through; VicState keeps this in step with the mask and the level
+    hold: Optional[Tuple[int, int]] = None
+
+
+def _held(ln: InterruptLine) -> Optional[Tuple[int, int]]:
+    if ln.hold is None:
+        return None
+    since, counter = ln.hold
+    return since, ln.device_counter - counter
 
 
 class VicState:
     def __init__(self, lines: Iterable[InterruptLine]):
         self.lines: Dict[str, InterruptLine] = {}
-        for ln in lines:
+        for ln in sorted(lines, key=lambda ln: (-ln.irq_priority, ln.id)):
             if ln.id == TIMER_LINE:
                 raise VicError(f"line id '{TIMER_LINE}' is reserved")
             if ln.id in self.lines:
@@ -74,15 +78,11 @@ class VicState:
         """Record one occurrence on a line and classify its deliverability.
 
         The device counter always increments. Masked and IPL-suppressed
-        occurrences do not set the pending latch (the counter carries
-        them), except that a line masked in level-trigger mode keeps one
-        pending occurrence for the unmask.
+        occurrences do not set the pending bit; the counter carries them.
         """
         ln = self._line(line_id)
         ln.device_counter += 1
         if ln.masked:
-            if ln.latch_while_masked:
-                ln.pending = True
             return RaiseOutcome.SUPPRESSED_MASKED
         if ln.irq_priority <= self.ipl:
             return RaiseOutcome.SUPPRESSED_IPL
@@ -93,43 +93,54 @@ class VicState:
         return RaiseOutcome.DELIVERED_NOW
 
     def set_line_mask(self, line_id: str, masked: bool,
-                      latch: bool = False) -> None:
+                      t: int) -> Optional[Tuple[int, int]]:
+        """Mask or unmask a line at t.
+
+        While the line stays held back (masked, or unmasked at or below
+        the IPL) a new hold starts at t, so masking again restarts it;
+        otherwise the hold ends. Returns the hold this call ended as
+        (since, held), or None when there was none.
+        """
         ln = self._line(line_id)
         if ln.masked != masked:
             self.mask_ops[line_id] += 1
         ln.masked = masked
-        ln.latch_while_masked = latch if masked else False
+        ended = _held(ln)
+        if masked or ln.irq_priority <= self.ipl:
+            ln.hold = (t, ln.device_counter)
+        else:
+            ln.hold = None
+        return ended
 
-    def clear_pending(self, line_id: str) -> None:
-        self._line(line_id).pending = False
-
-    def set_ipl(self, level: int) -> None:
+    def set_ipl(self, level: int, t: int) -> List[Tuple[str, int, int]]:
+        """Set the level at t. Every unmasked line it newly holds back
+        starts a hold at t. Returns (line, since, held) for each line the
+        level releases, in interrupt order."""
         if level < 0:
             raise VicError(f"interrupt priority level must be >= 0, got {level}")
         self.ipl = level
+        released = []
+        for ln in self.lines.values():
+            if ln.masked:
+                continue
+            if ln.irq_priority <= level:
+                if ln.hold is None:
+                    ln.hold = (t, ln.device_counter)
+            elif ln.hold is not None:
+                released.append((ln.id, *_held(ln)))
+                ln.hold = None
+        return released
 
-    def deliverable(self, line_id: str) -> bool:
-        ln = self._line(line_id)
-        return ln.pending and not ln.masked and ln.irq_priority > self.ipl
+    def held(self, line_id: str) -> Optional[Tuple[int, int]]:
+        """The line's current hold as (since, occurrences counted since),
+        or None when the controller lets the line through."""
+        return _held(self._line(line_id))
 
     def poll_deliverable(self) -> Optional[str]:
-        """Return the highest-priority deliverable pending line and clear
+        """Return the first deliverable line in interrupt order and clear
         its pending flag."""
-        candidates = [
-            ln for ln in self.lines.values()
-            if ln.pending and not ln.masked and ln.irq_priority > self.ipl
-        ]
-        if not candidates:
-            return None
-        best = min(candidates, key=lambda ln: (-ln.irq_priority, ln.id))
-        best.pending = False
-        return best.id
-
-    def read_counter(self, line_id: str) -> int:
-        return self._line(line_id).device_counter
-
-    def snapshot_counter(self, line_id: str, t: int) -> Snapshot:
-        return Snapshot(line=line_id, counter=self.read_counter(line_id), time=t)
-
-    def delta_since(self, snapshot: Snapshot) -> int:
-        return self.read_counter(snapshot.line) - snapshot.counter
+        for ln in self.lines.values():
+            if ln.pending and ln.hold is None:
+                ln.pending = False
+                return ln.id
+        return None

@@ -445,3 +445,18 @@ def test_metrics_shape():
     assert tau_h["max_response"] == 4
     assert data["per_line"]["l_low"]["raised"] == 4
     assert data["total_top_half_time"] == 0
+
+
+def test_bottom_half_remask_keeps_the_masking_event_timestamp():
+    # the re-mask after a backfill is stamped with the backfilled
+    # timestamp, so what queues up behind it is backfilled at that
+    # timestamp too, not at the tick of the first release
+    sc = one_task_scenario(
+        task_kw=dict(wcet=3, period=20, envelope_n=10, envelope_w=10),
+        workload=[("l", Explicit((0, 1, 4)))], horizon=20,
+        policy=Policy(mask_until_bottom_half=True))
+    trace, _ = run_scenario(sc)
+    deferred = [(r.time, r.detail.split(";")[0])
+                for r in trace.of_kind("INTERNALIZE", line="l")
+                if ";deferred" in r.detail]
+    assert deferred == [(3, "ts=0"), (6, "ts=0")]

@@ -161,6 +161,31 @@ def test_fault_auto_resume_probes_and_resumes():
     assert not vic.lines["l"].masked
 
 
+def test_window_mask_holds_the_line_from_the_masking_event():
+    vic, mon = setup_line(n=2, w=10, period=1)
+    mon.record_internalization(vic, 0)
+    mon.record_internalization(vic, 1)
+    assert vic.held("l") == (1, 0)
+    vic.raise_event("l", 5)
+    assert vic.held("l") == (1, 1)
+    mon.handle_window_timer(vic, 10)
+    assert vic.held("l") == (1, 1)  # permanent fault: the hold runs on
+
+
+def test_auto_resume_rearm_restarts_the_hold():
+    vic, mon = setup_line(n=2, w=10, period=1, policy=FaultPolicy.AUTO_RESUME)
+    mon.record_internalization(vic, 0)
+    mon.record_internalization(vic, 1)
+    vic.raise_event("l", 5)
+    assert mon.handle_window_timer(vic, 10).rearm_at == 20
+    assert vic.held("l") == (10, 0)
+    vic.raise_event("l", 12)
+    vic.raise_event("l", 15)
+    assert mon.handle_window_timer(vic, 20).rearm_at == 30
+    assert vic.held("l") == (20, 0)
+    assert vic.mask_ops["l"] == 1  # the line stayed masked throughout
+
+
 def test_fault_auto_resume_threshold_is_strict():
     vic, mon = setup_line(n=2, w=10, period=1, policy=FaultPolicy.AUTO_RESUME)
     mon.record_internalization(vic, 0)
@@ -185,7 +210,8 @@ def test_bottom_half_defer_and_release():
     assert rel.assigned_timestamp == 3
     assert not mon.bottom_half_masked
     assert not vic.lines["l"].masked
-    assert not vic.deliverable("l")  # latched pending cleared on release
+    assert vic.held("l") is None
+    assert vic.poll_deliverable() is None  # the deferred set no pending bit
 
 
 def test_bottom_half_noop_while_window_masked():

@@ -16,10 +16,10 @@ def make_vic(*lines):
 def test_counter_increments_on_every_raise():
     vic = make_vic(dict(id="a", irq_priority=5))
     vic.raise_event("a", 0)
-    vic.set_line_mask("a", True)
+    vic.set_line_mask("a", True, 1)
     vic.raise_event("a", 1)
     vic.raise_event("a", 2)
-    assert vic.read_counter("a") == 3
+    assert vic.lines["a"].device_counter == 3
 
 
 def test_delivered_then_latched():
@@ -30,19 +30,12 @@ def test_delivered_then_latched():
 
 
 def test_masked_without_latch_drops_pending():
+    # a suppressed occurrence sets no pending bit: only the counter has it
     vic = make_vic(dict(id="a", irq_priority=5))
-    vic.set_line_mask("a", True)
+    vic.set_line_mask("a", True, 0)
     assert vic.raise_event("a", 0) is RaiseOutcome.SUPPRESSED_MASKED
-    vic.set_line_mask("a", False)
-    assert not vic.deliverable("a")
-
-
-def test_masked_with_latch_survives_unmask():
-    vic = make_vic(dict(id="a", irq_priority=5))
-    vic.set_line_mask("a", True, latch=True)
-    assert vic.raise_event("a", 0) is RaiseOutcome.SUPPRESSED_MASKED
-    vic.set_line_mask("a", False)
-    assert vic.deliverable("a")
+    assert vic.set_line_mask("a", False, 1) == (0, 1)
+    assert vic.poll_deliverable() is None
 
 
 # exhaustive around the strict ipl comparison: irq must exceed ipl
@@ -53,7 +46,7 @@ def test_masked_with_latch_survives_unmask():
 ])
 def test_ipl_boundary(irq, ipl, outcome):
     vic = make_vic(dict(id="a", irq_priority=irq))
-    vic.set_ipl(ipl)
+    vic.set_ipl(ipl, 0)
     assert vic.raise_event("a", 0) is outcome
 
 
@@ -65,7 +58,7 @@ def test_ipl_zero_blocks_nothing_positive():
 def test_ipl_rejects_negative():
     vic = make_vic(dict(id="a", irq_priority=1))
     with pytest.raises(VicError):
-        vic.set_ipl(-1)
+        vic.set_ipl(-1, 0)
 
 
 def test_poll_order_by_irq_priority():
@@ -87,52 +80,99 @@ def test_poll_tie_breaks_on_id():
 def test_timer_line_cannot_be_masked():
     vic = make_vic()
     with pytest.raises(VicError):
-        vic.set_line_mask(TIMER_LINE, True)
+        vic.set_line_mask(TIMER_LINE, True, 0)
 
 
 def test_mask_ops_counts_effective_toggles_only():
     vic = make_vic(dict(id="a", irq_priority=5))
-    vic.set_line_mask("a", True)
-    vic.set_line_mask("a", True)   # no-op
-    vic.set_line_mask("a", False)
-    vic.set_line_mask("a", False)  # no-op
+    vic.set_line_mask("a", True, 0)
+    vic.set_line_mask("a", True, 1)   # no toggle
+    vic.set_line_mask("a", False, 2)
+    vic.set_line_mask("a", False, 3)  # no toggle
     assert vic.mask_ops["a"] == 2
 
 
-def test_unmask_clears_latch_flag():
-    vic = make_vic(dict(id="a", irq_priority=5))
-    vic.set_line_mask("a", True, latch=True)
-    vic.set_line_mask("a", False)
-    vic.set_line_mask("a", True)
-    # second mask did not ask for latching, so the raise is lost
-    vic.raise_event("a", 0)
-    vic.set_line_mask("a", False)
-    assert not vic.deliverable("a")
-
-
 def test_snapshot_and_delta():
+    # the hold is the counter reading at the tick the mask began
     vic = make_vic(dict(id="a", irq_priority=5))
     vic.raise_event("a", 0)
-    snap = vic.snapshot_counter("a", 10)
-    assert snap.counter == 1 and snap.time == 10 and snap.line == "a"
+    assert vic.held("a") is None
+    vic.set_line_mask("a", True, 10)
+    assert vic.lines["a"].hold == (10, 1)
     vic.raise_event("a", 11)
     vic.raise_event("a", 12)
-    assert vic.delta_since(snap) == 2
-
-
-def test_clear_pending():
-    vic = make_vic(dict(id="a", irq_priority=5))
-    vic.raise_event("a", 0)
-    vic.clear_pending("a")
-    assert not vic.deliverable("a")
+    assert vic.held("a") == (10, 2)
 
 
 def test_masked_line_never_deliverable_even_when_latched():
+    # a pending occurrence waits out a mask and a level above the line
     vic = make_vic(dict(id="a", irq_priority=5))
-    vic.set_line_mask("a", True, latch=True)
     vic.raise_event("a", 0)
-    assert not vic.deliverable("a")
+    vic.set_line_mask("a", True, 0)
     assert vic.poll_deliverable() is None
+    vic.set_line_mask("a", False, 1)
+    vic.set_ipl(5, 1)
+    assert vic.poll_deliverable() is None
+    vic.set_ipl(4, 2)
+    assert vic.poll_deliverable() == "a"
+
+
+def test_unmask_under_the_level_starts_a_hold():
+    vic = make_vic(dict(id="a", irq_priority=5))
+    vic.set_ipl(5, 0)
+    vic.set_line_mask("a", True, 3)
+    vic.raise_event("a", 4)
+    assert vic.set_line_mask("a", False, 6) == (3, 1)
+    assert vic.held("a") == (6, 0)
+    assert vic.raise_event("a", 7) is RaiseOutcome.SUPPRESSED_IPL
+    assert vic.set_ipl(0, 9) == [("a", 6, 1)]
+    assert vic.held("a") is None
+
+
+def test_unmask_above_the_level_ends_the_hold():
+    vic = make_vic(dict(id="a", irq_priority=5))
+    assert vic.set_line_mask("a", True, 2) is None
+    assert vic.set_line_mask("a", False, 4) == (2, 0)
+    assert vic.held("a") is None
+
+
+def test_masking_restarts_an_ipl_hold():
+    vic = make_vic(dict(id="a", irq_priority=5))
+    vic.set_ipl(5, 0)
+    vic.raise_event("a", 1)
+    assert vic.set_line_mask("a", True, 2) == (0, 1)
+    assert vic.held("a") == (2, 0)
+
+
+def test_masking_again_restarts_the_hold():
+    vic = make_vic(dict(id="a", irq_priority=5))
+    vic.set_line_mask("a", True, 0)
+    vic.raise_event("a", 1)
+    assert vic.set_line_mask("a", True, 5) == (0, 1)
+    assert vic.held("a") == (5, 0)
+    assert vic.mask_ops["a"] == 1
+
+
+def test_ipl_hold_starts_once_and_skips_masked_lines():
+    vic = make_vic(dict(id="a", irq_priority=2), dict(id="m", irq_priority=1))
+    vic.set_line_mask("m", True, 0)
+    assert vic.set_ipl(2, 1) == []
+    assert vic.held("a") == (1, 0)
+    assert vic.held("m") == (0, 0)
+    vic.raise_event("a", 2)
+    vic.set_ipl(3, 4)  # a higher level keeps the running hold
+    assert vic.held("a") == (1, 1)
+    # the mask, not the level, holds m back
+    assert vic.set_ipl(0, 5) == [("a", 1, 1)]
+    assert vic.held("m") == (0, 0)
+
+
+def test_ipl_release_reports_in_interrupt_order():
+    vic = make_vic(dict(id="b", irq_priority=2), dict(id="c", irq_priority=3),
+                   dict(id="a", irq_priority=2))
+    vic.set_ipl(3, 0)
+    vic.raise_event("a", 1)
+    assert vic.set_ipl(0, 4) == [("c", 0, 0), ("a", 0, 1), ("b", 0, 0)]
 
 
 def test_unknown_line_raises():
@@ -140,7 +180,7 @@ def test_unknown_line_raises():
     with pytest.raises(VicError):
         vic.raise_event("ghost", 0)
     with pytest.raises(VicError):
-        vic.read_counter("ghost")
+        vic.held("ghost")
 
 
 def test_duplicate_line_rejected():
