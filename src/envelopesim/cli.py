@@ -309,8 +309,8 @@ def cmd_run(args) -> int:
             )
         print(f"steps={engine.steps} ticks={engine.horizon + 1}",
               file=sys.stderr)
-    misses = len(trace.of_kind(MISS))
-    drops = len(trace.of_kind(DROP))
+    misses = sum(m["misses"] for m in metrics.per_task.values())
+    drops = sum(m["drops"] for m in metrics.per_task.values())
     faults = sum(
         1 for a in metrics.alarms if a["kind"] == "sensor_fault"
     )

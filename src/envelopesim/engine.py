@@ -21,6 +21,10 @@ interrupt top halves first, then the dispatched job. No job is released
 or finalized inside a span, so skipping those steps changes nothing; a
 completion is logged at the end of its span, which is the next step.
 
+Both deferral optimizations live here: the interrupt priority level and
+the bottom-half mask. The controller counts what either holds back, and
+the engine backfills that count when the hold ends.
+
 Identical scenarios, including seeds, produce bit-identical traces. Every
 tie is broken by a fixed rule: time, then timers before raises, then
 interrupt priority descending, then line id.
@@ -339,9 +343,10 @@ class Engine:
         self.timers: List[Tuple[int, int, str, int]] = []
         self._timer_seq = 0
         self.steps = 0
+        # line -> the job whose finalization lifts its bottom-half mask;
+        # the only record that a bottom-half mask is on
         self._bh_trigger: Dict[str, Job] = {}
         self._needs_dispatch = True
-        self.line_raised = {l: 0 for l in self.line_task}
         self.line_internalized = {l: 0 for l in self.line_task}
         self.line_suppressed = {l: 0 for l in self.line_task}
         self.line_top_half = {l: 0 for l in self.line_task}
@@ -425,12 +430,10 @@ class Engine:
             _, rank, line, _ = heapq.heappop(timers)
             mon = self.monitors[line]
             if rank == 0:
-                if mon.window_timer is None or mon.window_timer > t:
-                    continue  # re-armed or already handled
                 eff = mon.handle_window_timer(self.vic, t)
                 for a in eff.alarms:
                     self._alarm(t, line, a.kind)
-                if eff.unmasked or eff.resumed:
+                if eff.unmasked:
                     self._log(t, UNMASK, line, self.line_task[line].id,
                               detail="window")
                     self._needs_dispatch = True
@@ -455,7 +458,6 @@ class Engine:
         for line in sorted(lines, key=self._irq_rank.__getitem__):
             outcome = self.vic.raise_event(line, t)
             task = self.line_task[line].id
-            self.line_raised[line] += 1
             self._log(t, RAISE, line, task, detail=outcome.value)
             if outcome is not RaiseOutcome.DELIVERED_NOW:
                 reason = {
@@ -497,7 +499,7 @@ class Engine:
             self._alarm(now, line, a.kind)
         if eff.masked:
             self._log(now, MASK, line, task.id, detail="window")
-            self._register_timer(eff.window_timer, "window", line, now)
+            self._register_timer(mon.window_timer, "window", line, now)
         decay_due = mon.decay_due()
         if decay_due is not None:
             self._register_timer(decay_due, "decay", line, now)
@@ -513,20 +515,27 @@ class Engine:
     def _mask_bottom_half(self, line: str, now: int, ts: int,
                           trigger: Optional[Job]) -> None:
         """In bottom-half mode, mask the line until trigger, the job its
-        last internalization released or notified, is finalized."""
+        last internalization released or notified, is finalized. The hold
+        starts at ts, the timestamp of the event that caused the mask. A
+        line the controller already masks is left alone: that mask
+        belongs to the window defense or a fault."""
         if (
             self.policy.mask_until_bottom_half
             and trigger is not None
-            and self.monitors[line].apply_bottom_half_mask(self.vic, ts)
+            and not self.vic.lines[line].masked
         ):
+            self.vic.set_line_mask(line, True, ts)
             self._log(now, MASK, line, self.line_task[line].id,
                       detail="bottom_half")
             self._bh_trigger[line] = trigger
 
     def _backfill(self, line: str, now: int, ts: int, count: int) -> int:
-        """Internalize occurrences deferred by a mask, all carrying the
-        masking event's timestamp. Stops early if the window defense
-        engages; leftovers stay counter-only."""
+        """Internalize count occurrences that a hold deferred, all
+        carrying ts, the tick the hold began (for a bottom-half mask, the
+        masking event's timestamp). The earlier timestamp is a safe
+        over-approximation: pressure on the window can only start sooner.
+        Stops early if the window defense engages; leftovers stay
+        counter-only."""
         mon = self.monitors[line]
         done = 0
         last_trigger = None
@@ -544,16 +553,14 @@ class Engine:
     def _after_finalize(self, job: Job, now: int) -> None:
         line = self.line_of(job)
         if self._bh_trigger.get(line) is job:
+            # a bottom-half-masked line is internalized only after this
+            # release, so the window defense never took the mask over
             del self._bh_trigger[line]
-            mon = self.monitors[line]
-            if mon.bottom_half_masked:
-                rel = mon.release_bottom_half_mask(self.vic, now)
-                self._log(now, UNMASK, line, job.task_id,
-                          detail="bottom_half")
-                if rel.deferred:
-                    self._backfill(line, now, rel.assigned_timestamp,
-                                   rel.deferred)
-                self._needs_dispatch = True
+            since, deferred = self.vic.set_line_mask(line, False, now)
+            self._log(now, UNMASK, line, job.task_id, detail="bottom_half")
+            if deferred:
+                self._backfill(line, now, since, deferred)
+            self._needs_dispatch = True
 
     def _process_shed(self, t: int) -> None:
         for job in self.sched.shed_check(t):
@@ -650,7 +657,7 @@ class Engine:
         per_line = {}
         for line in sorted(self.line_task):
             per_line[line] = {
-                "raised": self.line_raised[line],
+                "raised": self.vic.lines[line].device_counter,
                 "internalized": self.line_internalized[line],
                 "suppressed": self.line_suppressed[line],
                 "top_half_time": self.line_top_half[line],

@@ -9,13 +9,10 @@ mask began: none means the sensor calmed down and the line is unmasked;
 any means the source exceeded its envelope for a full window and is
 declared faulty.
 
-Two masking regimes can defer occurrences instead of losing them. The
-window defense above reconstructs nothing (held-back occurrences only
-count toward the fault decision). The bottom-half mode masks a line for
-the duration of one deferred handler; ending the mask ends its hold,
-whose count the caller then internalizes, all carrying the timestamp of
-the event that caused the mask. Assigning the earlier timestamp is a
-safe over-approximation: pressure on the window can only start sooner.
+The window defense reconstructs nothing: held-back occurrences only count
+toward the fault decision. The deferral optimizations, which hold
+occurrences back and backfill them later (the interrupt priority level
+and the bottom-half mask), live in the engine.
 
 An out-of-envelope episode starts when two internalizations arrive closer
 together than the task period. It ends either at the first internalization
@@ -69,32 +66,22 @@ class Alarm:
 
 @dataclass
 class MonitorEffect:
-    """What one internalization did to the line."""
+    """What one internalization did to the line. Its alarms report an
+    episode start and the window mask."""
 
-    entered_ooe: bool = False
     exited_ooe: bool = False
     masked: bool = False
-    window_timer: Optional[int] = None
     alarms: List[Alarm] = field(default_factory=list)
 
 
 @dataclass
 class TimerEffect:
-    """Outcome of a window timer expiry."""
+    """Outcome of a window timer expiry. unmasked covers the auto-resume
+    too, which its SENSOR_RESUMED alarm tells apart."""
 
     unmasked: bool = False
-    fault_declared: bool = False
-    resumed: bool = False
     rearm_at: Optional[int] = None
     alarms: List[Alarm] = field(default_factory=list)
-
-
-@dataclass
-class BottomHalfRelease:
-    """Occurrences deferred while a bottom-half mask was active."""
-
-    deferred: int
-    assigned_timestamp: int
 
 
 def episode_decay(prev: Optional[int], t: int, period: float,
@@ -122,12 +109,22 @@ class LineMonitor:
         self.period = task.period
         self.fault_policy = fault_policy
         self.ring: List[int] = []
-        self.state = LineState.IN_ENVELOPE
         self.last_internalize: Optional[int] = None
         self.window_timer: Optional[int] = None
+        # WINDOW_MASKED or FAULTY while the window defense holds the line
+        # masked, None otherwise
+        self._defense: Optional[LineState] = None
         # decay time of the live out-of-envelope episode, None when none
         self._ooe_decay_at: Optional[float] = None
-        self._bh_active = False
+
+    @property
+    def state(self) -> LineState:
+        """Derived from the window defense and the recorded episode."""
+        if self._defense is not None:
+            return self._defense
+        if self._ooe_decay_at is not None:
+            return LineState.OUT_OF_ENVELOPE
+        return LineState.IN_ENVELOPE
 
     # episode bookkeeping
 
@@ -146,14 +143,8 @@ class LineMonitor:
         Returns True when the episode ended at this call."""
         if self._ooe_decay_at is not None and t >= self._ooe_decay_at:
             self._ooe_decay_at = None
-            if self.state is LineState.OUT_OF_ENVELOPE:
-                self.state = LineState.IN_ENVELOPE
             return True
         return False
-
-    @property
-    def bottom_half_masked(self) -> bool:
-        return self._bh_active
 
     # core protocol
 
@@ -167,7 +158,7 @@ class LineMonitor:
         deferred by a mask are backfilled. Must not be called while the
         window defense or a declared fault holds the line masked.
         """
-        if self.state in (LineState.WINDOW_MASKED, LineState.FAULTY):
+        if self._defense is not None:
             raise MonitorError(
                 f"line {self.line}: internalization while window-masked"
             )
@@ -177,7 +168,6 @@ class LineMonitor:
         decay_at = episode_decay(self.last_internalize, t, self.period,
                                  self.window)
         if decay_at is not None and self._ooe_decay_at is None:
-            eff.entered_ooe = True
             eff.alarms.append(
                 Alarm(t, self.line, AlarmKind.OUT_OF_ENVELOPE_ENTERED)
             )
@@ -186,17 +176,11 @@ class LineMonitor:
         self._ooe_decay_at = decay_at
         self.last_internalize = t
         insort(self.ring, t)
-        self.state = (
-            LineState.OUT_OF_ENVELOPE if self.ooe_active(t)
-            else LineState.IN_ENVELOPE
-        )
         if len(self.ring) >= self.n:
             vic.set_line_mask(self.line, True, t)
-            self.state = LineState.WINDOW_MASKED
+            self._defense = LineState.WINDOW_MASKED
             self.window_timer = self.ring[0] + self.window
-            self._bh_active = False
             eff.masked = True
-            eff.window_timer = self.window_timer
             eff.alarms.append(
                 Alarm(t, self.line, AlarmKind.WINDOW_BOUND_REACHED)
             )
@@ -212,84 +196,42 @@ class LineMonitor:
             raise MonitorError(
                 f"line {self.line}: window timer not due at t={t}"
             )
-        if self.state not in (LineState.WINDOW_MASKED, LineState.FAULTY):
+        if self._defense is None:
             raise MonitorError(
                 f"line {self.line}: window timer fired while unmasked"
             )
         eff = TimerEffect()
         self._prune(t)
         _, delta = vic.held(self.line)
-        if self.state is LineState.WINDOW_MASKED:
+        if self._defense is LineState.WINDOW_MASKED:
             if delta == 0:
                 self._unmask(vic, t)
                 eff.unmasked = True
             else:
-                eff.fault_declared = True
                 eff.alarms.append(Alarm(t, self.line, AlarmKind.SENSOR_FAULT))
-                self.state = LineState.FAULTY
+                self._defense = LineState.FAULTY
                 if self.fault_policy is FaultPolicy.AUTO_RESUME:
                     vic.set_line_mask(self.line, True, t)
                     self.window_timer = t + self.window
                     eff.rearm_at = self.window_timer
                 else:
                     self.window_timer = None
-        elif self.state is LineState.FAULTY:
-            # auto-resume probe: a full window must stay below the bound
-            if delta < self.n:
-                self._unmask(vic, t)
-                eff.resumed = True
-                eff.alarms.append(
-                    Alarm(t, self.line, AlarmKind.SENSOR_RESUMED)
-                )
-            else:
-                vic.set_line_mask(self.line, True, t)
-                self.window_timer = t + self.window
-                eff.rearm_at = self.window_timer
+        elif delta < self.n:
+            # auto-resume probe: a full window stayed below the bound
+            self._unmask(vic, t)
+            eff.unmasked = True
+            eff.alarms.append(Alarm(t, self.line, AlarmKind.SENSOR_RESUMED))
+        else:
+            vic.set_line_mask(self.line, True, t)
+            self.window_timer = t + self.window
+            eff.rearm_at = self.window_timer
         return eff
 
     def _unmask(self, vic: VicState, t: int) -> None:
         vic.set_line_mask(self.line, False, t)
         self.window_timer = None
+        self._defense = None
         self.decay(t)
-        self.state = (
-            LineState.OUT_OF_ENVELOPE if self.ooe_active(t)
-            else LineState.IN_ENVELOPE
-        )
-
-    # bottom-half masking mode
-
-    def apply_bottom_half_mask(self, vic: VicState, t: int) -> bool:
-        """Mask the line until its deferred handler finishes. t is the
-        timestamp of the event that caused the mask, and the line's hold
-        starts there. No-op when the window defense already owns the
-        mask."""
-        if self.state in (LineState.WINDOW_MASKED, LineState.FAULTY):
-            return False
-        if self._bh_active:
-            return False
-        vic.set_line_mask(self.line, True, t)
-        self._bh_active = True
-        return True
-
-    def release_bottom_half_mask(self, vic: VicState,
-                                 t_unmask: int) -> BottomHalfRelease:
-        """Lift the bottom-half mask and report what queued up meanwhile.
-
-        The caller backfills the deferred occurrences one by one through
-        record_internalization, stopping early if the window defense
-        engages; leftovers stay counter-only.
-        """
-        if not self._bh_active:
-            raise MonitorError(
-                f"line {self.line}: bottom-half release without a mask"
-            )
-        self._bh_active = False
-        assigned, deferred = vic.set_line_mask(self.line, False, t_unmask)
-        self.state = (
-            LineState.OUT_OF_ENVELOPE if self.ooe_active(t_unmask)
-            else LineState.IN_ENVELOPE
-        )
-        return BottomHalfRelease(deferred=deferred, assigned_timestamp=assigned)
 
 
 def compute_ipl(running_priority: Optional[int],

@@ -430,6 +430,23 @@ def test_bottom_half_defers_and_backfills():
     assert raised == internalized + counter_only == 4
 
 
+def test_bottom_half_leaves_a_window_mask_alone():
+    # the drained internalization fills the window, so the line is
+    # already masked when the bottom-half mask would start; the window
+    # defense keeps the mask, and its timer lifts it
+    sc = one_task_scenario(
+        task_kw=dict(wcet=2, period=20, envelope_n=1, envelope_w=10),
+        workload=[("l", Explicit((0,)))], horizon=20,
+        policy=Policy(mask_until_bottom_half=True))
+    trace, metrics = run_scenario(sc)
+    assert [(r.time, r.detail) for r in trace.of_kind("MASK")] == [
+        (0, "window")]
+    assert [(r.time, r.detail) for r in trace.of_kind("UNMASK")] == [
+        (10, "window")]
+    assert [r.time for r in trace.of_kind("COMPLETE")] == [2]
+    assert metrics.per_line["l"]["mask_ops"] == 2
+
+
 def test_metrics_shape():
     _, metrics = run_scenario(scenario_override_burst())
     data = metrics.to_dict()

@@ -26,13 +26,13 @@ def test_window_fills_and_reopens():
     assert not mon.record_internalization(vic, 4).masked
     eff = mon.record_internalization(vic, 8)
     assert eff.masked
-    assert eff.window_timer == 10  # earliest buffered ts plus window
+    assert mon.window_timer == 10  # earliest buffered ts plus window
     assert [a.kind for a in eff.alarms] == [AlarmKind.WINDOW_BOUND_REACHED]
     assert mon.state is LineState.WINDOW_MASKED
     assert vic.lines["l"].masked
 
     teff = mon.handle_window_timer(vic, 10)
-    assert teff.unmasked and not teff.fault_declared
+    assert teff.unmasked and not teff.alarms
     assert mon.state is LineState.IN_ENVELOPE
     assert not vic.lines["l"].masked
     assert mon.ring == [4, 8]  # the event at 0 aged out of the window
@@ -41,7 +41,7 @@ def test_window_fills_and_reopens():
 def test_single_event_envelope_masks_immediately():
     vic, mon = setup_line(n=1, w=5, period=5)
     eff = mon.record_internalization(vic, 2)
-    assert eff.masked and eff.window_timer == 7
+    assert eff.masked and mon.window_timer == 7
     assert mon.handle_window_timer(vic, 7).unmasked
 
 
@@ -82,14 +82,13 @@ def test_timer_while_unmasked_rejected():
 
 def test_episode_enter_and_alarm_once():
     vic, mon = setup_line(n=10, w=4, period=6)
-    assert not mon.record_internalization(vic, 0).entered_ooe
+    assert not mon.record_internalization(vic, 0).alarms
     eff = mon.record_internalization(vic, 3)
-    assert eff.entered_ooe
     assert [a.kind for a in eff.alarms] == [AlarmKind.OUT_OF_ENVELOPE_ENTERED]
     assert mon.state is LineState.OUT_OF_ENVELOPE
     # still in the same episode: no second alarm
     eff = mon.record_internalization(vic, 5)
-    assert not eff.entered_ooe and not eff.alarms
+    assert not eff.alarms
 
 
 def test_episode_decays_after_violating_pair_ages_out():
@@ -108,7 +107,8 @@ def test_episode_memoryless_exit_on_period_gap():
     # window longer than the period so the exit beats the decay
     vic, mon = setup_line(n=10, w=20, period=6)
     mon.record_internalization(vic, 0)
-    assert mon.record_internalization(vic, 3).entered_ooe
+    assert [a.kind for a in mon.record_internalization(vic, 3).alarms] == [
+        AlarmKind.OUT_OF_ENVELOPE_ENTERED]
     assert mon.decay_due() == 20
     eff = mon.record_internalization(vic, 12)  # gap 9 >= period
     assert eff.exited_ooe
@@ -130,7 +130,7 @@ def test_fault_permanent():
     assert mon.record_internalization(vic, 1).masked
     vic.raise_event("l", 5)  # suppressed, counts toward the fault decision
     eff = mon.handle_window_timer(vic, 10)
-    assert eff.fault_declared
+    assert not eff.unmasked
     assert [a.kind for a in eff.alarms] == [AlarmKind.SENSOR_FAULT]
     assert eff.rearm_at is None
     assert mon.window_timer is None
@@ -144,18 +144,19 @@ def test_fault_auto_resume_probes_and_resumes():
     mon.record_internalization(vic, 1)
     vic.raise_event("l", 5)
     eff = mon.handle_window_timer(vic, 10)
-    assert eff.fault_declared and eff.rearm_at == 20
+    assert [a.kind for a in eff.alarms] == [AlarmKind.SENSOR_FAULT]
+    assert not eff.unmasked and eff.rearm_at == 20
 
     # still storming through the probe window: stays faulty, silent rearm
     vic.raise_event("l", 12)
     vic.raise_event("l", 15)
     eff = mon.handle_window_timer(vic, 20)
-    assert not eff.resumed and eff.rearm_at == 30 and not eff.alarms
+    assert not eff.unmasked and eff.rearm_at == 30 and not eff.alarms
 
     # one occurrence is strictly below the bound n=2: resume
     vic.raise_event("l", 25)
     eff = mon.handle_window_timer(vic, 30)
-    assert eff.resumed
+    assert eff.unmasked
     assert [a.kind for a in eff.alarms] == [AlarmKind.SENSOR_RESUMED]
     assert mon.state is LineState.IN_ENVELOPE
     assert not vic.lines["l"].masked
@@ -196,50 +197,19 @@ def test_fault_auto_resume_threshold_is_strict():
     vic.raise_event("l", 12)
     vic.raise_event("l", 13)
     eff = mon.handle_window_timer(vic, 20)
-    assert not eff.resumed and mon.state is LineState.FAULTY
+    assert not eff.unmasked and mon.state is LineState.FAULTY
 
 
-def test_bottom_half_defer_and_release():
-    vic, mon = setup_line(n=5, w=10, period=3)
-    assert mon.apply_bottom_half_mask(vic, 3)
-    assert mon.bottom_half_masked
-    vic.raise_event("l", 4)
-    vic.raise_event("l", 5)
-    rel = mon.release_bottom_half_mask(vic, 7)
-    assert rel.deferred == 2
-    assert rel.assigned_timestamp == 3
-    assert not mon.bottom_half_masked
-    assert not vic.lines["l"].masked
-    assert vic.held("l") is None
-    assert vic.poll_deliverable() is None  # the deferred set no pending bit
-
-
-def test_bottom_half_noop_while_window_masked():
-    vic, mon = setup_line(n=1, w=5, period=5)
+def test_unmask_during_a_live_episode_reads_out_of_envelope():
+    vic, mon = setup_line(n=3, w=10, period=4)
     mon.record_internalization(vic, 0)
-    assert not mon.apply_bottom_half_mask(vic, 1)
-
-
-def test_bottom_half_double_apply_noop():
-    vic, mon = setup_line(n=5, w=10, period=3)
-    assert mon.apply_bottom_half_mask(vic, 0)
-    assert not mon.apply_bottom_half_mask(vic, 1)
-
-
-def test_bottom_half_release_without_mask_rejected():
-    vic, mon = setup_line(n=5, w=10, period=3)
-    with pytest.raises(MonitorError):
-        mon.release_bottom_half_mask(vic, 0)
-
-
-def test_window_defense_takes_over_bottom_half():
-    vic, mon = setup_line(n=2, w=10, period=1)
-    mon.record_internalization(vic, 0)
-    mon.apply_bottom_half_mask(vic, 0)
-    eff = mon.record_internalization(vic, 1)  # backfill fills the ring
-    assert eff.masked
-    assert not mon.bottom_half_masked
-    assert mon.state is LineState.WINDOW_MASKED
+    mon.record_internalization(vic, 2)
+    assert mon.record_internalization(vic, 3).masked
+    # pair (2, 3) keeps the episode live until 2 + max(T, W) = 12
+    assert mon.handle_window_timer(vic, 10).unmasked
+    assert mon.state is LineState.OUT_OF_ENVELOPE
+    assert mon.decay(12)
+    assert mon.state is LineState.IN_ENVELOPE
 
 
 def test_ipl_idle_is_zero():
