@@ -35,7 +35,7 @@ import heapq
 import io
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .model import (
     Job,
@@ -78,6 +78,13 @@ DROP = "DROP"
 ALARM = "ALARM"
 
 CSV_HEADER = ["time", "kind", "line", "task", "job", "detail"]
+
+# the SUPPRESS record's detail for each outcome that holds a raise back
+_SUPPRESS_REASON = {
+    RaiseOutcome.SUPPRESSED_MASKED: "masked",
+    RaiseOutcome.SUPPRESSED_IPL: "ipl",
+    RaiseOutcome.LATCHED_PENDING: "coalesced",
+}
 
 
 class ScenarioError(Exception):
@@ -194,24 +201,13 @@ class Scenario:
         return 2 * hyperperiod(self.task_set) + max_w
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
     time: int
     kind: str
     line: str = ""
     task: str = ""
     job: Optional[int] = None
     detail: str = ""
-
-    def csv_row(self) -> List[str]:
-        return [
-            str(self.time),
-            self.kind,
-            self.line,
-            self.task,
-            "" if self.job is None else str(self.job),
-            self.detail,
-        ]
 
 
 class Trace:
@@ -242,8 +238,7 @@ class Trace:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for rec in self.records:
-            writer.writerow(rec.csv_row())
+        writer.writerows(self.records)
         return buf.getvalue()
 
     def write_csv(self, path) -> None:
@@ -460,13 +455,9 @@ class Engine:
             task = self.line_task[line].id
             self._log(t, RAISE, line, task, detail=outcome.value)
             if outcome is not RaiseOutcome.DELIVERED_NOW:
-                reason = {
-                    RaiseOutcome.SUPPRESSED_MASKED: "masked",
-                    RaiseOutcome.SUPPRESSED_IPL: "ipl",
-                    RaiseOutcome.LATCHED_PENDING: "coalesced",
-                }[outcome]
                 self.line_suppressed[line] += 1
-                self._log(t, SUPPRESS, line, task, detail=reason)
+                self._log(t, SUPPRESS, line, task,
+                          detail=_SUPPRESS_REASON[outcome])
 
     def _drain_deliverable(self, t: int) -> None:
         while True:

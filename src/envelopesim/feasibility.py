@@ -14,12 +14,15 @@ building them, and anything too large raises BoundsExceeded instead of
 silently sampling.
 
 Verdicts come from one job-level tick step (_CheckerState.step) that
-calls the engine's own rule functions: the episode rule
-(monitor.episode_decay), the dispatch key (scheduler.dispatch_key) and
-the starvation rule (scheduler.mark_starved). It leaves out only what
-cannot matter within the envelope, the interrupt controller, the line
-monitors and the trace, which keeps it cheap. reference_verdicts runs
-the step over one pattern from t=0.
+steps model.Jobs through the engine's own lifecycle and rules:
+scheduler.release_job builds each job with its two dispatch keys,
+scheduler.pick selects the job to run, scheduler.take_due removes the
+jobs whose deadline has come, and the episode rule
+(monitor.episode_decay) and the starvation rule (scheduler.mark_starved)
+decide elevation and drops. It leaves out only what cannot matter
+within the envelope, the interrupt controller, the line monitors and
+the trace, which keeps it cheap. reference_verdicts runs the step over
+one pattern from t=0.
 
 The sweep visits the combinations in itertools.product order (the last
 task's pattern varies fastest) and keeps a snapshot of the state at
@@ -42,7 +45,6 @@ oracles the tests compare against, live in tests/support.py.
 
 import math
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import (
@@ -61,6 +63,7 @@ from .engine import (
     select_priority_map,
 )
 from .model import (
+    Job,
     PriorityMap,
     ResponseOption,
     Task,
@@ -69,7 +72,7 @@ from .model import (
     interrupt_order,
 )
 from .monitor import episode_decay
-from .scheduler import dispatch_key, mark_starved
+from .scheduler import mark_starved, pick, release_job, take_due
 
 COMPLETED = "completed"
 MISSED = "missed"
@@ -216,29 +219,6 @@ def check_normal(task_set: TaskSet,
     )
 
 
-class _CheckerJob:
-    """A released job as the checker tracks it: what the rule functions
-    read and write, and the job's two dispatch keys. The keys do not
-    change during the job's life, so both come from dispatch_key once,
-    at release: key while its task is not elevated, elevated_key while
-    it is."""
-
-    __slots__ = ("task_id", "seq", "abs_deadline", "remaining",
-                 "starved_by_elevated", "key", "elevated_key")
-
-    def __init__(self, task_id: str, seq: int, abs_deadline: int,
-                 remaining: int):
-        self.task_id = task_id
-        self.seq = seq
-        self.abs_deadline = abs_deadline
-        self.remaining = remaining
-        self.starved_by_elevated = False
-
-
-_plain_key = attrgetter("key")
-_finalize_order = attrgetter("task_id", "seq")
-
-
 class _CheckerState:
     """The checker's simulation state at the start of a tick: pending
     top-half kernel time, the active jobs, the live out-of-envelope
@@ -262,7 +242,7 @@ class _CheckerState:
         # finalized jobs' verdicts, kept only when a dict is given
         self.verdicts = verdicts
         self.kernel = 0
-        self.active: List[_CheckerJob] = []
+        self.active: List[Job] = []
         # step replaces these three dicts instead of changing them, so a
         # snapshot can share them
         self.episodes: Dict[str, float] = {}
@@ -286,7 +266,7 @@ class _CheckerState:
         """Advance over tick t: live episodes decay, the tasks in batch
         arrive in that order, jobs whose deadline has come are finalized,
         and below the horizon the processor serves one tick of kernel
-        time or of the job dispatch_key picks. Returns whether a job
+        time or of the job pick selects. Returns whether a job
         missed its deadline at t."""
         episodes = self.episodes
         if episodes and min(episodes.values()) <= t:
@@ -315,36 +295,23 @@ class _CheckerState:
                     continue
                 seq = seqs[tid]
                 seqs[tid] = seq + 1
-                job = _CheckerJob(tid, seq, t + task.deadline, task.wcet)
-                job.key = dispatch_key(job, (), tasks, pmap)
-                job.elevated_key = dispatch_key(job, (tid,), tasks, pmap)
-                active.append(job)
+                active.append(release_job(task, seq, t, tasks, pmap))
         missed = False
-        due = [j for j in active if j.abs_deadline <= t]
-        if due:
-            due.sort(key=_finalize_order)
-            for job in due:
-                active.remove(job)
-                if not job.starved_by_elevated:
-                    missed = True
-                if self.verdicts is not None:
-                    self.verdicts[(job.task_id, job.seq)] = (
-                        DROPPED if job.starved_by_elevated else MISSED
-                    )
+        for job in take_due(active, t):
+            if not job.starved_by_elevated:
+                missed = True
+            if self.verdicts is not None:
+                self.verdicts[(job.task_id, job.seq)] = (
+                    DROPPED if job.starved_by_elevated else MISSED
+                )
         if t >= self.horizon:
             return missed
         if self.kernel:
             self.kernel -= 1
             return missed
-        if not active:
+        job = pick(active, episodes)
+        if job is None:
             return missed
-        if len(active) == 1:
-            job = active[0]
-        elif episodes:
-            job = min(active, key=lambda j: j.elevated_key
-                      if j.task_id in episodes else j.key)
-        else:
-            job = min(active, key=_plain_key)
         job.remaining -= 1
         if job.task_id in episodes:
             mark_starved(job, active, self.tasks)

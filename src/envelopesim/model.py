@@ -265,8 +265,6 @@ def explicit_priority_map(task_set: TaskSet) -> PriorityMap:
 
 class JobState(Enum):
     RELEASED = "released"
-    RUNNING = "running"
-    PREEMPTED = "preempted"
     COMPLETED = "completed"
     MISSED = "missed"
     DROPPED = "dropped"
@@ -277,20 +275,23 @@ FINAL_STATES = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class Job:
-    """One released instance of a task."""
+    """One released instance of a task, equal only to itself.
+    scheduler.release_job builds it with both dispatch keys: key while
+    its task is not elevated, elevated_key while it is."""
 
     task_id: str
     seq: int
     release: TimeInstant
     abs_deadline: TimeInstant
-    wcet: Duration
     remaining: Duration
     state: JobState = JobState.RELEASED
     notifications: int = 0
     starved_by_elevated: bool = False
     completion: Optional[TimeInstant] = None
+    key: Optional[tuple] = None
+    elevated_key: Optional[tuple] = None
 
     @property
     def finalized(self) -> bool:

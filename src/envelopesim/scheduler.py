@@ -11,11 +11,15 @@ elevated, more important task consumed processor time inside the job's
 release-to-deadline window (the sanctioned sacrifice), and Missed
 otherwise (a genuine scheduling failure).
 
-Both rules are pure functions, dispatch_key and mark_starved, which the
-Scheduler and the feasibility checker both call.
+Both rules are pure functions, dispatch_key and mark_starved. The
+Scheduler and the feasibility checker share one job lifecycle on top of
+them: release_job builds every Job and takes both of its dispatch keys
+once, pick selects over the stored keys, and take_due removes the jobs
+whose deadline has come.
 """
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Container, Dict, List, Mapping, Optional, Set, Tuple
 
 from .model import (
@@ -50,6 +54,42 @@ def dispatch_key(job: Job, elevated: Container[str],
     if job.task_id in elevated:
         return (0, -tasks[job.task_id].importance, job.task_id, job.seq)
     return (1, -pmap.priority(job.task_id, job.seq), job.task_id, job.seq)
+
+
+_plain_key = attrgetter("key")
+_finalize_order = attrgetter("task_id", "seq")
+
+
+def release_job(task: Task, seq: int, t: int, tasks: Mapping[str, Task],
+                pmap: PriorityMap) -> Job:
+    """Job seq of task, released at t. Its dispatch keys do not change
+    during its life, so both come from dispatch_key here, once."""
+    job = Job(task.id, seq, t, t + task.deadline, task.wcet)
+    job.key = dispatch_key(job, (), tasks, pmap)
+    job.elevated_key = dispatch_key(job, (task.id,), tasks, pmap)
+    return job
+
+
+def pick(active: List[Job], elevated: Container[str]) -> Optional[Job]:
+    """The active job that dispatch_key ranks first, read from the keys
+    release_job stored; elevated holds the elevated tasks' ids."""
+    if len(active) < 2:
+        return active[0] if active else None
+    if not elevated:
+        return min(active, key=_plain_key)
+    return min(active, key=lambda j: j.elevated_key
+               if j.task_id in elevated else j.key)
+
+
+def take_due(active: List[Job], t: int) -> List[Job]:
+    """Remove from active, and return in (task id, seq) order, the jobs
+    whose deadline has come by t."""
+    due = [j for j in active if j.abs_deadline <= t]
+    if due:
+        due.sort(key=_finalize_order)
+        for job in due:
+            active.remove(job)
+    return due
 
 
 def mark_starved(runner: Job, active: List[Job],
@@ -92,65 +132,43 @@ class Scheduler:
         set_elevated, which the caller runs before the next dispatch."""
         task = self.tasks[task_id]
         if task.response is ResponseOption.NOTIFY_RUNNING:
-            live = [j for j in self.active if j.task_id == task_id]
-            if live:
-                target = min(live, key=lambda j: j.seq)
-                target.notifications += 1
-                return ReleaseEffect(notified=target)
+            # active is in release order: the first live job has the
+            # smallest seq
+            for live in self.active:
+                if live.task_id == task_id:
+                    live.notifications += 1
+                    return ReleaseEffect(notified=live)
         seq = self.seq[task_id]
         self.seq[task_id] = seq + 1
-        job = Job(
-            task_id=task_id,
-            seq=seq,
-            release=t,
-            abs_deadline=t + task.deadline,
-            wcet=task.wcet,
-            remaining=task.wcet,
-        )
+        job = release_job(task, seq, t, self.tasks, self.pmap)
         self.jobs.append(job)
         self.active.append(job)
         return ReleaseEffect(job=job)
 
     def pick_next(self, t: int) -> Optional[Job]:
-        if not self.active:
-            return None
-        elevated, tasks, pmap = self.elevated, self.tasks, self.pmap
-        return min(self.active,
-                   key=lambda j: dispatch_key(j, elevated, tasks, pmap))
+        return pick(self.active, self.elevated)
 
     def dispatch(self, job: Optional[Job],
                  t: int) -> Tuple[Optional[Job], bool]:
-        """Hand the processor to job. Returns (preempted, started)."""
+        """Hand the processor to job. Returns (preempted, started); the
+        running job is never finalized, since completion and shed_check
+        take the processor from it."""
         prev = self.running
         if prev is job:
             return (None, False)
-        preempted = None
-        if prev is not None and not prev.finalized:
-            prev.state = JobState.PREEMPTED
-            preempted = prev
-        if job is not None:
-            job.state = JobState.RUNNING
         self.running = job
-        return (preempted, job is not None)
+        return (prev, job is not None)
 
     def shed_check(self, t: int) -> List[Job]:
-        """Finalize every incomplete job whose deadline has arrived."""
-        overdue = [
-            j for j in self.active
-            if j.abs_deadline <= t and j.remaining > 0
-        ]
-        out = []
-        for job in sorted(overdue, key=lambda j: (j.task_id, j.seq)):
-            verdict = (
-                JobState.DROPPED if job.starved_by_elevated
-                else JobState.MISSED
-            )
-            job.finalize(verdict, t)
-            self.active.remove(job)
+        """Finalize every job whose deadline has arrived: DROPPED when an
+        elevated job starved it, MISSED otherwise."""
+        due = take_due(self.active, t)
+        for job in due:
+            job.finalize(JobState.DROPPED if job.starved_by_elevated
+                         else JobState.MISSED, t)
             if self.running is job:
                 self.running = None
-            out.append(job)
-        return out
+        return due
 
     def account_top_half(self, t: int) -> int:
         """Charge one interrupt entry. The running job loses delta_th

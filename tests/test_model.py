@@ -150,15 +150,15 @@ def test_override_repeats_per_hyperperiod():
 
 
 def test_job_finalize_rules():
-    job = Job(task_id="a", seq=0, release=0, abs_deadline=5, wcet=2,
-              remaining=2)
+    job = Job(task_id="a", seq=0, release=0, abs_deadline=5, remaining=2)
+    assert not job.finalized
     job.finalize(JobState.COMPLETED, 4)
-    assert job.completion == 4
+    assert job.finalized and job.completion == 4
     with pytest.raises(ValueError):
         job.finalize(JobState.MISSED, 5)
     with pytest.raises(ValueError):
-        Job(task_id="a", seq=1, release=0, abs_deadline=5, wcet=2,
-            remaining=2).finalize(JobState.RUNNING, 1)
+        Job(task_id="a", seq=1, release=0, abs_deadline=5,
+            remaining=2).finalize(JobState.RELEASED, 1)
 
 
 def test_response_option_values():

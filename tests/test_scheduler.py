@@ -1,3 +1,6 @@
+import math
+import random
+
 from envelopesim import (
     JobState,
     ResponseOption,
@@ -7,6 +10,7 @@ from envelopesim import (
     assign_importance_monotonic,
     explicit_priority_map,
 )
+from envelopesim.scheduler import dispatch_key, pick, release_job, take_due
 
 
 def make_sched(tasks, explicit=False, delta_th=0):
@@ -38,13 +42,15 @@ def test_pick_prefers_higher_priority():
     jl = sched.on_internalize("low", 0).job
     jh = sched.on_internalize("high", 0).job
     assert sched.pick_next(0) is jh
-    sched.dispatch(jh, 0)
-    assert jh.state is JobState.RUNNING
+    assert sched.dispatch(jh, 0) == (None, True)
+    assert sched.running is jh
     # same job again: no preemption, no start
     assert sched.dispatch(jh, 0) == (None, False)
-    preempted, started = sched.dispatch(jl, 1)
-    assert preempted is jh and started
-    assert jh.state is JobState.PREEMPTED
+    assert sched.dispatch(jl, 1) == (jh, True)
+    assert sched.running is jl
+    assert not jh.finalized  # a preempted job stays live
+    assert sched.dispatch(None, 2) == (jl, False)
+    assert sched.running is None
 
 
 def test_elevation_outranks_priority():
@@ -164,3 +170,71 @@ def test_completion_time_is_end_of_tick():
     sched.dispatch(jl, 4)
     res = sched.execute_tick(4)
     assert res.completed and jl.completion == 5
+
+
+def random_keyed_task_set(rng):
+    """2-4 tasks with distinct importances and base priorities, and
+    job-level overrides on some of them."""
+    n = rng.randint(2, 4)
+    importances = rng.sample(range(10), n)
+    priorities = rng.sample(range(1, 10), n)
+    periods = [rng.choice([2, 3, 4, 6, 12]) for _ in range(n)]
+    hp = math.lcm(*periods)
+    tasks = []
+    for i, period in enumerate(periods):
+        k = hp // period
+        overrides = {key: rng.randint(1, 12)
+                     for key in rng.sample(range(k), rng.randint(0, k))}
+        tasks.append(Task(id=f"t{i}", wcet=1, period=period,
+                          importance=importances[i], line=f"l{i}",
+                          envelope_n=1, envelope_w=period,
+                          priority=priorities[i],
+                          job_priority_overrides=overrides))
+    return TaskSet(tasks)
+
+
+def test_stored_keys_and_pick_follow_dispatch_key():
+    rng = random.Random(7)
+    elevation_decided = 0
+    for _ in range(200):
+        ts = random_keyed_task_set(rng)
+        explicit = rng.random() < 0.5
+        pmap = explicit_priority_map(ts) if explicit \
+            else assign_importance_monotonic(ts)
+        tasks = {t.id: t for t in ts}
+        jobs = []
+        for task in ts:
+            for seq in rng.sample(range(24), 3):
+                job = release_job(task, seq, rng.randrange(24), tasks, pmap)
+                assert job.key == dispatch_key(job, (), tasks, pmap)
+                assert job.elevated_key == dispatch_key(
+                    job, {task.id}, tasks, pmap)
+                jobs.append(job)
+        assert pick([], set()) is None
+        for _ in range(10):
+            active = rng.sample(jobs, rng.randint(1, len(jobs)))
+            chosen = rng.sample(sorted(tasks), rng.randint(0, len(tasks)))
+            # the engine passes a set, the checker its episode dict
+            elevated = set(chosen) if rng.random() < 0.5 \
+                else dict.fromkeys(chosen, 0)
+            expected = min(active, key=lambda j: dispatch_key(
+                j, elevated, tasks, pmap))
+            assert pick(active, elevated) is expected
+            if expected is not pick(active, ()):
+                elevation_decided += 1
+    # elevation changed the choice often enough to matter
+    assert elevation_decided > 100, elevation_decided
+
+
+def test_take_due_removes_due_jobs_in_task_then_seq_order():
+    ts = TaskSet(two_tasks())
+    tasks = {t.id: t for t in ts}
+    pmap = assign_importance_monotonic(ts)
+    low0 = release_job(tasks["low"], 0, 0, tasks, pmap)
+    high0 = release_job(tasks["high"], 0, 1, tasks, pmap)
+    low1 = release_job(tasks["low"], 1, 2, tasks, pmap)
+    high1 = release_job(tasks["high"], 1, 5, tasks, pmap)
+    active = [low0, high0, low1, high1]
+    assert take_due(active, 12) == [high0, low0, low1]
+    assert active == [high1]
+    assert take_due(active, 12) == []
