@@ -11,7 +11,8 @@ visited step t it runs the phases in a fixed order:
 5. due timers;
 6. a schedule point, when anything above changed the ready set
    (dispatch plus, when enabled, recomputation of the interrupt
-   priority level).
+   priority level), repeated only after a round that backfilled, so
+   at most lines + 1 rounds.
 
 The engine then jumps to the earliest of the next raise, the earliest
 pending timer, the earliest deadline of an active job, the running job's
@@ -311,8 +312,6 @@ class Engine:
         self.task_set = scenario.task_set
         self.line_task: Dict[str, Task] = {t.line: t for t in self.task_set}
         self._irq_order: List[Task] = interrupt_order(self.task_set)
-        self._irq_rank = {task.line: i
-                          for i, task in enumerate(self._irq_order)}
         # irq = importance + 1: level 0 must mean "nothing suppressed"
         # even for an importance-0 task under the strict > comparison
         self.vic = VicState(
@@ -327,16 +326,21 @@ class Engine:
                                scenario.policy.delta_th)
         self.trace = Trace()
         self.alarms: List[Alarm] = []
+        # each tick's raising lines in interrupt priority order; the specs
+        # expand in scenario order, so the first invalid one is reported
+        made = [(line, generate_workload(spec, self.horizon, scenario.seed))
+                for line, spec in scenario.workload]
+        rank = {task.line: i for i, task in enumerate(self._irq_order)}
         self.raises: Dict[int, List[str]] = {}
-        for line, spec in scenario.workload:
-            for t in generate_workload(spec, self.horizon, scenario.seed):
+        for line, times in sorted(made, key=lambda m: rank[m[0]]):
+            for t in times:
                 self.raises.setdefault(t, []).append(line)
         self._raise_times = sorted(self.raises)
         self._next_raise = 0
-        # (due, rank, line, seq): window expiries (rank 0) before episode
-        # decays (rank 1), then line id, then registration order
-        self.timers: List[Tuple[int, int, str, int]] = []
-        self._timer_seq = 0
+        # (due, rank, line): window expiries (rank 0) before episode
+        # decays (rank 1), then line id; a line has at most one window
+        # entry, and equal decay entries are interchangeable
+        self.timers: List[Tuple[int, int, str]] = []
         self.steps = 0
         # line -> the job whose finalization lifts its bottom-half mask;
         # the only record that a bottom-half mask is on
@@ -422,7 +426,7 @@ class Engine:
     def _process_timers(self, t: int) -> None:
         timers = self.timers
         while timers and timers[0][0] <= t:
-            _, rank, line, _ = heapq.heappop(timers)
+            _, rank, line = heapq.heappop(timers)
             mon = self.monitors[line]
             if rank == 0:
                 eff = mon.handle_window_timer(self.vic, t)
@@ -432,8 +436,8 @@ class Engine:
                     self._log(t, UNMASK, line, self.line_task[line].id,
                               detail="window")
                     self._needs_dispatch = True
-                if eff.rearm_at is not None:
-                    self._register_timer(eff.rearm_at, "window", line, t)
+                if mon.window_timer is not None:  # re-armed
+                    self._register_timer(mon.window_timer, "window", line, t)
             elif mon.decay(t):
                 self._needs_dispatch = True
 
@@ -442,15 +446,10 @@ class Engine:
         self._log(now, TIMER_SET, line, self.line_task[line].id,
                   detail=f"{kind}_expiry={due}")
         rank = 0 if kind == "window" else 1
-        heapq.heappush(self.timers, (max(due, now), rank, line,
-                                     self._timer_seq))
-        self._timer_seq += 1
+        heapq.heappush(self.timers, (max(due, now), rank, line))
 
     def _process_raises(self, t: int) -> None:
-        lines = self.raises.get(t)
-        if not lines:
-            return
-        for line in sorted(lines, key=self._irq_rank.__getitem__):
+        for line in self.raises.get(t, ()):
             outcome = self.vic.raise_event(line, t)
             task = self.line_task[line].id
             self._log(t, RAISE, line, task, detail=outcome.value)
@@ -488,7 +487,7 @@ class Engine:
         self._log(now, INTERNALIZE, line, task.id, detail=detail)
         for a in eff.alarms:
             self._alarm(now, line, a.kind)
-        if eff.masked:
+        if mon.window_timer is not None:  # the window defense masked
             self._log(now, MASK, line, task.id, detail="window")
             self._register_timer(mon.window_timer, "window", line, now)
         decay_due = mon.decay_due()
@@ -564,16 +563,15 @@ class Engine:
     # schedule points
 
     def _schedule_point(self, t: int) -> None:
-        # Dispatch and the IPL feed back into each other, so iterate to a
-        # fixed point. No raise happens inside a schedule point, so each
-        # line's counter delta can be backfilled at most once; an
-        # iteration without a backfill is followed by at most one more
-        # (nothing left to change). Hence at most 2 * (lines + 1) rounds.
-        # This is the only writer of the elevated set: every
-        # internalization is followed by a round before the next dispatch
-        # or span reads it, since a backfill repeats the round.
-        for _ in range(2 * (len(self.line_task) + 1)):
-            changed = False
+        # Dispatch and the IPL feed back into each other through the
+        # backfill. A round that backfills nothing internalizes nothing
+        # and fires no timer, so another would build the same elevated
+        # set, keep the job and compute the same level: the point ends.
+        # No raise happens inside a point, and a line held back again
+        # starts its new hold at its current counter, so each line is
+        # backfilled at most once: at most lines + 1 rounds. This is the
+        # only writer of the elevated set; a backfill repeats the round.
+        for _ in range(len(self.line_task) + 1):
             elevated = {
                 mon.task_id for mon in self.monitors.values()
                 if mon.ooe_active(t)
@@ -585,21 +583,16 @@ class Engine:
                 self._log(t, PREEMPT, self.line_of(preempted),
                           preempted.task_id, preempted.seq,
                           detail=f"remaining={preempted.remaining}")
-                changed = True
             if started:
                 self._log(t, START, self.line_of(target), target.task_id,
                           target.seq, detail=f"remaining={target.remaining}")
-                changed = True
-            if not self.policy.ipl_optimization:
+            if not (self.policy.ipl_optimization and self._apply_ipl(t)):
                 return
-            recon = self._apply_ipl(t)
-            if recon:
-                self._process_timers(t)
-            if not recon and not changed:
-                return
+            self._process_timers(t)
         raise EngineError(f"schedule point at t={t} did not stabilize")
 
     def _apply_ipl(self, t: int) -> bool:
+        """Set the level the running job calls for; True if it backfilled."""
         running = self.sched.running
         priority, seq = self.pmap.priority, self.sched.seq
         level = compute_ipl(
@@ -612,11 +605,11 @@ class Engine:
             return False
         released = self.vic.set_ipl(level, t)
         self._log(t, IPL_SET, detail=f"level={level}")
-        recon = False
+        backfilled = False
         for line, since, held in released:
             if held > 0 and self._backfill(line, t, since, held):
-                recon = True
-        return recon
+                backfilled = True
+        return backfilled
 
     # metrics
 
@@ -662,7 +655,7 @@ class Engine:
             per_task=per_task,
             per_line=per_line,
             alarms=alarms,
-            total_top_half_time=self.sched.total_top_half,
+            total_top_half_time=sum(self.line_top_half.values()),
         )
 
 

@@ -65,14 +65,13 @@ from .engine import (
 from .model import (
     Job,
     PriorityMap,
-    ResponseOption,
     Task,
     TaskSet,
     hyperperiod,
     interrupt_order,
 )
 from .monitor import episode_decay
-from .scheduler import mark_starved, pick, release_job, take_due
+from .scheduler import mark_starved, notified_job, pick, release_job, take_due
 
 COMPLETED = "completed"
 MISSED = "missed"
@@ -289,9 +288,7 @@ class _CheckerState:
                     episodes[tid] = decay
                 last[tid] = t
                 self.kernel += self.delta_th
-                if task.response is ResponseOption.NOTIFY_RUNNING and any(
-                    j.task_id == tid for j in active
-                ):
+                if notified_job(task, active) is not None:
                     continue
                 seq = seqs[tid]
                 seqs[tid] = seq + 1

@@ -67,20 +67,20 @@ class Alarm:
 @dataclass
 class MonitorEffect:
     """What one internalization did to the line. Its alarms report an
-    episode start and the window mask."""
+    episode start and the window mask; afterwards the monitor's
+    window_timer is set exactly when the window defense masked the line."""
 
     exited_ooe: bool = False
-    masked: bool = False
     alarms: List[Alarm] = field(default_factory=list)
 
 
 @dataclass
 class TimerEffect:
     """Outcome of a window timer expiry. unmasked covers the auto-resume
-    too, which its SENSOR_RESUMED alarm tells apart."""
+    too, which its SENSOR_RESUMED alarm tells apart. Afterwards the
+    monitor's window_timer is set exactly when the timer was re-armed."""
 
     unmasked: bool = False
-    rearm_at: Optional[int] = None
     alarms: List[Alarm] = field(default_factory=list)
 
 
@@ -180,7 +180,6 @@ class LineMonitor:
             vic.set_line_mask(self.line, True, t)
             self._defense = LineState.WINDOW_MASKED
             self.window_timer = self.ring[0] + self.window
-            eff.masked = True
             eff.alarms.append(
                 Alarm(t, self.line, AlarmKind.WINDOW_BOUND_REACHED)
             )
@@ -213,7 +212,6 @@ class LineMonitor:
                 if self.fault_policy is FaultPolicy.AUTO_RESUME:
                     vic.set_line_mask(self.line, True, t)
                     self.window_timer = t + self.window
-                    eff.rearm_at = self.window_timer
                 else:
                     self.window_timer = None
         elif delta < self.n:
@@ -224,7 +222,6 @@ class LineMonitor:
         else:
             vic.set_line_mask(self.line, True, t)
             self.window_timer = t + self.window
-            eff.rearm_at = self.window_timer
         return eff
 
     def _unmask(self, vic: VicState, t: int) -> None:

@@ -70,6 +70,17 @@ def release_job(task: Task, seq: int, t: int, tasks: Mapping[str, Task],
     return job
 
 
+def notified_job(task: Task, active: List[Job]) -> Optional[Job]:
+    """The response rule: the live job an arrival of task notifies instead
+    of releasing one. Only a NOTIFY_RUNNING task has it, and that task
+    releases only while it has no live job, so the job is unique."""
+    if task.response is ResponseOption.NOTIFY_RUNNING:
+        for live in active:
+            if live.task_id == task.id:
+                return live
+    return None
+
+
 def pick(active: List[Job], elevated: Container[str]) -> Optional[Job]:
     """The active job that dispatch_key ranks first, read from the keys
     release_job stored; elevated holds the elevated tasks' ids."""
@@ -121,7 +132,6 @@ class Scheduler:
         self.running: Optional[Job] = None
         self.elevated: Set[str] = set()
         self.kernel_pending = 0
-        self.total_top_half = 0
 
     def set_elevated(self, task_ids) -> None:
         self.elevated = set(task_ids)
@@ -131,13 +141,10 @@ class Scheduler:
         live one for NOTIFY_RUNNING tasks. The elevated set is left to
         set_elevated, which the caller runs before the next dispatch."""
         task = self.tasks[task_id]
-        if task.response is ResponseOption.NOTIFY_RUNNING:
-            # active is in release order: the first live job has the
-            # smallest seq
-            for live in self.active:
-                if live.task_id == task_id:
-                    live.notifications += 1
-                    return ReleaseEffect(notified=live)
+        live = notified_job(task, self.active)
+        if live is not None:
+            live.notifications += 1
+            return ReleaseEffect(notified=live)
         seq = self.seq[task_id]
         self.seq[task_id] = seq + 1
         job = release_job(task, seq, t, self.tasks, self.pmap)
@@ -174,7 +181,6 @@ class Scheduler:
         """Charge one interrupt entry. The running job loses delta_th
         ticks to kernel time."""
         self.kernel_pending += self.delta_th
-        self.total_top_half += self.delta_th
         return self.delta_th
 
     def execute_tick(self, t: int, until: Optional[int] = None) -> TickResult:

@@ -3,9 +3,12 @@
 The window oracle, the conservation counts and the verdict oracle are
 deliberately naive, independent re-implementations; the tick engine
 drives the engine's own phases through every tick, as the engine did
-before next-event time advance, and the product check simulates every
-pattern combination from t=0, as the checker did before it shared
-prefixes. Tests compare the engine and the checker against them.
+before next-event time advance; the confirming engine follows every
+schedule-point round that changed anything with one more, as the engine
+did before it stopped at the first round without a backfill; and the
+product check simulates every pattern combination from t=0, as the
+checker did before it shared prefixes. Tests compare the engine and the
+checker against them.
 """
 
 import itertools
@@ -303,6 +306,42 @@ class TickEngine(Engine):
                 self._after_finalize(job, t + 1)
                 self._needs_dispatch = True
         return self.trace, self._metrics()
+
+
+class ConfirmingEngine(Engine):
+    """The schedule point as a fixed-point loop: a round that dispatched
+    or backfilled is followed by another, so the last round of every
+    point confirms that nothing changes, within 2 * (lines + 1) rounds.
+    Stopping at the first round without a backfill must reproduce its
+    traces byte for byte."""
+
+    def _schedule_point(self, t):
+        for _ in range(2 * (len(self.line_task) + 1)):
+            changed = False
+            elevated = {
+                mon.task_id for mon in self.monitors.values()
+                if mon.ooe_active(t)
+            }
+            self.sched.set_elevated(elevated)
+            target = self.sched.pick_next(t)
+            preempted, started = self.sched.dispatch(target, t)
+            if preempted is not None:
+                self._log(t, "PREEMPT", self.line_of(preempted),
+                          preempted.task_id, preempted.seq,
+                          detail=f"remaining={preempted.remaining}")
+                changed = True
+            if started:
+                self._log(t, "START", self.line_of(target), target.task_id,
+                          target.seq, detail=f"remaining={target.remaining}")
+                changed = True
+            if not self.policy.ipl_optimization:
+                return
+            recon = self._apply_ipl(t)
+            if recon:
+                self._process_timers(t)
+            if not recon and not changed:
+                return
+        raise EngineError(f"schedule point at t={t} did not stabilize")
 
 
 def random_scenario(seed):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from envelopesim import INFINITE_PERIOD
+from envelopesim import INFINITE_PERIOD, Sporadic
 from envelopesim.cli import (
     EXIT_BOUNDS,
     EXIT_FAULT,
@@ -51,6 +51,13 @@ def write_scenario(tmp_path, obj, name="scenario.json"):
     return str(path)
 
 
+def sporadic_entry(**changes):
+    entry = {"kind": "sporadic", "line": "l_low", "min_sep": 2,
+             "density": 0.25, "seed": 7}
+    entry.update(changes)
+    return entry
+
+
 def storm_obj():
     return {
         "tasks": [{"id": "t", "C": 1, "T": 20, "importance": 0,
@@ -72,6 +79,18 @@ def test_parse_scenario_round_trip():
     assert sc.horizon == 6
 
 
+def test_parse_sporadic_and_seed_round_trip():
+    obj = two_task_obj()
+    obj["workload"][0] = sporadic_entry(density=1)
+    obj["seed"] = 11
+    sc = parse_scenario(obj)
+    assert sc.workload[0] == ("l_low", Sporadic(min_sep=2, density=1.0,
+                                                seed=7))
+    assert isinstance(sc.workload[0][1].density, float)
+    assert sc.seed == 11
+
+
+# a case edits a valid scenario in place, or replaces it as a whole
 @pytest.mark.parametrize("mutate,fragment", [
     (lambda o: o.update(bogus=1), r"scenario: unknown key\(s\) bogus"),
     (lambda o: o["tasks"][0].update(extra=1), r"unknown key\(s\) extra"),
@@ -84,10 +103,40 @@ def test_parse_scenario_round_trip():
     (lambda o: o.update(policy={"fault_policy": "shrug"}), "unknown option"),
     (lambda o: o.update(policy={"delta_th": "soon"}), "expected an integer"),
     (lambda o: o.update(tasks=[]), "non-empty list"),
+    (lambda o: o.update(workload=[sporadic_entry(density="dense")]),
+     r"workload for line 'l_low'\.density: expected a number"),
+    (lambda o: o.update(workload=[sporadic_entry(density=True)]),
+     r"workload for line 'l_low'\.density: expected a number"),
+    (lambda o: o.update(workload=[sporadic_entry(min_sep=1.5)]),
+     r"workload for line 'l_low'\.min_sep: expected an integer"),
+    (lambda o: o.update(workload=[sporadic_entry(seed="s")]),
+     r"workload for line 'l_low'\.seed: expected an integer"),
+    (lambda o: o.update(workload=[sporadic_entry(period=3)]),
+     r"workload for line 'l_low': unknown key\(s\) period"),
+    (lambda o: o.update(policy={"ipl_optimization": "yes"}),
+     r"policy\.ipl_optimization: expected a boolean, got 'yes'"),
+    (lambda o: o["tasks"][0].update(line=7),
+     r"task 'tau_l'\.line: expected a string, got 7"),
+    ([], "scenario must be a JSON object"),
+    (lambda o: o["tasks"].append(3), "task entry must be an object, got 3"),
+    (lambda o: o.update(policy=[]), r"policy must be an object, got \[\]"),
+    (lambda o: o["workload"].append("tick"),
+     "workload entry must be an object, got 'tick'"),
+    (lambda o: o.update(workload={}), r"scenario\.workload: expected a list"),
+    (lambda o: o.update(workload=[
+        {"kind": "explicit", "line": "l_low", "times": 5}]),
+     r"workload for line 'l_low'\.times: expected a list"),
+    (lambda o: o["tasks"][0].update(job_priority_overrides=[10]),
+     r"task 'tau_l'\.job_priority_overrides: expected an object"),
+    (lambda o: o["tasks"][0].update(job_priority_overrides={"first": 10}),
+     r"task 'tau_l'\.job_priority_overrides: bad key 'first'"),
 ])
 def test_parse_scenario_rejects_bad_input(mutate, fragment):
     obj = two_task_obj()
-    mutate(obj)
+    if callable(mutate):
+        mutate(obj)
+    else:
+        obj = mutate
     with pytest.raises(ScenarioError, match=fragment):
         parse_scenario(obj)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from envelopesim import (
@@ -23,8 +25,8 @@ from envelopesim import (
 )
 from conftest import scenario_monotonic, scenario_override, \
     scenario_override_burst
-from support import conservation_counts, internalize_timestamps, \
-    random_scenario
+from support import ConfirmingEngine, conservation_counts, \
+    internalize_timestamps, random_scenario
 
 
 def one_task_scenario(task_kw=None, **scenario_kw):
@@ -45,6 +47,15 @@ def test_periodic_times():
 def test_periodic_rejects_bad_period():
     with pytest.raises(ScenarioError):
         generate_workload(Periodic(0, 0), 10)
+
+
+def test_first_invalid_workload_in_scenario_order_is_reported():
+    # raises are stored in interrupt order, but the specs expand in
+    # scenario order: the less important line's error comes first
+    sc = scenario_monotonic()
+    sc.workload = [("l_low", Periodic(0, 0)), ("l_high", Storm(0, 0))]
+    with pytest.raises(ScenarioError, match="periodic workload"):
+        Engine(sc)
 
 
 def test_burst_times():
@@ -385,17 +396,36 @@ class RoundCountingEngine(Engine):
 
 
 def test_schedule_point_rounds_stay_under_the_derived_cap():
-    most = 0
+    most = at_cap = 0
     for seed in range(1000):
         sc = random_scenario(seed)
         if not sc.policy.ipl_optimization:
             continue
         engine = RoundCountingEngine(sc)
         engine.run()
-        cap = 2 * (len(sc.task_set) + 1)
+        cap = len(sc.task_set) + 1
         assert max(engine.rounds) <= cap, seed
+        at_cap += max(engine.rounds) == cap
         most = max(most, max(engine.rounds))
-    assert most >= 3  # backfills really make schedule points iterate
+    assert most >= 2  # backfills really make schedule points iterate
+    assert at_cap  # and the cap is reached: every line backfilled once
+
+
+def test_schedule_point_matches_the_confirming_loop():
+    # each scenario as generated and with the IPL on; a generated
+    # scenario that has it on already is run once
+    for seed in range(2000):
+        sc = random_scenario(seed)
+        variants = [sc]
+        if not sc.policy.ipl_optimization:
+            variants.append(replace(sc, policy=replace(
+                sc.policy, ipl_optimization=True)))
+        for scenario in variants:
+            trace, metrics = Engine(scenario).run()
+            want, want_metrics = ConfirmingEngine(scenario).run()
+            assert trace.to_csv_string() == want.to_csv_string(), seed
+            assert metrics.to_json_string() \
+                == want_metrics.to_json_string(), seed
 
 
 def test_ipl_off_means_no_ipl_records():

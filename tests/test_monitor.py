@@ -22,10 +22,10 @@ def setup_line(n, w, period, policy=FaultPolicy.PERMANENT, line="l"):
 
 def test_window_fills_and_reopens():
     vic, mon = setup_line(n=3, w=10, period=4)
-    assert not mon.record_internalization(vic, 0).masked
-    assert not mon.record_internalization(vic, 4).masked
+    mon.record_internalization(vic, 0)
+    mon.record_internalization(vic, 4)
+    assert mon.window_timer is None
     eff = mon.record_internalization(vic, 8)
-    assert eff.masked
     assert mon.window_timer == 10  # earliest buffered ts plus window
     assert [a.kind for a in eff.alarms] == [AlarmKind.WINDOW_BOUND_REACHED]
     assert mon.state is LineState.WINDOW_MASKED
@@ -40,8 +40,8 @@ def test_window_fills_and_reopens():
 
 def test_single_event_envelope_masks_immediately():
     vic, mon = setup_line(n=1, w=5, period=5)
-    eff = mon.record_internalization(vic, 2)
-    assert eff.masked and mon.window_timer == 7
+    mon.record_internalization(vic, 2)
+    assert mon.window_timer == 7 and vic.lines["l"].masked
     assert mon.handle_window_timer(vic, 7).unmasked
 
 
@@ -49,12 +49,14 @@ def test_window_boundary_is_half_open():
     # events exactly W apart never share a window
     vic, mon = setup_line(n=2, w=5, period=2)
     mon.record_internalization(vic, 0)
-    assert not mon.record_internalization(vic, 5).masked
+    mon.record_internalization(vic, 5)
+    assert mon.window_timer is None and not vic.lines["l"].masked
     assert mon.ring == [5]
 
     vic, mon = setup_line(n=2, w=5, period=2)
     mon.record_internalization(vic, 0)
-    assert mon.record_internalization(vic, 4).masked
+    mon.record_internalization(vic, 4)
+    assert mon.window_timer == 5 and vic.lines["l"].masked
 
 
 def test_internalize_while_window_masked_rejected():
@@ -127,13 +129,13 @@ def test_episode_decay_tracks_latest_violating_pair():
 def test_fault_permanent():
     vic, mon = setup_line(n=2, w=10, period=1)
     mon.record_internalization(vic, 0)
-    assert mon.record_internalization(vic, 1).masked
+    mon.record_internalization(vic, 1)
+    assert mon.window_timer == 10
     vic.raise_event("l", 5)  # suppressed, counts toward the fault decision
     eff = mon.handle_window_timer(vic, 10)
     assert not eff.unmasked
     assert [a.kind for a in eff.alarms] == [AlarmKind.SENSOR_FAULT]
-    assert eff.rearm_at is None
-    assert mon.window_timer is None
+    assert mon.window_timer is None  # not re-armed
     assert mon.state is LineState.FAULTY
     assert vic.lines["l"].masked  # masked forever
 
@@ -145,18 +147,18 @@ def test_fault_auto_resume_probes_and_resumes():
     vic.raise_event("l", 5)
     eff = mon.handle_window_timer(vic, 10)
     assert [a.kind for a in eff.alarms] == [AlarmKind.SENSOR_FAULT]
-    assert not eff.unmasked and eff.rearm_at == 20
+    assert not eff.unmasked and mon.window_timer == 20
 
     # still storming through the probe window: stays faulty, silent rearm
     vic.raise_event("l", 12)
     vic.raise_event("l", 15)
     eff = mon.handle_window_timer(vic, 20)
-    assert not eff.unmasked and eff.rearm_at == 30 and not eff.alarms
+    assert not eff.unmasked and mon.window_timer == 30 and not eff.alarms
 
     # one occurrence is strictly below the bound n=2: resume
     vic.raise_event("l", 25)
     eff = mon.handle_window_timer(vic, 30)
-    assert eff.unmasked
+    assert eff.unmasked and mon.window_timer is None
     assert [a.kind for a in eff.alarms] == [AlarmKind.SENSOR_RESUMED]
     assert mon.state is LineState.IN_ENVELOPE
     assert not vic.lines["l"].masked
@@ -178,11 +180,13 @@ def test_auto_resume_rearm_restarts_the_hold():
     mon.record_internalization(vic, 0)
     mon.record_internalization(vic, 1)
     vic.raise_event("l", 5)
-    assert mon.handle_window_timer(vic, 10).rearm_at == 20
+    mon.handle_window_timer(vic, 10)
+    assert mon.window_timer == 20
     assert vic.held("l") == (10, 0)
     vic.raise_event("l", 12)
     vic.raise_event("l", 15)
-    assert mon.handle_window_timer(vic, 20).rearm_at == 30
+    mon.handle_window_timer(vic, 20)
+    assert mon.window_timer == 30
     assert vic.held("l") == (20, 0)
     assert vic.mask_ops["l"] == 1  # the line stayed masked throughout
 
@@ -204,7 +208,8 @@ def test_unmask_during_a_live_episode_reads_out_of_envelope():
     vic, mon = setup_line(n=3, w=10, period=4)
     mon.record_internalization(vic, 0)
     mon.record_internalization(vic, 2)
-    assert mon.record_internalization(vic, 3).masked
+    mon.record_internalization(vic, 3)
+    assert mon.window_timer == 10
     # pair (2, 3) keeps the episode live until 2 + max(T, W) = 12
     assert mon.handle_window_timer(vic, 10).unmasked
     assert mon.state is LineState.OUT_OF_ENVELOPE

@@ -151,12 +151,11 @@ def test_kernel_time_precedes_job_execution():
     sched.dispatch(jl, 0)
     assert sched.account_top_half(0) == 2
     assert sched.kernel_pending == 2
-    assert sched.total_top_half == 2
     assert sched.execute_tick(0).kind == "kernel"
     assert sched.execute_tick(1).kind == "kernel"
     res = sched.execute_tick(2)
     assert res.kind == "ran" and jl.remaining == 1
-    assert sched.total_top_half == 2
+    assert sched.kernel_pending == 0
 
 
 def test_idle_tick():
