@@ -12,7 +12,12 @@ visited step t it runs the phases in a fixed order:
 6. a schedule point, when anything above changed the ready set
    (dispatch plus, when enabled, recomputation of the interrupt
    priority level), repeated only after a round that backfilled, so
-   at most lines + 1 rounds.
+   at most lines + 1 rounds. It polls no monitor and no priority: the
+   engine keeps the set of tasks with a recorded episode, updated where
+   an internalization, a decay timer or a window timer's unmask opens,
+   moves or ends one, and each line's next-job priority, updated at
+   each release; the level is recomputed only when the running job or
+   one of those priorities changed.
 
 The engine then jumps to the earliest of the next raise, the earliest
 pending timer, the earliest deadline of an active job, the running job's
@@ -36,7 +41,7 @@ import heapq
 import io
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
 from .model import (
     Job,
@@ -58,7 +63,7 @@ from .monitor import (
     LineState,
     compute_ipl,
 )
-from .scheduler import Scheduler
+from .scheduler import Scheduler, job_priority
 from .vic import InterruptLine, RaiseOutcome, VicState
 
 # Trace record kinds. These names are part of the CSV interface.
@@ -161,11 +166,8 @@ def generate_workload(spec: WorkloadSpec, horizon: int,
     if isinstance(spec, Burst):
         if spec.spacing < 0 or spec.count < 0:
             raise ScenarioError(["burst workload: negative count or spacing"])
-        return [
-            spec.at + k * spec.spacing
-            for k in range(spec.count)
-            if 0 <= spec.at + k * spec.spacing < horizon
-        ]
+        return [spec.at + k * spec.spacing
+                for k in _burst_indices(spec, horizon)]
     if isinstance(spec, Storm):
         if spec.rate < 1:
             raise ScenarioError([f"storm workload: rate {spec.rate} < 1"])
@@ -176,6 +178,42 @@ def generate_workload(spec: WorkloadSpec, horizon: int,
     if isinstance(spec, Explicit):
         return sorted(t for t in spec.times if 0 <= t < horizon)
     raise ScenarioError([f"unknown workload spec {spec!r}"])
+
+
+def _burst_indices(spec: Burst, horizon: int) -> range:
+    """The k in [0, count) whose raise at + k * spacing lies in
+    [0, horizon)."""
+    if spec.spacing == 0:
+        return range(spec.count if 0 <= spec.at < horizon else 0)
+    return range(max(0, -(spec.at // spec.spacing)),
+                 min(spec.count, (horizon - 1 - spec.at) // spec.spacing + 1))
+
+
+# The most raises a scenario's workload may expand to, counting a sporadic
+# line's random draws, one per tick, as raises. The engine spends a few
+# microseconds and holds one or two trace records per raise, so the limit
+# keeps a run to seconds and hundreds of megabytes.
+MAX_WORKLOAD_RAISES = 1_000_000
+
+
+def estimate_raises(spec: WorkloadSpec, horizon: int) -> int:
+    """How many raise times generate_workload(spec, horizon) builds,
+    computed from the spec without building any; for a sporadic spec, the
+    number of draws, which bounds its raises. A spec generate_workload
+    rejects counts as 0."""
+    if isinstance(spec, Periodic):
+        return len(range(max(0, spec.offset), horizon, spec.period)) \
+            if spec.period >= 1 else 0
+    if isinstance(spec, Sporadic):
+        return horizon
+    if isinstance(spec, Burst):
+        return len(_burst_indices(spec, horizon)) \
+            if spec.spacing >= 0 and spec.count >= 0 else 0
+    if isinstance(spec, Storm):
+        return max(0, spec.rate) * max(0, horizon - max(0, spec.start))
+    if isinstance(spec, Explicit):
+        return len(spec.times)
+    return 0
 
 
 @dataclass
@@ -289,6 +327,16 @@ def _validate_scenario(scenario: Scenario) -> None:
         problems.append(
             f"unknown priority assignment '{scenario.policy.assignment}'"
         )
+    if not problems and scenario.workload:
+        horizon = scenario.resolved_horizon()
+        raises = sum(estimate_raises(spec, horizon)
+                     for _, spec in scenario.workload)
+        if raises > MAX_WORKLOAD_RAISES:
+            problems.append(
+                f"the workload expands to {raises} raises (sporadic lines "
+                f"count one draw per tick) over horizon {horizon}, above "
+                f"the limit of {MAX_WORKLOAD_RAISES}"
+            )
     if problems:
         raise ScenarioError(problems)
 
@@ -311,7 +359,6 @@ class Engine:
         self.horizon = scenario.resolved_horizon()
         self.task_set = scenario.task_set
         self.line_task: Dict[str, Task] = {t.line: t for t in self.task_set}
-        self._irq_order: List[Task] = interrupt_order(self.task_set)
         # irq = importance + 1: level 0 must mean "nothing suppressed"
         # even for an importance-0 task under the strict > comparison
         self.vic = VicState(
@@ -326,11 +373,27 @@ class Engine:
                                scenario.policy.delta_th)
         self.trace = Trace()
         self.alarms: List[Alarm] = []
+        order = interrupt_order(self.task_set)
+        self._irq_rank = {task.line: i for i, task in enumerate(order)}
+        # per line in interrupt priority order, what compute_ipl reads:
+        # its task's importance and the priority of the task's next job.
+        # Only a release advances the task's seq, so only a release
+        # updates an entry; it marks the level stale when the value moves
+        self._irq_order: List[Tuple[int, int]] = [
+            (task.importance, self.pmap.priority(task.id, 0))
+            for task in order
+        ]
+        self._ipl_stale = True
+        # the running job the current level was computed for
+        self._ipl_running: Optional[Job] = None
+        # the tasks whose monitor has an episode recorded, kept in step
+        # with the monitors where an episode opens, moves or ends
+        self._episodes: Set[str] = set()
         # each tick's raising lines in interrupt priority order; the specs
         # expand in scenario order, so the first invalid one is reported
         made = [(line, generate_workload(spec, self.horizon, scenario.seed))
                 for line, spec in scenario.workload]
-        rank = {task.line: i for i, task in enumerate(self._irq_order)}
+        rank = self._irq_rank
         self.raises: Dict[int, List[str]] = {}
         for line, times in sorted(made, key=lambda m: rank[m[0]]):
             for t in times:
@@ -430,6 +493,7 @@ class Engine:
             mon = self.monitors[line]
             if rank == 0:
                 eff = mon.handle_window_timer(self.vic, t)
+                self._note_episode(mon)  # an unmask can retire it
                 for a in eff.alarms:
                     self._alarm(t, line, a.kind)
                 if eff.unmasked:
@@ -439,7 +503,14 @@ class Engine:
                 if mon.window_timer is not None:  # re-armed
                     self._register_timer(mon.window_timer, "window", line, t)
             elif mon.decay(t):
+                self._episodes.discard(mon.task_id)
                 self._needs_dispatch = True
+
+    def _note_episode(self, mon: LineMonitor) -> None:
+        if mon.has_episode():
+            self._episodes.add(mon.task_id)
+        else:
+            self._episodes.discard(mon.task_id)
 
     def _register_timer(self, due: int, kind: str, line: str,
                         now: int) -> None:
@@ -449,14 +520,27 @@ class Engine:
         heapq.heappush(self.timers, (max(due, now), rank, line))
 
     def _process_raises(self, t: int) -> None:
-        for line in self.raises.get(t, ()):
-            outcome = self.vic.raise_event(line, t)
-            task = self.line_task[line].id
-            self._log(t, RAISE, line, task, detail=outcome.value)
-            if outcome is not RaiseOutcome.DELIVERED_NOW:
+        lines = self.raises.get(t)
+        if lines is None:
+            return
+        # a line's raises at one tick are adjacent, and a storm's mostly
+        # share one outcome: its records are reused while it repeats
+        append = self.trace.append
+        raise_event = self.vic.raise_event
+        line_of = outcome_of = suppress = None
+        for line in lines:
+            outcome = raise_event(line, t)
+            if line is not line_of or outcome is not outcome_of:
+                line_of, outcome_of = line, outcome
+                task = self.line_task[line].id
+                rec = TraceRecord(t, RAISE, line, task, None, outcome.value)
+                suppress = None if outcome is RaiseOutcome.DELIVERED_NOW \
+                    else TraceRecord(t, SUPPRESS, line, task, None,
+                                     _SUPPRESS_REASON[outcome])
+            append(rec)
+            if suppress is not None:
                 self.line_suppressed[line] += 1
-                self._log(t, SUPPRESS, line, task,
-                          detail=_SUPPRESS_REASON[outcome])
+                append(suppress)
 
     def _drain_deliverable(self, t: int) -> None:
         while True:
@@ -475,6 +559,7 @@ class Engine:
         mon = self.monitors[line]
         task = self.line_task[line]
         eff = mon.record_internalization(self.vic, ts)
+        self._note_episode(mon)
         ooe = mon.ooe_active(now)
         self.line_internalized[line] += 1
         detail = f"ts={ts}"
@@ -497,6 +582,11 @@ class Engine:
         if reff.job is not None:
             self._log(now, RELEASE, line, task.id, reff.job.seq,
                       detail=f"deadline={reff.job.abs_deadline}")
+            i = self._irq_rank[line]
+            nxt = self.pmap.priority(task.id, reff.job.seq + 1)
+            if nxt != self._irq_order[i][1]:
+                self._irq_order[i] = (task.importance, nxt)
+                self._ipl_stale = True
         elif reff.notified is not None:
             self._log(now, NOTIFY, line, task.id, reff.notified.seq,
                       detail="ooe" if ooe else "in_envelope")
@@ -565,18 +655,22 @@ class Engine:
     def _schedule_point(self, t: int) -> None:
         # Dispatch and the IPL feed back into each other through the
         # backfill. A round that backfills nothing internalizes nothing
-        # and fires no timer, so another would build the same elevated
-        # set, keep the job and compute the same level: the point ends.
-        # No raise happens inside a point, and a line held back again
-        # starts its new hold at its current counter, so each line is
-        # backfilled at most once: at most lines + 1 rounds. This is the
-        # only writer of the elevated set; a backfill repeats the round.
+        # and fires no timer, so another would pick the same job and
+        # compute the same level: the point ends. No raise happens inside
+        # a point, and a line held back again starts its new hold at its
+        # current counter, so each line is backfilled at most once: at
+        # most lines + 1 rounds. A backfill repeats the round.
+        #
+        # This is the only writer of the elevated set, and it copies the
+        # kept set of recorded episodes instead of asking every monitor
+        # whether its episode is live (ooe_active). The two agree at t:
+        # an episode with a finite decay time d, a whole tick, gets a
+        # decay timer at max(d, now) when it is recorded, so every
+        # episode that has decayed by t retired in _process_timers(t),
+        # which runs before the point and after each backfilling round;
+        # an episode with an infinite decay time is live forever.
         for _ in range(len(self.line_task) + 1):
-            elevated = {
-                mon.task_id for mon in self.monitors.values()
-                if mon.ooe_active(t)
-            }
-            self.sched.set_elevated(elevated)
+            self.sched.set_elevated(self._episodes)
             target = self.sched.pick_next(t)
             preempted, started = self.sched.dispatch(target, t)
             if preempted is not None:
@@ -592,14 +686,18 @@ class Engine:
         raise EngineError(f"schedule point at t={t} did not stabilize")
 
     def _apply_ipl(self, t: int) -> bool:
-        """Set the level the running job calls for; True if it backfilled."""
+        """Set the level the running job calls for; True if it backfilled.
+        The level depends only on the running job's priority and the
+        cached line priorities, and only this method sets it, so while
+        neither input changed the level in force is still right."""
         running = self.sched.running
-        priority, seq = self.pmap.priority, self.sched.seq
+        if running is self._ipl_running and not self._ipl_stale:
+            return False
+        self._ipl_running = running
+        self._ipl_stale = False
         level = compute_ipl(
-            None if running is None
-            else priority(running.task_id, running.seq),
-            ((task.importance, priority(task.id, seq[task.id]))
-             for task in self._irq_order),
+            None if running is None else job_priority(running),
+            self._irq_order,
         )
         if level == self.vic.ipl:
             return False

@@ -159,6 +159,15 @@ def validate_task_set(task_set: TaskSet) -> ValidationReport:
             problems.append(f"task {t.id}: wcet must be at least 1 tick")
         if not t.exception_only and t.period < 1:
             problems.append(f"task {t.id}: zero or negative period")
+        # episode decay times are period or window ticks after an
+        # internalization, and the decay timer fires on whole ticks
+        for name, value in (("period", t.period),
+                            ("envelope_w", t.envelope_w)):
+            if value != INFINITE_PERIOD and value != int(value):
+                problems.append(
+                    f"task {t.id}: {name} {value} is not a whole number "
+                    f"of ticks"
+                )
         if t.deadline is not None and t.deadline < 1:
             problems.append(f"task {t.id}: zero or negative deadline")
         if t.deadline is not None and t.wcet > t.deadline:

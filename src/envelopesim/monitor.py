@@ -132,6 +132,12 @@ class LineMonitor:
         """Is the out-of-envelope episode live at time t?"""
         return self._ooe_decay_at is not None and t < self._ooe_decay_at
 
+    def has_episode(self) -> bool:
+        """Is an episode recorded? It stays recorded after its decay
+        time until decay, a later internalization or an unmask retires
+        it."""
+        return self._ooe_decay_at is not None
+
     def decay_due(self) -> Optional[int]:
         if self._ooe_decay_at is not None \
                 and math.isfinite(self._ooe_decay_at):

@@ -56,6 +56,12 @@ def dispatch_key(job: Job, elevated: Container[str],
     return (1, -pmap.priority(job.task_id, job.seq), job.task_id, job.seq)
 
 
+def job_priority(job: Job) -> int:
+    """The job's scheduler priority, overrides applied, read from the
+    normal-band key release_job stored."""
+    return -job.key[1]
+
+
 _plain_key = attrgetter("key")
 _finalize_order = attrgetter("task_id", "seq")
 

@@ -4,17 +4,18 @@ The window oracle, the conservation counts and the verdict oracle are
 deliberately naive, independent re-implementations; the tick engine
 drives the engine's own phases through every tick, as the engine did
 before next-event time advance; the confirming engine follows every
-schedule-point round that changed anything with one more, as the engine
-did before it stopped at the first round without a backfill; and the
-product check simulates every pattern combination from t=0, as the
-checker did before it shared prefixes. Tests compare the engine and the
-checker against them.
+schedule-point round that changed anything with one more and polls every
+monitor and line priority in each, as the engine did before it stopped
+at the first round without a backfill and kept that state from events;
+and the product check simulates every pattern combination from t=0, as
+the checker did before it shared prefixes. Tests compare the engine and
+the checker against them.
 """
 
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from envelopesim import (
@@ -34,6 +35,7 @@ from envelopesim import (
     Task,
     TaskSet,
     admissible_patterns,
+    compute_ipl,
     hyperperiod,
 )
 from envelopesim.engine import select_priority_map
@@ -44,6 +46,7 @@ from envelopesim.feasibility import (
     MISSED,
     count_admissible_patterns,
 )
+from envelopesim.model import interrupt_order
 
 
 def window_violations(timestamps, n, w):
@@ -312,8 +315,34 @@ class ConfirmingEngine(Engine):
     """The schedule point as a fixed-point loop: a round that dispatched
     or backfilled is followed by another, so the last round of every
     point confirms that nothing changes, within 2 * (lines + 1) rounds.
-    Stopping at the first round without a backfill must reproduce its
-    traces byte for byte."""
+    Every round asks every monitor whether its episode is live and looks
+    up every line's next-job priority, and the level is computed afresh
+    each time. The engine's schedule point, which stops at the first
+    round without a backfill and keeps the elevated set and the line
+    priorities from events, must reproduce its traces byte for byte."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self._lines_by_irq = interrupt_order(self.task_set)
+
+    def _apply_ipl(self, t):
+        running = self.sched.running
+        priority, seq = self.pmap.priority, self.sched.seq
+        level = compute_ipl(
+            None if running is None
+            else priority(running.task_id, running.seq),
+            [(task.importance, priority(task.id, seq[task.id]))
+             for task in self._lines_by_irq],
+        )
+        if level == self.vic.ipl:
+            return False
+        released = self.vic.set_ipl(level, t)
+        self._log(t, "IPL_SET", detail=f"level={level}")
+        backfilled = False
+        for line, since, held in released:
+            if held > 0 and self._backfill(line, t, since, held):
+                backfilled = True
+        return backfilled
 
     def _schedule_point(self, t):
         for _ in range(2 * (len(self.line_task) + 1)):
@@ -406,6 +435,24 @@ def random_scenario(seed):
         horizon=horizon,
         seed=seed,
     )
+
+
+def with_ipl_and_overrides(scenario, seed):
+    """The scenario with the IPL on, explicit priorities and a job-level
+    override on one early job index of each task, so that a release can
+    change the priority of the line's next job."""
+    rng = random.Random(f"overrides:{seed}")
+    hp = hyperperiod(scenario.task_set)
+    tasks = []
+    for task in scenario.task_set:
+        k = max(1, hp // int(task.period))
+        key = rng.randrange(min(k, 3))
+        tasks.append(replace(task, job_priority_overrides={
+            key: rng.randint(1, 60)}))
+    return replace(
+        scenario, task_set=TaskSet(tasks),
+        policy=replace(scenario.policy, assignment="explicit",
+                       ipl_optimization=True))
 
 
 def sparse_coincident_scenario(seed):

@@ -167,6 +167,20 @@ def test_run_semantic_errors_exit_invalid(tmp_path, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_run_refuses_an_oversized_workload_before_expanding_it(
+        tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the workload was expanded")
+    monkeypatch.setattr("envelopesim.engine.generate_workload", never)
+    obj = two_task_obj()
+    obj["horizon"] = 10 ** 7
+    obj["workload"] = [{"kind": "storm", "line": "l_low", "start": 0,
+                        "rate": 1000}]
+    code = main(["run", "--scenario", write_scenario(tmp_path, obj)])
+    assert code == EXIT_INVALID
+    assert "expands to 10000000000 raises" in capsys.readouterr().err
+
+
 def test_run_rejects_out_of_range_override_keys(tmp_path, capsys):
     obj = two_task_obj(override=True)  # tau_l releases 2 jobs per cycle
     obj["tasks"][0]["job_priority_overrides"] = {"7": 10, "-1": 5}

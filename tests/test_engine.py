@@ -9,8 +9,10 @@ from envelopesim import (
     EngineError,
     Explicit,
     FaultPolicy,
+    LineMonitor,
     Periodic,
     Policy,
+    PriorityMap,
     ResponseOption,
     Scenario,
     ScenarioError,
@@ -23,10 +25,11 @@ from envelopesim import (
     generate_workload,
     run_scenario,
 )
+from envelopesim.engine import _validate_scenario, estimate_raises
 from conftest import scenario_monotonic, scenario_override, \
     scenario_override_burst
 from support import ConfirmingEngine, conservation_counts, \
-    internalize_timestamps, random_scenario
+    internalize_timestamps, random_scenario, with_ipl_and_overrides
 
 
 def one_task_scenario(task_kw=None, **scenario_kw):
@@ -139,6 +142,37 @@ def test_scenario_validation_collects_problems():
                      "unknown line 'ghost'", "horizon", "delta_th",
                      "unknown priority assignment"):
         assert fragment in text
+
+
+def test_raise_estimates_need_no_generation():
+    assert estimate_raises(Periodic(-5, 4), 10) == 3
+    assert estimate_raises(Sporadic(2, 0.5, 42), 60) == 60
+    assert estimate_raises(Burst(8, 4, 1), 10) == 2
+    assert estimate_raises(Burst(3, 10 ** 12, 0), 10) == 10 ** 12
+    assert estimate_raises(Storm(1, 3), 4) == 9
+    assert estimate_raises(Explicit((9, 2, -1, 30)), 10) == 4
+    # a burst far longer than the horizon expands only its in-range part
+    assert generate_workload(Burst(-3, 10 ** 12, 2), 6) == [1, 3, 5]
+
+
+def test_oversized_workload_is_refused_before_expansion():
+    # the storm probe, rate 3 over 10^5 ticks, stays under the limit
+    probe = one_task_scenario(workload=[("l", Storm(0, 3))], horizon=10 ** 5)
+    _validate_scenario(probe)
+    huge = [("l", Storm(0, 10 ** 9)), ("l", Sporadic(1, 0.1, 0))]
+    sc = one_task_scenario(workload=huge, horizon=10 ** 6)
+    with pytest.raises(ScenarioError, match=r"expands to 1000000001000000 "
+                       r"raises .* over horizon 1000000, above the limit"):
+        _validate_scenario(sc)
+
+
+def test_fractional_period_or_window_is_refused():
+    sc = one_task_scenario(task_kw=dict(period=2.5, envelope_w=3.5),
+                           workload=[], horizon=10)
+    with pytest.raises(ScenarioError) as exc:
+        run_scenario(sc)
+    assert "period 2.5 is not a whole number of ticks" in str(exc.value)
+    assert "envelope_w 3.5 is not a whole number of ticks" in str(exc.value)
 
 
 def test_explicit_assignment_requires_priorities():
@@ -412,20 +446,44 @@ def test_schedule_point_rounds_stay_under_the_derived_cap():
 
 
 def test_schedule_point_matches_the_confirming_loop():
-    # each scenario as generated and with the IPL on; a generated
-    # scenario that has it on already is run once
+    # each scenario as generated, and one with the IPL on whose releases
+    # move line priorities through job-level overrides; a generated
+    # scenario that has the IPL on already is run once
     for seed in range(2000):
         sc = random_scenario(seed)
         variants = [sc]
         if not sc.policy.ipl_optimization:
-            variants.append(replace(sc, policy=replace(
-                sc.policy, ipl_optimization=True)))
+            variants.append(with_ipl_and_overrides(sc, seed))
         for scenario in variants:
             trace, metrics = Engine(scenario).run()
             want, want_metrics = ConfirmingEngine(scenario).run()
             assert trace.to_csv_string() == want.to_csv_string(), seed
             assert metrics.to_json_string() \
                 == want_metrics.to_json_string(), seed
+
+
+def test_schedule_points_do_not_poll_monitors_or_priorities(monkeypatch):
+    # the elevated set and the line priorities are kept from events, so a
+    # run asks a monitor or the priority map about once per internalized
+    # occurrence, not once per line in every round; polling them made
+    # about 6.6 calls per round on these seeds
+    calls = [0]
+    for owner, name in ((LineMonitor, "ooe_active"),
+                        (PriorityMap, "priority")):
+        def counted(*args, _fn=getattr(owner, name)):
+            calls[0] += 1
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    rounds = 0
+    for seed in range(1000):
+        sc = random_scenario(seed)
+        if not sc.policy.ipl_optimization:
+            continue
+        engine = RoundCountingEngine(sc)
+        engine.run()
+        rounds += sum(engine.rounds)
+    assert rounds > 5000
+    assert calls[0] <= 2 * rounds
 
 
 def test_ipl_off_means_no_ipl_records():

@@ -101,7 +101,10 @@ def test_episode_decays_after_violating_pair_ages_out():
     assert mon.decay_due() == 6
     assert mon.ooe_active(5)
     assert not mon.ooe_active(6)
+    # recorded until the decay retires it, live only before its decay
+    assert mon.has_episode()
     assert mon.decay(6)
+    assert not mon.has_episode()
     assert mon.state is LineState.IN_ENVELOPE
 
 
