@@ -14,14 +14,26 @@ Exit codes:
     3  run finished with a sensor declared faulty (and no miss)
     4  check found a violating arrival pattern (witness written)
     5  check refused the instance: enumeration bounds exceeded
+
+Scenario files are strict JSON. Each object is read through the fields of
+the dataclass it becomes (Scenario, Task, Policy, a workload spec): a
+field without a default is a required key, the field's annotation picks
+the check on its value, and any other key is refused. Task fields keep
+their short keys (C, T, D, n, W). Two inputs that would drop a value
+without a word are refused as well: a key repeated within one object,
+and a job_priority_overrides key that is not the canonical spelling of
+an integer ("00", " 1", "+1", "1_0").
 """
 
 import argparse
 import csv
+import dataclasses
+import functools
 import json
 import sys
+from enum import Enum
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .engine import (
     ALARM,
@@ -47,8 +59,7 @@ from .engine import (
     UNMASK,
 )
 from .feasibility import BoundsExceeded, FeasibilityError, check_ooe_feasible
-from .model import INFINITE_PERIOD, ResponseOption, Task, TaskSet
-from .monitor import FaultPolicy
+from .model import INFINITE_PERIOD, Task, TaskSet
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -58,220 +69,180 @@ EXIT_VIOLATION = 4
 EXIT_BOUNDS = 5
 
 
-# strict scenario parsing: unknown keys are rejected at every level so a
-# typo cannot silently fall back to a default
+# strict scenario parsing: each JSON object is read through the fields of
+# the dataclass it becomes, and unknown keys are rejected at every level
+# so a typo cannot silently fall back to a default
 
 
-def _reject_extras(obj: dict, allowed, where: str) -> None:
-    extras = sorted(set(obj) - set(allowed))
-    if extras:
-        raise ScenarioError(
-            [f"{where}: unknown key(s) {', '.join(extras)}"]
-        )
-
-
-def _need(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ScenarioError([f"{where}: missing required key '{key}'"])
-    return obj[key]
-
-
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError([f"{where}: expected an integer, got {value!r}"])
-    return value
-
-
-def _as_bool(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ScenarioError([f"{where}: expected a boolean, got {value!r}"])
-    return value
-
-
-def _as_str(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ScenarioError([f"{where}: expected a string, got {value!r}"])
-    return value
-
-
-def _parse_task(obj: dict) -> Task:
-    if not isinstance(obj, dict):
-        raise ScenarioError([f"task entry must be an object, got {obj!r}"])
-    where = f"task '{obj.get('id', '?')}'"
-    _reject_extras(
-        obj,
-        (
-            "id", "C", "T", "D", "importance", "line", "n", "W",
-            "response", "priority", "job_priority_overrides",
-        ),
-        where,
-    )
-    task_id = _as_str(_need(obj, "id", where), where + ".id")
-    period_raw = _need(obj, "T", where)
-    if period_raw is None or period_raw == "inf":
-        period = INFINITE_PERIOD
-    else:
-        period = _as_int(period_raw, where + ".T")
-    deadline = None
-    if "D" in obj:
-        deadline = _as_int(obj["D"], where + ".D")
-    response = ResponseOption.RELEASE_ALL
-    if "response" in obj:
-        raw = _as_str(obj["response"], where + ".response")
-        try:
-            response = ResponseOption(raw)
-        except ValueError:
+def _expect(noun: str, accept: type, reject=bool):
+    def read(value, where: str, key: str):
+        if isinstance(value, reject) or not isinstance(value, accept):
             raise ScenarioError(
-                [f"{where}.response: unknown option '{raw}'"]
-            ) from None
-    priority = None
-    if "priority" in obj:
-        priority = _as_int(obj["priority"], where + ".priority")
-    overrides: Dict[int, int] = {}
-    if "job_priority_overrides" in obj:
-        raw_map = obj["job_priority_overrides"]
-        if not isinstance(raw_map, dict):
-            raise ScenarioError(
-                [f"{where}.job_priority_overrides: expected an object"]
-            )
-        for k, v in raw_map.items():
-            try:
-                seq = int(k)
-            except (TypeError, ValueError):
-                raise ScenarioError(
-                    [f"{where}.job_priority_overrides: bad key {k!r}"]
-                ) from None
-            overrides[seq] = _as_int(
-                v, f"{where}.job_priority_overrides[{k}]"
-            )
+                [f"{where}.{key}: expected {noun}, got {value!r}"])
+        return value
+    return read
+
+
+_as_int = _expect("an integer", int)
+_as_bool = _expect("a boolean", bool, ())
+_as_str = _expect("a string", str)
+
+
+def _as_float(value, where: str, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError([f"{where}.{key}: expected a number"])
+    return float(value)
+
+
+def _as_option(enum, value, where: str, key: str):
+    raw = _as_str(value, where, key)
     try:
-        return Task(
-            id=task_id,
-            wcet=_as_int(_need(obj, "C", where), where + ".C"),
-            period=period,
-            importance=_as_int(
-                _need(obj, "importance", where), where + ".importance"
-            ),
-            line=_as_str(_need(obj, "line", where), where + ".line"),
-            envelope_n=_as_int(_need(obj, "n", where), where + ".n"),
-            envelope_w=_as_int(_need(obj, "W", where), where + ".W"),
-            deadline=deadline,
-            response=response,
-            priority=priority,
-            job_priority_overrides=overrides,
-        )
-    except ValueError as exc:
-        raise ScenarioError([str(exc)]) from None
-
-
-def _parse_policy(obj: dict) -> Policy:
-    if not isinstance(obj, dict):
-        raise ScenarioError([f"policy must be an object, got {obj!r}"])
-    _reject_extras(
-        obj,
-        (
-            "assignment", "fault_policy", "ipl_optimization",
-            "mask_until_bottom_half", "delta_th",
-        ),
-        "policy",
-    )
-    policy = Policy()
-    if "assignment" in obj:
-        policy.assignment = _as_str(obj["assignment"], "policy.assignment")
-    if "fault_policy" in obj:
-        raw = _as_str(obj["fault_policy"], "policy.fault_policy")
-        try:
-            policy.fault_policy = FaultPolicy(raw)
-        except ValueError:
-            raise ScenarioError(
-                [f"policy.fault_policy: unknown option '{raw}'"]
-            ) from None
-    if "ipl_optimization" in obj:
-        policy.ipl_optimization = _as_bool(
-            obj["ipl_optimization"], "policy.ipl_optimization"
-        )
-    if "mask_until_bottom_half" in obj:
-        policy.mask_until_bottom_half = _as_bool(
-            obj["mask_until_bottom_half"], "policy.mask_until_bottom_half"
-        )
-    if "delta_th" in obj:
-        policy.delta_th = _as_int(obj["delta_th"], "policy.delta_th")
-    return policy
-
-
-def _parse_workload_entry(obj: dict) -> Tuple[str, object]:
-    if not isinstance(obj, dict):
+        return enum(raw)
+    except ValueError:
         raise ScenarioError(
-            [f"workload entry must be an object, got {obj!r}"]
-        )
-    kind = _as_str(_need(obj, "kind", "workload entry"), "workload.kind")
-    line = _as_str(_need(obj, "line", "workload entry"), "workload.line")
-    where = f"workload for line '{line}'"
-    if kind == "periodic":
-        _reject_extras(obj, ("kind", "line", "offset", "period"), where)
-        return line, Periodic(
-            offset=_as_int(_need(obj, "offset", where), where + ".offset"),
-            period=_as_int(_need(obj, "period", where), where + ".period"),
-        )
-    if kind == "sporadic":
-        _reject_extras(obj, ("kind", "line", "min_sep", "density", "seed"), where)
-        density = _need(obj, "density", where)
-        if isinstance(density, bool) or not isinstance(density, (int, float)):
-            raise ScenarioError([f"{where}.density: expected a number"])
-        return line, Sporadic(
-            min_sep=_as_int(_need(obj, "min_sep", where), where + ".min_sep"),
-            density=float(density),
-            seed=_as_int(_need(obj, "seed", where), where + ".seed"),
-        )
-    if kind == "burst":
-        _reject_extras(obj, ("kind", "line", "at", "count", "spacing"), where)
-        return line, Burst(
-            at=_as_int(_need(obj, "at", where), where + ".at"),
-            count=_as_int(_need(obj, "count", where), where + ".count"),
-            spacing=_as_int(_need(obj, "spacing", where), where + ".spacing"),
-        )
-    if kind == "storm":
-        _reject_extras(obj, ("kind", "line", "start", "rate"), where)
-        return line, Storm(
-            start=_as_int(_need(obj, "start", where), where + ".start"),
-            rate=_as_int(_need(obj, "rate", where), where + ".rate"),
-        )
-    if kind == "explicit":
-        _reject_extras(obj, ("kind", "line", "times"), where)
-        times = _need(obj, "times", where)
-        if not isinstance(times, list):
-            raise ScenarioError([f"{where}.times: expected a list"])
-        return line, Explicit(
-            times=tuple(_as_int(t, where + ".times[]") for t in times)
-        )
-    raise ScenarioError([f"{where}: unknown workload kind '{kind}'"])
+            [f"{where}.{key}: unknown option '{raw}'"]) from None
+
+
+def _as_int_tuple(value, where: str, key: str) -> Tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ScenarioError([f"{where}.{key}: expected a list"])
+    return tuple(_as_int(v, where, key + "[]") for v in value)
+
+
+def _as_overrides(value, where: str, key: str) -> Dict[int, int]:
+    if not isinstance(value, dict):
+        raise ScenarioError([f"{where}.{key}: expected an object"])
+    out = {}
+    for k, v in value.items():
+        try:
+            seq = int(k)
+            if str(seq) != k:  # one spelling per index, so none collide
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ScenarioError([f"{where}.{key}: bad key {k!r}"]) from None
+        out[seq] = _as_int(v, where, f"{key}[{k}]")
+    return out
+
+
+def _as_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError([f"{what} must be an object, got {value!r}"])
+    return value
+
+
+def _as_tasks(value, where: str, key: str) -> TaskSet:
+    if not isinstance(value, list) or not value:
+        raise ScenarioError([f"{where}.{key}: expected a non-empty list"])
+    tasks = []
+    for obj in value:
+        task = f"task '{_as_object(obj, 'task entry').get('id', '?')}'"
+        try:
+            tasks.append(_read(Task, obj, task))
+        except ValueError as exc:  # from Task's own checks
+            raise ScenarioError([str(exc)]) from None
+    return TaskSet(tasks)
+
+
+_WORKLOAD_KINDS = {cls.__name__.lower(): cls
+                   for cls in (Periodic, Sporadic, Burst, Storm, Explicit)}
+
+
+def _as_workload(value, where: str, key: str) -> List[Tuple[str, object]]:
+    if not isinstance(value, list):
+        raise ScenarioError([f"{where}.{key}: expected a list"])
+    workload = []
+    for obj in value:
+        for name in ("kind", "line"):
+            if name not in _as_object(obj, "workload entry"):
+                raise ScenarioError(
+                    [f"workload entry: missing required key '{name}'"])
+        kind = _as_str(obj["kind"], "workload", "kind")
+        line = _as_str(obj["line"], "workload", "line")
+        entry = f"workload for line '{line}'"
+        if kind not in _WORKLOAD_KINDS:
+            raise ScenarioError([f"{entry}: unknown workload kind '{kind}'"])
+        spec = _read(_WORKLOAD_KINDS[kind], obj, entry, ("kind", "line"))
+        workload.append((line, spec))
+    return workload
+
+
+# a field's JSON key, where it is not the field's name
+_KEYS = {
+    Task: {"wcet": "C", "period": "T", "deadline": "D",
+           "envelope_n": "n", "envelope_w": "W"},
+    Scenario: {"task_set": "tasks"},
+}
+
+# the fields read by hand; every other field's annotation picks its reader
+_HAND_READERS = {
+    (Task, "period"): lambda value, where, key: INFINITE_PERIOD
+        if value is None or value == "inf" else _as_int(value, where, key),
+    (Scenario, "task_set"): _as_tasks,
+    (Scenario, "policy"): lambda value, where, key: _read(
+        Policy, _as_object(value, "policy"), "policy"),
+    (Scenario, "workload"): _as_workload,
+    (Scenario, "horizon"): lambda value, where, key:
+        None if value is None else _as_int(value, where, key),
+}
+
+_READERS = {
+    int: _as_int, Optional[int]: _as_int, bool: _as_bool, str: _as_str,
+    float: _as_float, Tuple[int, ...]: _as_int_tuple,
+    Mapping[int, int]: _as_overrides,
+}
+
+
+def _reader(annotation):
+    if isinstance(annotation, type) and issubclass(annotation, Enum):
+        return functools.partial(_as_option, annotation)
+    try:
+        return _READERS[annotation]
+    except KeyError:
+        raise TypeError(f"no scenario reader for {annotation!r}") from None
+
+
+@functools.lru_cache(maxsize=None)
+def _schema(cls, known: Tuple[str, ...] = ()):
+    """The fields of the dataclass cls as (JSON key, field name, reader,
+    required) tuples, and the keys its JSON object may hold: the fields'
+    and the known ones, which the caller reads."""
+    keys = _KEYS.get(cls, {})
+    fields = tuple(
+        (keys.get(f.name, f.name), f.name,
+         _HAND_READERS.get((cls, f.name)) or _reader(f.type),
+         f.default is f.default_factory is dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+    )
+    return fields, frozenset(f[0] for f in fields).union(known)
+
+
+def _read(cls, obj: dict, where: str, known: Tuple[str, ...] = ()):
+    fields, allowed = _schema(cls, known)
+    if not allowed.issuperset(obj):
+        extras = ", ".join(sorted(set(obj) - allowed))
+        raise ScenarioError([f"{where}: unknown key(s) {extras}"])
+    values = {}
+    for key, name, read, required in fields:
+        if key in obj:
+            values[name] = read(obj[key], where, key)
+        elif required:
+            raise ScenarioError([f"{where}: missing required key '{key}'"])
+    return cls(**values)
 
 
 def parse_scenario(obj: dict) -> Scenario:
     if not isinstance(obj, dict):
         raise ScenarioError(["scenario must be a JSON object"])
-    _reject_extras(
-        obj, ("tasks", "policy", "workload", "horizon", "seed"), "scenario"
-    )
-    raw_tasks = _need(obj, "tasks", "scenario")
-    if not isinstance(raw_tasks, list) or not raw_tasks:
-        raise ScenarioError(["scenario.tasks: expected a non-empty list"])
-    tasks = TaskSet([_parse_task(t) for t in raw_tasks])
-    policy = _parse_policy(obj.get("policy", {}))
-    raw_workload = obj.get("workload", [])
-    if not isinstance(raw_workload, list):
-        raise ScenarioError(["scenario.workload: expected a list"])
-    workload = [_parse_workload_entry(w) for w in raw_workload]
-    horizon = None
-    if "horizon" in obj and obj["horizon"] is not None:
-        horizon = _as_int(obj["horizon"], "scenario.horizon")
-    seed = 0
-    if "seed" in obj:
-        seed = _as_int(obj["seed"], "scenario.seed")
-    return Scenario(
-        task_set=tasks, policy=policy, workload=workload,
-        horizon=horizon, seed=seed,
-    )
+    return _read(Scenario, obj, "scenario")
+
+
+def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ScenarioError([f"scenario: duplicate key '{key}'"])
+        seen.add(key)
+    return dict(pairs)
 
 
 def load_scenario(path) -> Scenario:
@@ -280,7 +251,7 @@ def load_scenario(path) -> Scenario:
     except OSError as exc:
         raise ScenarioError([f"cannot read scenario file: {exc}"]) from None
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"scenario is not valid JSON: {exc}"]) from None
     return parse_scenario(obj)

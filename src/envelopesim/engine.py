@@ -6,7 +6,8 @@ visited step t it runs the phases in a fixed order:
 
 1. due timers (window expiries before episode decays, then line id);
 2. the raises scheduled at t, in interrupt priority order;
-3. internalization of whatever the controller delivers;
+3. internalization of whatever the controller delivers, at steps where
+   a raise was delivered: no other step leaves a line pending;
 4. finalization of overdue jobs (shed);
 5. due timers;
 6. a schedule point, when anything above changed the ready set
@@ -432,9 +433,10 @@ class Engine:
         while True:
             self.steps += 1
             self._process_timers(t)
-            if t < self.horizon:
-                self._process_raises(t)
-            self._drain_deliverable(t)
+            # a drain clears every pending line, so only a delivered raise
+            # leaves one for this step's drain
+            if t < self.horizon and self._process_raises(t):
+                self._drain_deliverable(t)
             self._process_shed(t)
             self._process_timers(t)
             if self._needs_dispatch:
@@ -519,28 +521,34 @@ class Engine:
         rank = 0 if kind == "window" else 1
         heapq.heappush(self.timers, (max(due, now), rank, line))
 
-    def _process_raises(self, t: int) -> None:
+    def _process_raises(self, t: int) -> bool:
+        """Raise the tick's occurrences; True when one was delivered."""
         lines = self.raises.get(t)
         if lines is None:
-            return
+            return False
         # a line's raises at one tick are adjacent, and a storm's mostly
         # share one outcome: its records are reused while it repeats
         append = self.trace.append
         raise_event = self.vic.raise_event
         line_of = outcome_of = suppress = None
+        delivered = False
         for line in lines:
             outcome = raise_event(line, t)
             if line is not line_of or outcome is not outcome_of:
                 line_of, outcome_of = line, outcome
                 task = self.line_task[line].id
                 rec = TraceRecord(t, RAISE, line, task, None, outcome.value)
-                suppress = None if outcome is RaiseOutcome.DELIVERED_NOW \
-                    else TraceRecord(t, SUPPRESS, line, task, None,
-                                     _SUPPRESS_REASON[outcome])
+                if outcome is RaiseOutcome.DELIVERED_NOW:
+                    suppress = None
+                    delivered = True
+                else:
+                    suppress = TraceRecord(t, SUPPRESS, line, task, None,
+                                           _SUPPRESS_REASON[outcome])
             append(rec)
             if suppress is not None:
                 self.line_suppressed[line] += 1
                 append(suppress)
+        return delivered
 
     def _drain_deliverable(self, t: int) -> None:
         while True:

@@ -7,9 +7,11 @@ before next-event time advance; the confirming engine follows every
 schedule-point round that changed anything with one more and polls every
 monitor and line priority in each, as the engine did before it stopped
 at the first round without a backfill and kept that state from events;
-and the product check simulates every pattern combination from t=0, as
-the checker did before it shared prefixes. Tests compare the engine and
-the checker against them.
+the product check simulates every pattern combination from t=0, as
+the checker did before it shared prefixes; and the reference parser
+checks every scenario key by hand, as the CLI did before it read each
+object through its dataclass fields. Tests compare the engine, the
+checker and the parser against them.
 """
 
 import itertools
@@ -30,6 +32,7 @@ from envelopesim import (
     PriorityMap,
     ResponseOption,
     Scenario,
+    ScenarioError,
     Sporadic,
     Storm,
     Task,
@@ -510,4 +513,222 @@ def sparse_coincident_scenario(seed):
         workload=workload,
         horizon=horizon,
         seed=seed,
+    )
+
+
+# the scenario parser as it was before it read each object through its
+# dataclass fields: one hand-written check per key, one branch per
+# workload kind. cli.parse_scenario must agree with it on every input
+# but the override keys it now refuses.
+
+
+def _reject_extras(obj: dict, allowed, where: str) -> None:
+    extras = sorted(set(obj) - set(allowed))
+    if extras:
+        raise ScenarioError(
+            [f"{where}: unknown key(s) {', '.join(extras)}"]
+        )
+
+
+def _need(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise ScenarioError([f"{where}: missing required key '{key}'"])
+    return obj[key]
+
+
+def _as_int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError([f"{where}: expected an integer, got {value!r}"])
+    return value
+
+
+def _as_bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError([f"{where}: expected a boolean, got {value!r}"])
+    return value
+
+
+def _as_str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError([f"{where}: expected a string, got {value!r}"])
+    return value
+
+
+def _parse_task(obj: dict) -> Task:
+    if not isinstance(obj, dict):
+        raise ScenarioError([f"task entry must be an object, got {obj!r}"])
+    where = f"task '{obj.get('id', '?')}'"
+    _reject_extras(
+        obj,
+        (
+            "id", "C", "T", "D", "importance", "line", "n", "W",
+            "response", "priority", "job_priority_overrides",
+        ),
+        where,
+    )
+    task_id = _as_str(_need(obj, "id", where), where + ".id")
+    period_raw = _need(obj, "T", where)
+    if period_raw is None or period_raw == "inf":
+        period = INFINITE_PERIOD
+    else:
+        period = _as_int(period_raw, where + ".T")
+    deadline = None
+    if "D" in obj:
+        deadline = _as_int(obj["D"], where + ".D")
+    response = ResponseOption.RELEASE_ALL
+    if "response" in obj:
+        raw = _as_str(obj["response"], where + ".response")
+        try:
+            response = ResponseOption(raw)
+        except ValueError:
+            raise ScenarioError(
+                [f"{where}.response: unknown option '{raw}'"]
+            ) from None
+    priority = None
+    if "priority" in obj:
+        priority = _as_int(obj["priority"], where + ".priority")
+    overrides: Dict[int, int] = {}
+    if "job_priority_overrides" in obj:
+        raw_map = obj["job_priority_overrides"]
+        if not isinstance(raw_map, dict):
+            raise ScenarioError(
+                [f"{where}.job_priority_overrides: expected an object"]
+            )
+        for k, v in raw_map.items():
+            try:
+                seq = int(k)
+            except (TypeError, ValueError):
+                raise ScenarioError(
+                    [f"{where}.job_priority_overrides: bad key {k!r}"]
+                ) from None
+            overrides[seq] = _as_int(
+                v, f"{where}.job_priority_overrides[{k}]"
+            )
+    try:
+        return Task(
+            id=task_id,
+            wcet=_as_int(_need(obj, "C", where), where + ".C"),
+            period=period,
+            importance=_as_int(
+                _need(obj, "importance", where), where + ".importance"
+            ),
+            line=_as_str(_need(obj, "line", where), where + ".line"),
+            envelope_n=_as_int(_need(obj, "n", where), where + ".n"),
+            envelope_w=_as_int(_need(obj, "W", where), where + ".W"),
+            deadline=deadline,
+            response=response,
+            priority=priority,
+            job_priority_overrides=overrides,
+        )
+    except ValueError as exc:
+        raise ScenarioError([str(exc)]) from None
+
+
+def _parse_policy(obj: dict) -> Policy:
+    if not isinstance(obj, dict):
+        raise ScenarioError([f"policy must be an object, got {obj!r}"])
+    _reject_extras(
+        obj,
+        (
+            "assignment", "fault_policy", "ipl_optimization",
+            "mask_until_bottom_half", "delta_th",
+        ),
+        "policy",
+    )
+    policy = Policy()
+    if "assignment" in obj:
+        policy.assignment = _as_str(obj["assignment"], "policy.assignment")
+    if "fault_policy" in obj:
+        raw = _as_str(obj["fault_policy"], "policy.fault_policy")
+        try:
+            policy.fault_policy = FaultPolicy(raw)
+        except ValueError:
+            raise ScenarioError(
+                [f"policy.fault_policy: unknown option '{raw}'"]
+            ) from None
+    if "ipl_optimization" in obj:
+        policy.ipl_optimization = _as_bool(
+            obj["ipl_optimization"], "policy.ipl_optimization"
+        )
+    if "mask_until_bottom_half" in obj:
+        policy.mask_until_bottom_half = _as_bool(
+            obj["mask_until_bottom_half"], "policy.mask_until_bottom_half"
+        )
+    if "delta_th" in obj:
+        policy.delta_th = _as_int(obj["delta_th"], "policy.delta_th")
+    return policy
+
+
+def _parse_workload_entry(obj: dict) -> Tuple[str, object]:
+    if not isinstance(obj, dict):
+        raise ScenarioError(
+            [f"workload entry must be an object, got {obj!r}"]
+        )
+    kind = _as_str(_need(obj, "kind", "workload entry"), "workload.kind")
+    line = _as_str(_need(obj, "line", "workload entry"), "workload.line")
+    where = f"workload for line '{line}'"
+    if kind == "periodic":
+        _reject_extras(obj, ("kind", "line", "offset", "period"), where)
+        return line, Periodic(
+            offset=_as_int(_need(obj, "offset", where), where + ".offset"),
+            period=_as_int(_need(obj, "period", where), where + ".period"),
+        )
+    if kind == "sporadic":
+        _reject_extras(obj, ("kind", "line", "min_sep", "density", "seed"), where)
+        density = _need(obj, "density", where)
+        if isinstance(density, bool) or not isinstance(density, (int, float)):
+            raise ScenarioError([f"{where}.density: expected a number"])
+        return line, Sporadic(
+            min_sep=_as_int(_need(obj, "min_sep", where), where + ".min_sep"),
+            density=float(density),
+            seed=_as_int(_need(obj, "seed", where), where + ".seed"),
+        )
+    if kind == "burst":
+        _reject_extras(obj, ("kind", "line", "at", "count", "spacing"), where)
+        return line, Burst(
+            at=_as_int(_need(obj, "at", where), where + ".at"),
+            count=_as_int(_need(obj, "count", where), where + ".count"),
+            spacing=_as_int(_need(obj, "spacing", where), where + ".spacing"),
+        )
+    if kind == "storm":
+        _reject_extras(obj, ("kind", "line", "start", "rate"), where)
+        return line, Storm(
+            start=_as_int(_need(obj, "start", where), where + ".start"),
+            rate=_as_int(_need(obj, "rate", where), where + ".rate"),
+        )
+    if kind == "explicit":
+        _reject_extras(obj, ("kind", "line", "times"), where)
+        times = _need(obj, "times", where)
+        if not isinstance(times, list):
+            raise ScenarioError([f"{where}.times: expected a list"])
+        return line, Explicit(
+            times=tuple(_as_int(t, where + ".times[]") for t in times)
+        )
+    raise ScenarioError([f"{where}: unknown workload kind '{kind}'"])
+
+
+def reference_parse_scenario(obj: dict) -> Scenario:
+    if not isinstance(obj, dict):
+        raise ScenarioError(["scenario must be a JSON object"])
+    _reject_extras(
+        obj, ("tasks", "policy", "workload", "horizon", "seed"), "scenario"
+    )
+    raw_tasks = _need(obj, "tasks", "scenario")
+    if not isinstance(raw_tasks, list) or not raw_tasks:
+        raise ScenarioError(["scenario.tasks: expected a non-empty list"])
+    tasks = TaskSet([_parse_task(t) for t in raw_tasks])
+    policy = _parse_policy(obj.get("policy", {}))
+    raw_workload = obj.get("workload", [])
+    if not isinstance(raw_workload, list):
+        raise ScenarioError(["scenario.workload: expected a list"])
+    workload = [_parse_workload_entry(w) for w in raw_workload]
+    horizon = None
+    if "horizon" in obj and obj["horizon"] is not None:
+        horizon = _as_int(obj["horizon"], "scenario.horizon")
+    seed = 0
+    if "seed" in obj:
+        seed = _as_int(obj["seed"], "scenario.seed")
+    return Scenario(
+        task_set=tasks, policy=policy, workload=workload,
+        horizon=horizon, seed=seed,
     )

@@ -1,13 +1,29 @@
+import collections
 import csv
+import dataclasses
+import itertools
 import json
 import os
 import subprocess
 import sys
+from enum import Enum
 from pathlib import Path
+from typing import List, Tuple
 
 import pytest
 
-from envelopesim import INFINITE_PERIOD, Sporadic
+from envelopesim import (
+    INFINITE_PERIOD,
+    Burst,
+    Explicit,
+    Periodic,
+    Policy,
+    Scenario,
+    Sporadic,
+    Storm,
+    Task,
+    cli,
+)
 from envelopesim.cli import (
     EXIT_BOUNDS,
     EXIT_FAULT,
@@ -20,6 +36,11 @@ from envelopesim.cli import (
     parse_scenario,
 )
 from envelopesim.engine import ScenarioError
+from support import (
+    random_scenario,
+    reference_parse_scenario,
+    with_ipl_and_overrides,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -130,6 +151,15 @@ def test_parse_sporadic_and_seed_round_trip():
      r"task 'tau_l'\.job_priority_overrides: expected an object"),
     (lambda o: o["tasks"][0].update(job_priority_overrides={"first": 10}),
      r"task 'tau_l'\.job_priority_overrides: bad key 'first'"),
+    # one spelling per job index: "00" would overwrite "0" unseen
+    (lambda o: o["tasks"][0].update(job_priority_overrides={"0": 5, "00": 9}),
+     r"task 'tau_l'\.job_priority_overrides: bad key '00'"),
+    (lambda o: o["tasks"][0].update(job_priority_overrides={" 1": 10}),
+     r"task 'tau_l'\.job_priority_overrides: bad key ' 1'"),
+    (lambda o: o["tasks"][0].update(job_priority_overrides={"+1": 10}),
+     r"task 'tau_l'\.job_priority_overrides: bad key '\+1'"),
+    (lambda o: o["tasks"][0].update(job_priority_overrides={"1_0": 10}),
+     r"task 'tau_l'\.job_priority_overrides: bad key '1_0'"),
 ])
 def test_parse_scenario_rejects_bad_input(mutate, fragment):
     obj = two_task_obj()
@@ -158,6 +188,142 @@ def test_parse_infinite_period_needs_deadline():
         parse_scenario(obj)
 
 
+# every field a scenario object can set, and the reference parser
+
+SPEC_KINDS = {Periodic: "periodic", Sporadic: "sporadic", Burst: "burst",
+              Storm: "storm", Explicit: "explicit"}
+
+
+def sample_field(annotation, i):
+    """A JSON value for a field of this annotation, and the value it
+    parses to; i keeps one object's integers distinct."""
+    if isinstance(annotation, type) and issubclass(annotation, Enum):
+        member = list(annotation)[-1]
+        return member.value, member
+    return {
+        int: (10 + i, 10 + i),
+        bool: (True, True),
+        str: ("explicit", "explicit"),
+        float: (0.5, 0.5),
+        Tuple[int, ...]: ([3 + i, 1], (3 + i, 1)),
+    }[annotation]
+
+
+@pytest.mark.parametrize("cls", [Policy, *SPEC_KINDS])
+def test_parse_reads_every_field(cls):
+    def parsed(entry):
+        obj = two_task_obj()
+        if cls is Policy:
+            obj["policy"] = entry
+            return parse_scenario(obj).policy
+        obj["workload"] = [{"kind": SPEC_KINDS[cls], "line": "l_low",
+                            **entry}]
+        return parse_scenario(obj).workload[0][1]
+
+    fields = dataclasses.fields(cls)
+    entry, expected = {}, {}
+    for i, f in enumerate(fields):
+        entry[f.name], expected[f.name] = sample_field(f.type, i)
+    got = parsed(entry)
+    for f in fields:
+        value = getattr(got, f.name)
+        assert type(value) is type(expected[f.name])
+        assert value == expected[f.name] != f.default
+    for f in fields:
+        if f.default is f.default_factory is dataclasses.MISSING:
+            with pytest.raises(ScenarioError,
+                               match=f"missing required key '{f.name}'"):
+                parsed({k: v for k, v in entry.items() if k != f.name})
+
+
+def test_every_field_annotation_has_a_reader():
+    for cls in (Task, Policy, *SPEC_KINDS, Scenario):
+        fields, _ = cli._schema(cls)
+        assert [f[1] for f in fields] == [
+            f.name for f in dataclasses.fields(cls)]
+
+    @dataclasses.dataclass
+    class Unreadable:
+        names: List[str]
+
+    with pytest.raises(TypeError, match="no scenario reader"):
+        cli._schema(Unreadable)
+
+
+def scenario_json(scenario):
+    """The scenario as the JSON object of a scenario file, every task key
+    and policy key written out."""
+    tasks = []
+    for task in scenario.task_set:
+        obj = {"id": task.id, "C": task.wcet, "T": task.period,
+               "importance": task.importance, "line": task.line,
+               "n": task.envelope_n, "W": task.envelope_w,
+               "D": task.deadline, "response": task.response.value}
+        if task.priority is not None:
+            obj["priority"] = task.priority
+        if task.job_priority_overrides:
+            obj["job_priority_overrides"] = {
+                str(k): v for k, v in task.job_priority_overrides.items()}
+        tasks.append(obj)
+    policy = dataclasses.asdict(scenario.policy)
+    policy["fault_policy"] = scenario.policy.fault_policy.value
+    workload = [
+        {"kind": SPEC_KINDS[type(spec)], "line": line,
+         **{k: list(v) if isinstance(v, tuple) else v
+            for k, v in dataclasses.asdict(spec).items()}}
+        for line, spec in scenario.workload
+    ]
+    return {"tasks": tasks, "policy": policy, "workload": workload,
+            "horizon": scenario.horizon, "seed": scenario.seed}
+
+
+# per JSON type a scenario holds, values of other types to put in its
+# place; True is also tried where a number belongs, since bool is an int
+WRONG_TYPES = {
+    int: ["1", True], float: ["0.5", True], bool: [1], str: [7],
+    type(None): ["x"], list: [{}], dict: [[]],
+}
+
+
+def mutations(value):
+    """Every JSON value one edit away from value: one key dropped or
+    added, or one value or list item replaced by a value of another
+    type."""
+    if isinstance(value, dict):
+        yield {**value, "bogus": 1}
+        for k, v in value.items():
+            yield {kk: vv for kk, vv in value.items() if kk != k}
+            for m in itertools.chain(WRONG_TYPES[type(v)], mutations(v)):
+                yield {**value, k: m}
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            for m in itertools.chain(WRONG_TYPES[type(v)], mutations(v)):
+                yield value[:i] + [m] + value[i + 1:]
+
+
+def parse_outcome(parse, obj):
+    try:
+        return repr(parse(obj))  # repr tells 1 from 1.0
+    except ScenarioError as exc:
+        return exc.problems
+
+
+def test_parse_scenario_matches_the_reference_parser():
+    outcomes = collections.Counter()
+    for seed in range(1000):
+        scenario = random_scenario(seed)
+        if seed % 2:
+            scenario = with_ipl_and_overrides(scenario, seed)
+        obj = scenario_json(scenario)
+        if seed % 3 == 0:  # an exception-only task, both spellings
+            obj["tasks"][0]["T"] = "inf" if seed % 2 else None
+        for case in itertools.chain([obj], mutations(obj)):
+            got = parse_outcome(parse_scenario, case)
+            assert got == parse_outcome(reference_parse_scenario, case), case
+            outcomes[type(got)] += 1
+    assert outcomes[str] > 10_000 and outcomes[list] > 50_000
+
+
 def test_run_semantic_errors_exit_invalid(tmp_path, capsys):
     # relational constraints are checked before simulation, not at parse
     obj = two_task_obj()
@@ -179,6 +345,15 @@ def test_run_refuses_an_oversized_workload_before_expanding_it(
     code = main(["run", "--scenario", write_scenario(tmp_path, obj)])
     assert code == EXIT_INVALID
     assert "expands to 10000000000 raises" in capsys.readouterr().err
+
+
+def test_run_refuses_a_repeated_key(tmp_path, capsys):
+    # json.loads would keep the last of the two and drop the first unseen
+    text = json.dumps(two_task_obj()).replace('"C": 2', '"C": 1, "C": 3', 1)
+    path = tmp_path / "repeated.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", "--scenario", str(path)]) == EXIT_INVALID
+    assert "duplicate key 'C'" in capsys.readouterr().err
 
 
 def test_run_rejects_out_of_range_override_keys(tmp_path, capsys):
