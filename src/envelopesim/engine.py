@@ -40,6 +40,8 @@ interrupt priority descending, then line id.
 import csv
 import heapq
 import io
+import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
@@ -85,6 +87,7 @@ DROP = "DROP"
 ALARM = "ALARM"
 
 CSV_HEADER = ["time", "kind", "line", "task", "job", "detail"]
+_CSV_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
 
 # the SUPPRESS record's detail for each outcome that holds a raise back
 _SUPPRESS_REASON = {
@@ -261,6 +264,16 @@ class Trace:
             )
         self.records.append(rec)
 
+    def extend(self, records: List[TraceRecord]) -> None:
+        """Append the records of one time step. They share their time, so
+        only the first is checked against the trace's last record."""
+        last = self.records[-1] if self.records else None
+        if records and last is not None and records[0].time < last.time:
+            raise EngineError(
+                f"trace time went backwards: {records[0]} after {last}"
+            )
+        self.records.extend(records)
+
     def of_kind(self, *kinds, line: Optional[str] = None,
                 task: Optional[str] = None) -> List[TraceRecord]:
         out = []
@@ -275,6 +288,20 @@ class Trace:
         return out
 
     def to_csv_string(self) -> str:
+        """The trace as csv.writer writes it with "\n" line ends. The rows
+        are first joined unquoted. That text is kept when no field holds a
+        comma, a newline, a quote or a carriage return, the characters csv
+        may quote: every line has exactly five separating commas and one
+        newline, so equal totals rule out the first two. Otherwise
+        csv.writer writes the trace."""
+        parts = [_CSV_HEADER_LINE]
+        parts += [f"{t},{k},{l},{ta},{'' if j is None else j},{d}\n"
+                  for t, k, l, ta, j, d in self.records]
+        text = "".join(parts)
+        lines = len(self.records) + 1
+        if (text.count("\n") == lines and text.count(",") == 5 * lines
+                and '"' not in text and "\r" not in text):
+            return text
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
@@ -287,6 +314,79 @@ class Trace:
 
     def __len__(self):
         return len(self.records)
+
+
+class _OffShape(Exception):
+    """A metrics value outside the shape Metrics.to_json_string writes."""
+
+
+_json_str = json.encoder.encode_basestring_ascii
+_PAD2 = "\n  "
+_PAD4 = "\n    "
+
+
+def _json_scalar(value) -> str:
+    """A scalar as json.dumps writes it. bool is tested before int, whose
+    repr of True is 'True'."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return json.dumps(value)
+    raise _OffShape
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        raise _OffShape
+    return _json_str(key)
+
+
+def _json_flat(obj, pad: str) -> str:
+    """A mapping of str keys to scalars, as json.dumps writes it with
+    sorted keys and a 2-space indent; pad is the newline and indent of
+    its closing brace."""
+    if not isinstance(obj, dict):
+        raise _OffShape
+    if not obj:
+        return "{}"
+    inner = pad + "  "
+    return "{" + ",".join([
+        inner + _json_key(key) + ": " + _json_scalar(value)
+        for key, value in sorted(obj.items())
+    ]) + pad + "}"
+
+
+def _json_map_of_flat(obj) -> str:
+    """A top-level mapping of str keys to flat mappings."""
+    if not isinstance(obj, dict):
+        raise _OffShape
+    if not obj:
+        return "{}"
+    return "{" + ",".join([
+        _PAD4 + _json_key(key) + ": " + _json_flat(value, _PAD4)
+        for key, value in sorted(obj.items())
+    ]) + _PAD2 + "}"
+
+
+def _json_list_of_flat(obj) -> str:
+    """A top-level list of flat mappings."""
+    if not isinstance(obj, (list, tuple)):
+        raise _OffShape
+    if not obj:
+        return "[]"
+    return "[" + ",".join([
+        _PAD4 + _json_flat(value, _PAD4) for value in obj
+    ]) + _PAD2 + "]"
 
 
 @dataclass
@@ -305,9 +405,25 @@ class Metrics:
         }
 
     def to_json_string(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """The metrics as json.dumps(self.to_dict(), indent=2,
+        sort_keys=True) + "\n" writes them. With an indent, json uses its
+        pure-Python encoder, so the fixed shape is written here: two
+        mappings of flat mappings, a list of flat mappings and a scalar.
+        Metrics of any other shape go through json.dumps."""
+        try:
+            return "".join((
+                '{\n  "alarms": ',
+                _json_list_of_flat(self.alarms),
+                ',\n  "per_line": ',
+                _json_map_of_flat(self.per_line),
+                ',\n  "per_task": ',
+                _json_map_of_flat(self.per_task),
+                ',\n  "total_top_half_time": ',
+                _json_scalar(self.total_top_half_time),
+                "\n}\n",
+            ))
+        except _OffShape:
+            return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def write_json(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -528,7 +644,8 @@ class Engine:
             return False
         # a line's raises at one tick are adjacent, and a storm's mostly
         # share one outcome: its records are reused while it repeats
-        append = self.trace.append
+        records = []
+        append = records.append
         raise_event = self.vic.raise_event
         line_of = outcome_of = suppress = None
         delivered = False
@@ -548,6 +665,7 @@ class Engine:
             if suppress is not None:
                 self.line_suppressed[line] += 1
                 append(suppress)
+        self.trace.extend(records)
         return delivered
 
     def _drain_deliverable(self, t: int) -> None:
@@ -721,29 +839,27 @@ class Engine:
 
     def _metrics(self) -> Metrics:
         per_task = {}
+        responses = {}
         for task in self.task_set:
-            jobs = [j for j in self.sched.jobs if j.task_id == task.id]
-            responses = [
-                j.completion - j.release for j in jobs
-                if j.state is JobState.COMPLETED
-            ]
-            per_task[task.id] = {
-                "released": len(jobs),
-                "completions": sum(
-                    1 for j in jobs if j.state is JobState.COMPLETED
-                ),
-                "misses": sum(
-                    1 for j in jobs if j.state is JobState.MISSED
-                ),
-                "drops": sum(
-                    1 for j in jobs if j.state is JobState.DROPPED
-                ),
-                "notifications": sum(j.notifications for j in jobs),
-                "max_response": max(responses) if responses else None,
-                "avg_response": (
-                    sum(responses) / len(responses) if responses else None
-                ),
-            }
+            per_task[task.id] = {"released": 0, "completions": 0,
+                                 "misses": 0, "drops": 0,
+                                 "notifications": 0}
+            responses[task.id] = []
+        for j in self.sched.jobs:
+            row = per_task[j.task_id]
+            row["released"] += 1
+            row["notifications"] += j.notifications
+            if j.state is JobState.COMPLETED:
+                row["completions"] += 1
+                responses[j.task_id].append(j.completion - j.release)
+            elif j.state is JobState.MISSED:
+                row["misses"] += 1
+            elif j.state is JobState.DROPPED:
+                row["drops"] += 1
+        for task_id, times in responses.items():
+            row = per_task[task_id]
+            row["max_response"] = max(times) if times else None
+            row["avg_response"] = sum(times) / len(times) if times else None
         per_line = {}
         for line in sorted(self.line_task):
             per_line[line] = {

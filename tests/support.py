@@ -8,13 +8,18 @@ schedule-point round that changed anything with one more and polls every
 monitor and line priority in each, as the engine did before it stopped
 at the first round without a backfill and kept that state from events;
 the product check simulates every pattern combination from t=0, as
-the checker did before it shared prefixes; and the reference parser
+the checker did before it shared prefixes; the reference parser
 checks every scenario key by hand, as the CLI did before it read each
-object through its dataclass fields. Tests compare the engine, the
-checker and the parser against them.
+object through its dataclass fields; and the output oracles write the
+trace through csv.writer and the metrics through json.dumps, as the
+engine did before it wrote both directly. Tests compare the engine, the
+checker, the parser and the writers against them.
 """
 
+import csv
+import io
 import itertools
+import json
 import math
 import random
 from dataclasses import dataclass, replace
@@ -41,7 +46,7 @@ from envelopesim import (
     compute_ipl,
     hyperperiod,
 )
-from envelopesim.engine import select_priority_map
+from envelopesim.engine import CSV_HEADER, select_priority_map
 from envelopesim.feasibility import (
     COMPLETED,
     DROPPED,
@@ -50,6 +55,21 @@ from envelopesim.feasibility import (
     count_admissible_patterns,
 )
 from envelopesim.model import interrupt_order
+
+
+def csv_oracle(trace) -> str:
+    """The trace CSV as csv.writer writes it, quoting as QUOTE_MINIMAL
+    does."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    writer.writerows(trace.records)
+    return buf.getvalue()
+
+
+def json_oracle(metrics) -> str:
+    """The metrics JSON as json.dumps writes it."""
+    return json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def window_violations(timestamps, n, w):
