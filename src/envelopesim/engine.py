@@ -20,13 +20,19 @@ visited step t it runs the phases in a fixed order:
    each release; the level is recomputed only when the running job or
    one of those priorities changed.
 
-The engine then jumps to the earliest of the next raise, the earliest
-pending timer, the earliest deadline of an active job, the running job's
-completion after the pending kernel time is served, and the horizon. The
-ticks in between are executed in one span: pending kernel time from
-interrupt top halves first, then the dispatched job. No job is released
-or finalized inside a span, so skipping those steps changes nothing; a
-completion is logged at the end of its span, which is the next step.
+The engine then jumps to the earliest of the next raise on a line the
+controller lets through (unmasked, above the interrupt priority level and
+not pending), the earliest pending timer, the earliest deadline of an
+active job, the running job's completion after the pending kernel time
+is served, and the horizon. The ticks in between are executed in one
+span: pending kernel time from interrupt top halves first, then the
+dispatched job. No job is released or finalized inside a span, so
+skipping those steps changes nothing; a completion is logged at the end
+of its span, which is the next step. Nothing masks, unmasks or moves the
+level inside a span either, so a raise tick in it meets only held lines:
+its raises are taken on the way, as counters and records that land
+before the span's completion. A line's raises at one tick are one run:
+one raise_event call, then one count for the rest.
 
 Both deferral optimizations live here: the interrupt priority level and
 the bottom-half mask. The controller counts what either holds back, and
@@ -89,12 +95,19 @@ ALARM = "ALARM"
 CSV_HEADER = ["time", "kind", "line", "task", "job", "detail"]
 _CSV_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
 
-# the SUPPRESS record's detail for each outcome that holds a raise back
+# the SUPPRESS record's detail for each outcome that holds a raise back.
+# The raise path reads an outcome's value through _value_ and keys on it:
+# an Enum's value property and its hash are Python-level calls
 _SUPPRESS_REASON = {
-    RaiseOutcome.SUPPRESSED_MASKED: "masked",
-    RaiseOutcome.SUPPRESSED_IPL: "ipl",
-    RaiseOutcome.LATCHED_PENDING: "coalesced",
+    RaiseOutcome.SUPPRESSED_MASKED.value: "masked",
+    RaiseOutcome.SUPPRESSED_IPL.value: "ipl",
+    RaiseOutcome.LATCHED_PENDING.value: "coalesced",
 }
+_DELIVERED = RaiseOutcome.DELIVERED_NOW.value
+
+# builds a TraceRecord from a tuple of all six fields in C, without the
+# Python-level NamedTuple __new__
+_record = tuple.__new__
 
 
 class ScenarioError(Exception):
@@ -506,15 +519,24 @@ class Engine:
         # the tasks whose monitor has an episode recorded, kept in step
         # with the monitors where an episode opens, moves or ends
         self._episodes: Set[str] = set()
-        # each tick's raising lines in interrupt priority order; the specs
-        # expand in scenario order, so the first invalid one is reported
+        # each tick's raises as runs, flat: line, count, line, count, ...
+        # in interrupt priority order. A line's raises at one tick are one
+        # run, whichever specs made them. The specs expand in scenario
+        # order, so the first invalid one is reported
         made = [(line, generate_workload(spec, self.horizon, scenario.seed))
                 for line, spec in scenario.workload]
         rank = self._irq_rank
-        self.raises: Dict[int, List[str]] = {}
+        self.raises: Dict[int, list] = {}
+        get = self.raises.get
         for line, times in sorted(made, key=lambda m: rank[m[0]]):
             for t in times:
-                self.raises.setdefault(t, []).append(line)
+                runs = get(t)
+                if runs is None:
+                    self.raises[t] = [line, 1]
+                elif runs[-2] == line:
+                    runs[-1] += 1
+                else:
+                    runs += (line, 1)
         self._raise_times = sorted(self.raises)
         self._next_raise = 0
         # (due, rank, line): window expiries (rank 0) before episode
@@ -581,14 +603,13 @@ class Engine:
 
     def _next_step(self, t: int) -> int:
         """The earliest time after t at which anything can happen: a
-        raise, a timer, a deadline, the running job's completion after
-        the pending kernel time, or the horizon."""
-        times = self._raise_times
-        while self._next_raise < len(times) and times[self._next_raise] <= t:
-            self._next_raise += 1
+        raise the controller would deliver, a timer, a deadline, the
+        running job's completion after the pending kernel time, or the
+        horizon. The raise ticks before it, whose raises all meet held
+        lines, are taken on the way: until the next step nothing masks,
+        unmasks or moves the level, so they change only the counters and
+        the trace, and their records land before the span's COMPLETE."""
         candidates = [self.horizon]
-        if self._next_raise < len(times):
-            candidates.append(times[self._next_raise])
         if self.timers:
             candidates.append(self.timers[0][0])
         candidates.extend(job.abs_deadline for job in self.sched.active)
@@ -599,7 +620,23 @@ class Engine:
             )
         # every candidate lies after t (timers due at t have fired and
         # deadlines at t were shed); the floor keeps time moving anyway
-        return max(min(candidates), t + 1)
+        until = max(min(candidates), t + 1)
+        times, i = self._raise_times, self._next_raise
+        while i < len(times) and times[i] <= t:
+            i += 1
+        held = set()  # lines found held back; none changes before until
+        while i < len(times) and times[i] < until:
+            r = times[i]
+            for line in self.raises[r][::2]:
+                if line not in held:
+                    if self.vic.delivers(line):
+                        self._next_raise = i
+                        return r
+                    held.add(line)
+            self._process_raises(r)
+            i += 1
+        self._next_raise = i
+        return until
 
     def line_of(self, job: Job) -> str:
         return self.sched.tasks[job.task_id].line
@@ -638,33 +675,37 @@ class Engine:
         heapq.heappush(self.timers, (max(due, now), rank, line))
 
     def _process_raises(self, t: int) -> bool:
-        """Raise the tick's occurrences; True when one was delivered."""
-        lines = self.raises.get(t)
-        if lines is None:
+        """Raise the tick's occurrences; True when one was delivered.
+        A run of count raises on one line calls raise_event for the first
+        and counts the rest at once. Every held raise of the run shares
+        one RAISE/SUPPRESS record pair: after a delivery, the rest of the
+        run is the coalesced pair."""
+        runs = self.raises.get(t)
+        if runs is None:
             return False
-        # a line's raises at one tick are adjacent, and a storm's mostly
-        # share one outcome: its records are reused while it repeats
         records = []
-        append = records.append
-        raise_event = self.vic.raise_event
-        line_of = outcome_of = suppress = None
+        vic = self.vic
         delivered = False
-        for line in lines:
-            outcome = raise_event(line, t)
-            if line is not line_of or outcome is not outcome_of:
-                line_of, outcome_of = line, outcome
-                task = self.line_task[line].id
-                rec = TraceRecord(t, RAISE, line, task, None, outcome.value)
-                if outcome is RaiseOutcome.DELIVERED_NOW:
-                    suppress = None
-                    delivered = True
-                else:
-                    suppress = TraceRecord(t, SUPPRESS, line, task, None,
-                                           _SUPPRESS_REASON[outcome])
-            append(rec)
-            if suppress is not None:
-                self.line_suppressed[line] += 1
-                append(suppress)
+        pairs = iter(runs)
+        for line, count in zip(pairs, pairs):
+            task = self.line_task[line].id
+            value = vic.raise_event(line, t)._value_
+            if value == _DELIVERED:
+                delivered = True
+                records.append(_record(TraceRecord,
+                                       (t, RAISE, line, task, None, value)))
+                count -= 1
+                if not count:
+                    continue
+                value = vic.raise_repeated(line, t, count)._value_
+            elif count > 1:
+                vic.raise_repeated(line, t, count - 1)
+            self.line_suppressed[line] += count
+            records += (_record(TraceRecord,
+                                (t, RAISE, line, task, None, value)),
+                        _record(TraceRecord,
+                                (t, SUPPRESS, line, task, None,
+                                 _SUPPRESS_REASON[value]))) * count
         self.trace.extend(records)
         return delivered
 

@@ -13,11 +13,14 @@ number of occurrences held back since then, which the monitor layer uses
 to decide faults and the engine uses to backfill deferred occurrences.
 
 A line is deliverable when it is pending and not held back. Lines are
-kept in interrupt order: priority descending, then line id. Kernel
-timers are not a line here: the engine keeps them, and the timer line's
-name is reserved so no device can take it.
+kept in interrupt order: priority descending, then line id, so the lines
+a change of level holds back or lets through are one contiguous band.
+Priorities start at 1: level 0 holds nothing back. Kernel timers are not
+a line here: the engine keeps them, and the timer line's name is
+reserved so no device can take it.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -34,6 +37,15 @@ class RaiseOutcome(Enum):
     LATCHED_PENDING = "latched_pending"
     SUPPRESSED_MASKED = "suppressed_masked"
     SUPPRESSED_IPL = "suppressed_ipl"
+
+
+# The members as module constants for the raise path: EnumType defines
+# __getattr__, so every attribute read on an Enum class is a Python-level
+# call that costs about as much as the rest of a raise.
+_DELIVERED_NOW = RaiseOutcome.DELIVERED_NOW
+_LATCHED_PENDING = RaiseOutcome.LATCHED_PENDING
+_SUPPRESSED_MASKED = RaiseOutcome.SUPPRESSED_MASKED
+_SUPPRESSED_IPL = RaiseOutcome.SUPPRESSED_IPL
 
 
 @dataclass
@@ -64,9 +76,18 @@ class VicState:
                 raise VicError(f"line id '{TIMER_LINE}' is reserved")
             if ln.id in self.lines:
                 raise VicError(f"duplicate line id '{ln.id}'")
+            if ln.irq_priority < 1:
+                raise VicError(
+                    f"line '{ln.id}': interrupt priority "
+                    f"{ln.irq_priority} < 1"
+                )
             self.lines[ln.id] = ln
         self.ipl = 0
         self.mask_ops: Dict[str, int] = {ln: 0 for ln in self.lines}
+        # the lines in interrupt order, and their negated priorities
+        # (ascending) for bisecting the band a level change touches
+        self._order: List[InterruptLine] = list(self.lines.values())
+        self._neg_priority = [-ln.irq_priority for ln in self._order]
 
     def _line(self, line_id: str) -> InterruptLine:
         try:
@@ -74,23 +95,49 @@ class VicState:
         except KeyError:
             raise VicError(f"unknown interrupt line '{line_id}'") from None
 
+    def _outcome(self, ln: InterruptLine) -> RaiseOutcome:
+        """The deliverability rule: what a raise on the line meets now."""
+        if ln.masked:
+            return _SUPPRESSED_MASKED
+        if ln.irq_priority <= self.ipl:
+            return _SUPPRESSED_IPL
+        if ln.pending:
+            # The pending bit is binary; simultaneous occurrences coalesce.
+            return _LATCHED_PENDING
+        return _DELIVERED_NOW
+
     def raise_event(self, line_id: str, t: int) -> RaiseOutcome:
         """Record one occurrence on a line and classify its deliverability.
 
         The device counter always increments. Masked and IPL-suppressed
         occurrences do not set the pending bit; the counter carries them.
         """
-        ln = self._line(line_id)
+        ln = self.lines.get(line_id) or self._line(line_id)
         ln.device_counter += 1
-        if ln.masked:
-            return RaiseOutcome.SUPPRESSED_MASKED
-        if ln.irq_priority <= self.ipl:
-            return RaiseOutcome.SUPPRESSED_IPL
-        if ln.pending:
-            # The pending bit is binary; simultaneous occurrences coalesce.
-            return RaiseOutcome.LATCHED_PENDING
-        ln.pending = True
-        return RaiseOutcome.DELIVERED_NOW
+        outcome = self._outcome(ln)
+        if outcome is _DELIVERED_NOW:
+            ln.pending = True
+        return outcome
+
+    def raise_repeated(self, line_id: str, t: int,
+                       count: int) -> RaiseOutcome:
+        """Record count more occurrences at t on a line that raise_event
+        has just classified at t, and return their one outcome: that
+        raise left the line pending or held back, so every further one
+        coalesces with it or meets the same hold."""
+        ln = self.lines.get(line_id) or self._line(line_id)
+        outcome = self._outcome(ln)
+        if outcome is _DELIVERED_NOW:
+            raise VicError(
+                f"line '{line_id}' has no raise at t={t} to repeat"
+            )
+        ln.device_counter += count
+        return outcome
+
+    def delivers(self, line_id: str) -> bool:
+        """Whether a raise on the line would be delivered now."""
+        ln = self.lines.get(line_id) or self._line(line_id)
+        return self._outcome(ln) is _DELIVERED_NOW
 
     def set_line_mask(self, line_id: str, masked: bool,
                       t: int) -> Optional[Tuple[int, int]]:
@@ -115,15 +162,24 @@ class VicState:
     def set_ipl(self, level: int, t: int) -> List[Tuple[str, int, int]]:
         """Set the level at t. Every unmasked line it newly holds back
         starts a hold at t. Returns (line, since, held) for each line the
-        level releases, in interrupt order."""
+        level releases, in interrupt order.
+
+        Only the lines with a priority above the lower of the old and the
+        new level and at or below the higher one change side, and they
+        are contiguous in interrupt order: only that band is walked."""
         if level < 0:
             raise VicError(f"interrupt priority level must be >= 0, got {level}")
-        self.ipl = level
+        old, self.ipl = self.ipl, level
         released = []
-        for ln in self.lines.values():
+        if level == old:
+            return released
+        neg = self._neg_priority
+        band = self._order[bisect_left(neg, -max(old, level)):
+                           bisect_left(neg, -min(old, level))]
+        for ln in band:
             if ln.masked:
                 continue
-            if ln.irq_priority <= level:
+            if level > old:
                 if ln.hold is None:
                     ln.hold = (t, ln.device_counter)
             elif ln.hold is not None:

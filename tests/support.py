@@ -3,7 +3,11 @@
 The window oracle, the conservation counts and the verdict oracle are
 deliberately naive, independent re-implementations; the tick engine
 drives the engine's own phases through every tick, as the engine did
-before next-event time advance; the confirming engine follows every
+before next-event time advance, and raises every occurrence through its
+own raise_event call with fresh records, as the engine did before it
+took a line's raises at a tick as one run; the full-scan set_ipl walks
+every line on a level change, as the controller did before it walked
+only the band between the old and the new level; the confirming engine follows every
 schedule-point round that changed anything with one more and polls every
 monitor and line priority in each, as the engine did before it stopped
 at the first round without a backfill and kept that state from events;
@@ -38,6 +42,7 @@ from envelopesim import (
     ResponseOption,
     Scenario,
     ScenarioError,
+    RaiseOutcome,
     Sporadic,
     Storm,
     Task,
@@ -46,7 +51,11 @@ from envelopesim import (
     compute_ipl,
     hyperperiod,
 )
-from envelopesim.engine import CSV_HEADER, select_priority_map
+from envelopesim.engine import (
+    CSV_HEADER,
+    generate_workload,
+    select_priority_map,
+)
 from envelopesim.feasibility import (
     COMPLETED,
     DROPPED,
@@ -299,11 +308,45 @@ def random_check_instance(seed, max_combinations=300):
             return TaskSet(tasks), policy, horizon
 
 
+_SUPPRESS_REASON = {
+    RaiseOutcome.SUPPRESSED_MASKED: "masked",
+    RaiseOutcome.SUPPRESSED_IPL: "ipl",
+    RaiseOutcome.LATCHED_PENDING: "coalesced",
+}
+
+
 class TickEngine(Engine):
     """The engine's phases driven one tick at a time: every step of
     range(horizon + 1) is visited and the processor advances by single
-    ticks. Next-event time advance must reproduce its traces byte for
-    byte."""
+    ticks. Each occurrence is raised on its own, from a table of one
+    entry per occurrence, and logged with fresh records. Next-event time
+    advance and the engine's raise runs must reproduce its traces byte
+    for byte."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        rank = {task.line: i
+                for i, task in enumerate(interrupt_order(self.task_set))}
+        made = [(line, generate_workload(spec, self.horizon, scenario.seed))
+                for line, spec in scenario.workload]
+        self.occurrences: Dict[int, List[str]] = {}
+        for line, times in sorted(made, key=lambda m: rank[m[0]]):
+            for t in times:
+                self.occurrences.setdefault(t, []).append(line)
+
+    def _process_raises(self, t):
+        delivered = False
+        for line in self.occurrences.get(t, ()):
+            outcome = self.vic.raise_event(line, t)
+            task = self.line_task[line].id
+            self._log(t, "RAISE", line, task, detail=outcome.value)
+            if outcome is RaiseOutcome.DELIVERED_NOW:
+                delivered = True
+            else:
+                self.line_suppressed[line] += 1
+                self._log(t, "SUPPRESS", line, task,
+                          detail=_SUPPRESS_REASON[outcome])
+        return delivered
 
     def run(self):
         for t in range(self.horizon + 1):
@@ -332,6 +375,25 @@ class TickEngine(Engine):
                 self._after_finalize(job, t + 1)
                 self._needs_dispatch = True
         return self.trace, self._metrics()
+
+
+def full_scan_set_ipl(vic, level, t):
+    """VicState.set_ipl walking every line: each unmasked line at or
+    below the level gets a hold if it has none, and each unmasked line
+    above it that has one is released."""
+    vic.ipl = level
+    released = []
+    for ln in vic.lines.values():
+        if ln.masked:
+            continue
+        if ln.irq_priority <= level:
+            if ln.hold is None:
+                ln.hold = (t, ln.device_counter)
+        elif ln.hold is not None:
+            since, counter = ln.hold
+            released.append((ln.id, since, ln.device_counter - counter))
+            ln.hold = None
+    return released
 
 
 class ConfirmingEngine(Engine):
@@ -526,6 +588,61 @@ def sparse_coincident_scenario(seed):
         ipl_optimization=rng.random() < 0.5,
         mask_until_bottom_half=rng.random() < 0.5,
         delta_th=delta_th,
+    )
+    return Scenario(
+        task_set=TaskSet(tasks),
+        policy=policy,
+        workload=workload,
+        horizon=horizon,
+        seed=seed,
+    )
+
+
+def storm_scenario(seed):
+    """A short scenario whose lines take storms of 1 to 4 raises per
+    tick, some overlapped by a burst or a periodic spec on the same
+    line, against small windows: window masks, bottom-half masks, IPL
+    holds with delta_th > 0 and coalesced raises all occur, and most
+    raise ticks meet only held lines."""
+    rng = random.Random(f"storm:{seed}")
+    n_tasks = rng.randint(1, 4)
+    horizon = rng.randint(60, 400)
+    importances = rng.sample(range(0, 50), n_tasks)
+    priorities = rng.sample(range(1, 50), n_tasks)
+    tasks = []
+    workload = []
+    for i in range(n_tasks):
+        period = rng.randint(6, 60)
+        line = f"l{i}"
+        n = rng.randint(1, 4)
+        tasks.append(
+            Task(
+                id=f"t{i}",
+                wcet=rng.randint(1, max(1, period // 3)),
+                period=period,
+                importance=importances[i],
+                line=line,
+                envelope_n=n,
+                envelope_w=rng.randint(n, 40),
+                priority=priorities[i],
+            )
+        )
+        workload.append((line, Storm(rng.randrange(horizon // 2),
+                                     rng.randint(1, 4))))
+        extra = rng.randrange(3)
+        if extra == 1:
+            workload.append((line, Burst(rng.randrange(horizon),
+                                         rng.randint(1, 20),
+                                         rng.randint(0, 2))))
+        elif extra == 2:
+            workload.append((line, Periodic(rng.randrange(period), period)))
+    policy = Policy(
+        assignment=rng.choice(["importance_monotonic", "explicit"]),
+        fault_policy=rng.choice([FaultPolicy.PERMANENT,
+                                 FaultPolicy.AUTO_RESUME]),
+        ipl_optimization=rng.random() < 0.6,
+        mask_until_bottom_half=rng.random() < 0.5,
+        delta_th=rng.randrange(3),
     )
     return Scenario(
         task_set=TaskSet(tasks),

@@ -1,6 +1,7 @@
-"""Differential test: next-event time advance against the tick-by-tick
-loop it replaced (`support.TickEngine`). Traces and metrics must agree
-byte for byte."""
+"""Differential test: next-event time advance, which takes the raises
+on held lines in bulk on its way to the next step, against the
+tick-by-tick loop that raises every occurrence on its own
+(`support.TickEngine`). Traces and metrics must agree byte for byte."""
 
 import hashlib
 from pathlib import Path
@@ -9,15 +10,23 @@ import pytest
 
 from envelopesim import (
     Engine,
+    FaultPolicy,
     Periodic,
+    Policy,
     Scenario,
     Scheduler,
+    Storm,
     TaskSet,
     assign_importance_monotonic,
 )
 from envelopesim.cli import load_scenario
 from envelopesim.model import Task
-from support import TickEngine, random_scenario, sparse_coincident_scenario
+from support import (
+    TickEngine,
+    random_scenario,
+    sparse_coincident_scenario,
+    storm_scenario,
+)
 
 DEMO_SCENARIOS = sorted(
     (Path(__file__).parent.parent / "demos" / "scenarios").glob("*.json")
@@ -98,6 +107,66 @@ def test_steps_count_visited_time_steps():
     ticked = TickEngine(scenario)
     ticked.run()
     assert ticked.steps == 10_001
+
+
+def test_storm_scenarios_match_tick_loop():
+    # the batch must really hold raises back in every way and coalesce
+    # them, or it proves nothing about the bulk raise path
+    seen = set()
+    steps = raise_ticks = 0
+    for seed in range(120):
+        scenario = storm_scenario(seed)
+        engine = assert_same_run(scenario)
+        steps += engine.steps
+        raise_ticks += len(engine.raises)
+        policy = scenario.policy
+        for rec in engine.trace.records:
+            if rec.kind in ("SUPPRESS", "MASK"):
+                seen.add(rec.detail)
+            elif rec.kind == "IPL_SET" and policy.delta_th > 0:
+                seen.add("ipl_with_top_half_time")
+        for _, spec in scenario.workload:
+            if isinstance(spec, Storm):
+                seen.add(f"rate{spec.rate}")
+    assert seen >= {"masked", "ipl", "coalesced", "window", "bottom_half",
+                    "ipl_with_top_half_time",
+                    "rate1", "rate2", "rate3", "rate4"}, seen
+    assert 2 * steps < raise_ticks  # most raise ticks are not steps
+
+
+def test_held_raises_are_not_steps():
+    # a rate-3 storm from t=0: the first raise is delivered and
+    # internalized, the n=1 window masks the line, and under auto-resume
+    # every window expiry finds raises held and masks it again
+    task = Task(id="t", wcet=3, period=50, importance=0, line="l",
+                envelope_n=1, envelope_w=10)
+    scenario = Scenario(
+        task_set=TaskSet([task]),
+        policy=Policy(fault_policy=FaultPolicy.AUTO_RESUME),
+        workload=[("l", Storm(0, 3))],
+        horizon=10_000,
+    )
+    engine = Engine(scenario)
+    raise_event = engine.vic.raise_event
+    calls = []
+
+    def counted(line, t):
+        calls.append((line, t))
+        return raise_event(line, t)
+
+    engine.vic.raise_event = counted
+    trace, metrics = engine.run()
+    # the delivery at 0, the completion at 3, the window expiries at
+    # 10, 20, ..., 9990, and the horizon at 10000, where the last expiry
+    # falls too
+    assert engine.steps == 2 + 999 + 1
+    # one call per (line, tick) run, however many raises it holds
+    assert len(calls) == len(set(calls)) == 10_000
+    assert metrics.per_line["l"]["raised"] == 30_000
+    assert metrics.per_line["l"]["suppressed"] == 30_000 - 1
+    ticked, ticked_metrics = TickEngine(scenario).run()
+    assert trace.to_csv_string() == ticked.to_csv_string()
+    assert metrics.to_json_string() == ticked_metrics.to_json_string()
 
 
 def test_execute_tick_serves_a_span():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from envelopesim import (
@@ -7,6 +9,7 @@ from envelopesim import (
     VicError,
     VicState,
 )
+from support import full_scan_set_ipl
 
 
 def make_vic(*lines):
@@ -27,6 +30,47 @@ def test_delivered_then_latched():
     assert vic.raise_event("a", 0) is RaiseOutcome.DELIVERED_NOW
     assert vic.raise_event("a", 0) is RaiseOutcome.LATCHED_PENDING
     assert vic.raise_event("a", 0) is RaiseOutcome.LATCHED_PENDING
+
+
+@pytest.mark.parametrize("setup,first,rest", [
+    (lambda vic: None, RaiseOutcome.DELIVERED_NOW,
+     RaiseOutcome.LATCHED_PENDING),
+    (lambda vic: vic.set_line_mask("a", True, 0),
+     RaiseOutcome.SUPPRESSED_MASKED, RaiseOutcome.SUPPRESSED_MASKED),
+    (lambda vic: vic.set_ipl(5, 0), RaiseOutcome.SUPPRESSED_IPL,
+     RaiseOutcome.SUPPRESSED_IPL),
+], ids=["delivered", "masked", "ipl"])
+def test_repeated_raises_share_the_outcome_of_one_more(setup, first, rest):
+    vic = make_vic(dict(id="a", irq_priority=5))
+    setup(vic)
+    assert vic.raise_event("a", 3) is first
+    assert vic.raise_repeated("a", 3, 4) is rest
+    assert vic.lines["a"].device_counter == 5
+    one_by_one = make_vic(dict(id="a", irq_priority=5))
+    setup(one_by_one)
+    one_by_one.raise_event("a", 3)
+    assert [one_by_one.raise_event("a", 3) for _ in range(4)] == [rest] * 4
+    assert one_by_one.lines["a"] == vic.lines["a"]
+
+
+def test_repeat_needs_a_raise_to_repeat():
+    vic = make_vic(dict(id="a", irq_priority=5))
+    assert vic.delivers("a")
+    with pytest.raises(VicError, match="no raise"):
+        vic.raise_repeated("a", 0, 2)
+    assert vic.lines["a"].device_counter == 0
+    vic.raise_event("a", 0)
+    assert not vic.delivers("a")  # pending: a raise would coalesce
+
+
+def test_delivers_follows_mask_and_level():
+    vic = make_vic(dict(id="a", irq_priority=5), dict(id="b", irq_priority=3))
+    vic.set_ipl(3, 0)
+    assert vic.delivers("a") and not vic.delivers("b")
+    vic.set_line_mask("a", True, 1)
+    assert not vic.delivers("a")
+    with pytest.raises(VicError):
+        vic.delivers("ghost")
 
 
 def test_masked_without_latch_drops_pending():
@@ -191,3 +235,36 @@ def test_duplicate_line_rejected():
 def test_reserved_timer_id_rejected():
     with pytest.raises(VicError):
         make_vic(dict(id=TIMER_LINE, irq_priority=1))
+
+
+def test_priority_below_one_rejected():
+    # level 0 must hold nothing back
+    with pytest.raises(VicError, match="priority 0 < 1"):
+        make_vic(dict(id="a", irq_priority=0))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_set_ipl_band_matches_full_scan(seed):
+    # seeded level sequences over lines sharing priorities, some masked
+    # and unmasked along the way, with raises in between: the band walk
+    # and the full scan keep the same holds and release the same lines
+    rng = random.Random(seed)
+    specs = [dict(id=f"l{i}", irq_priority=rng.randint(1, 8))
+             for i in range(rng.randint(1, 9))]
+    band, full = make_vic(*specs), make_vic(*specs)
+    for t in range(60):
+        action = rng.randrange(4)
+        if action == 0:
+            level = rng.randint(0, 9)
+            assert band.set_ipl(level, t) == full_scan_set_ipl(full, level, t)
+        elif action == 1:
+            line, masked = rng.choice(specs)["id"], rng.random() < 0.5
+            assert band.set_line_mask(line, masked, t) \
+                == full.set_line_mask(line, masked, t)
+        else:
+            line = rng.choice(specs)["id"]
+            assert band.raise_event(line, t) is full.raise_event(line, t)
+            if rng.random() < 0.5:
+                assert band.poll_deliverable() == full.poll_deliverable()
+        assert band.ipl == full.ipl
+        assert band.lines == full.lines
