@@ -316,7 +316,8 @@ def cmd_check(args) -> int:
         print(
             f"combinations={result.patterns_checked} "
             f"ticks={result.ticks_simulated} of "
-            f"{result.patterns_checked * (result.horizon + 1)}",
+            f"{result.patterns_checked * (result.horizon + 1)} "
+            f"patterns_built={result.patterns_built}",
             file=sys.stderr,
         )
     if result.feasible:

@@ -36,6 +36,18 @@ number of combinations when the instance is feasible; ticks_simulated is
 the number of ticks the sweep stepped, at most patterns_checked *
 (horizon + 1).
 
+Between combinations the sweep rebuilds only what changed. The state
+keeps every job it released by (task id, seq, release tick), which fix
+the job's keys and deadline, and a repeated release reuses that job with
+its remaining time and starvation flag reset; a snapshot carries both,
+so restoring it rewinds the jobs it holds. The tasks arriving at each
+tick sit in a per-tick table in interrupt order, and a pattern change
+rebuilds only the ticks at which that task's arrivals differ. Each
+task's pattern list starts as its normal pattern, which
+admissible_patterns lists first, and the sweep builds the full list only
+when the task's slot first advances, so a sweep that stops early builds
+few patterns; patterns_built counts those it holds at the end.
+
 The violating combination is confirmed by a reference_verdicts run from
 t=0 and replayed through the full engine to produce the witness trace;
 both must show the miss. An independent re-implementation of the rules
@@ -112,6 +124,7 @@ class OoeCheckResult:
     witness_verdicts: Optional[Dict[Tuple[str, int], str]] = None
     witness_trace: Optional[Trace] = None
     ticks_simulated: int = 0
+    patterns_built: int = 0
 
 
 def normal_pattern(task: Task, horizon: int) -> Tuple[int, ...]:
@@ -247,6 +260,8 @@ class _CheckerState:
         self.episodes: Dict[str, float] = {}
         self.last: Dict[str, int] = {}
         self.seqs: Dict[str, int] = {t.id: 0 for t in task_set}
+        # every job released so far, by (task id, seq, release tick)
+        self.released: Dict[Tuple[str, int, int], Job] = {}
 
     def snapshot(self) -> tuple:
         return (self.kernel, self.episodes, self.last, self.seqs,
@@ -292,7 +307,14 @@ class _CheckerState:
                     continue
                 seq = seqs[tid]
                 seqs[tid] = seq + 1
-                active.append(release_job(task, seq, t, tasks, pmap))
+                job = self.released.get((tid, seq, t))
+                if job is None:
+                    job = self.released[tid, seq, t] = release_job(
+                        task, seq, t, tasks, pmap)
+                else:
+                    job.remaining = task.wcet
+                    job.starved_by_elevated = False
+                active.append(job)
         missed = False
         for job in take_due(active, t):
             if not job.starved_by_elevated:
@@ -354,22 +376,37 @@ def _first_difference(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
 def _sweep(
     task_set: TaskSet,
     pmap: PriorityMap,
-    per_task: List[List[Tuple[int, ...]]],
+    counts: List[int],
     horizon: int,
     delta_th: int,
-) -> Tuple[int, int, Optional[List[Tuple[int, ...]]]]:
-    """Step every combination of per_task in product order, each from the
-    snapshot at its divergence tick, until one misses a deadline.
-    Returns the combinations checked, the ticks stepped, and the
+) -> Tuple[int, int, int, Optional[List[Tuple[int, ...]]]]:
+    """Step every combination of the tasks' admissible patterns, of which
+    task i has counts[i] > 0, in product order, each from the snapshot at
+    its divergence tick, until one misses a deadline. Returns the
+    combinations checked, the ticks stepped, the patterns built, and the
     violating combination (None when there is none)."""
+    tasks = list(task_set)
     state = _CheckerState(task_set, pmap, horizon, delta_th)
     order = interrupt_order(task_set)
     # position of each product slot's task in interrupt order
-    slot = [order.index(task) for task in task_set]
-    idx = [0] * len(per_task)
+    slot = [order.index(task) for task in tasks]
+    # admissible_patterns(task, horizon)[0] is the normal pattern; the
+    # rest of a list is built when its slot first advances
+    per_task = [[normal_pattern(task, horizon)] for task in tasks]
+    idx = [0] * len(tasks)
     arrive = [frozenset()] * len(order)
+    # the tasks arriving at each tick, in interrupt order
+    batches: List[List[Task]] = [[] for _ in range(horizon + 1)]
+
+    def arrive_at(i: int, pattern: Tuple[int, ...]) -> None:
+        times = frozenset(pattern)
+        changed = arrive[slot[i]] ^ times
+        arrive[slot[i]] = times
+        for t in changed:
+            batches[t] = [task for task, at in zip(order, arrive) if t in at]
+
     for i, options in enumerate(per_task):
-        arrive[slot[i]] = frozenset(options[0])
+        arrive_at(i, options[0])
     snaps = [state.snapshot()] + [None] * horizon
     start = checked = ticks = 0
     while True:
@@ -378,10 +415,8 @@ def _sweep(
         t = start
         while True:
             ticks += 1
-            batch = [task for task, times in zip(order, arrive)
-                     if t in times]
-            if state.step(t, batch):
-                return checked, ticks, [
+            if state.step(t, batches[t]):
+                return checked, ticks, sum(map(len, per_task)), [
                     options[i] for options, i in zip(per_task, idx)
                 ]
             if t == horizon:
@@ -391,10 +426,12 @@ def _sweep(
         # the next combination: the rightmost slot that can advance does,
         # and every slot after it wraps to its first pattern
         j = len(idx) - 1
-        while j >= 0 and idx[j] == len(per_task[j]) - 1:
+        while j >= 0 and idx[j] == counts[j] - 1:
             j -= 1
         if j < 0:
-            return checked, ticks, None
+            return checked, ticks, sum(map(len, per_task)), None
+        if len(per_task[j]) < counts[j]:
+            per_task[j] = admissible_patterns(tasks[j], horizon)
         start = horizon
         for i in range(j, len(idx)):
             old = per_task[i][idx[i]]
@@ -402,7 +439,7 @@ def _sweep(
             new = per_task[i][idx[i]]
             if new is not old:
                 start = min(start, _first_difference(old, new))
-                arrive[slot[i]] = frozenset(new)
+                arrive_at(i, new)
 
 
 def engine_verdicts(
@@ -488,14 +525,13 @@ def check_ooe_feasible(
             f"{total} pattern combinations exceed the enumeration bound "
             f"of {bounds.max_patterns}"
         )
-    per_task = [admissible_patterns(t, horizon) for t in task_set]
-    checked, ticks, witness = _sweep(
-        task_set, pmap, per_task, horizon, policy.delta_th
+    checked, ticks, built, witness = _sweep(
+        task_set, pmap, counts, horizon, policy.delta_th
     )
     if witness is None:
         return OoeCheckResult(
             feasible=True, patterns_checked=checked, horizon=horizon,
-            ticks_simulated=ticks,
+            ticks_simulated=ticks, patterns_built=built,
         )
     patterns = dict(zip([t.id for t in task_set], witness))
     verdicts = reference_verdicts(
@@ -520,4 +556,5 @@ def check_ooe_feasible(
         witness_verdicts=engine_view,
         witness_trace=trace,
         ticks_simulated=ticks,
+        patterns_built=built,
     )

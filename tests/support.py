@@ -252,14 +252,15 @@ def product_check(task_set: TaskSet, policy: Optional[Policy] = None,
     return True, checked, None
 
 
-def random_check_instance(seed, max_combinations=300):
+def random_check_instance(seed, max_combinations=300, min_combinations=0):
     """A small random instance for the exhaustive checker, as (task set,
     policy, horizon): 1-3 tasks, either priority assignment, job-level
     overrides on about half the tasks, delta_th 0 or 1, both response
     options, and exception-only tasks. Periods divide 12, so the
     hyperperiod stays small; the horizon is the hyperperiod or an
-    explicit one. Draws are repeated until the instance has at most
-    max_combinations pattern combinations, which bounds its cost."""
+    explicit one. Draws are repeated until the instance has between
+    min_combinations and max_combinations pattern combinations, which
+    bounds its cost."""
     rng = random.Random(seed)
     while True:
         n_tasks = rng.randint(1, 3)
@@ -304,7 +305,7 @@ def random_check_instance(seed, max_combinations=300):
         )
         total = math.prod(count_admissible_patterns(t, horizon)
                           for t in tasks)
-        if total <= max_combinations:
+        if min_combinations <= total <= max_combinations:
             return TaskSet(tasks), policy, horizon
 
 

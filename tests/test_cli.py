@@ -470,9 +470,13 @@ def test_check_verbose_reports_simulated_ticks(tmp_path, capsys):
     feasible["horizon"] = 12
     violating = two_task_obj()
     for obj, code, counts in [
-        (feasible, EXIT_OK, "combinations=26 ticks=133 of 338"),
-        # the sweep stops at the miss at t=3
-        (violating, EXIT_VIOLATION, "combinations=1 ticks=4 of 7"),
+        # the low line admits 1 pattern and the high line 26, all built
+        (feasible, EXIT_OK,
+         "combinations=26 ticks=133 of 338 patterns_built=27"),
+        # the sweep stops at the miss at t=3, before either list is built
+        # beyond its normal pattern
+        (violating, EXIT_VIOLATION,
+         "combinations=1 ticks=4 of 7 patterns_built=2"),
     ]:
         scenario = write_scenario(tmp_path, obj)
         assert main(["check", "--scenario", scenario]) == code

@@ -73,6 +73,8 @@ def test_admissible_patterns_match_brute_force(n, w, period, horizon):
     assert len(got) == len(set(got))
     assert sorted(got) == sorted(brute_force_patterns(task, horizon))
     assert count_admissible_patterns(task, horizon) == len(got)
+    # the sweep starts every slot at the normal pattern without a list
+    assert not got or got[0] == normal_pattern(task, horizon)
 
 
 def test_refusal_comes_before_any_pattern_is_built(monkeypatch):
@@ -314,6 +316,13 @@ def assert_sweep_matches_product(ts, policy=None, horizon=None):
             result.witness_pattern) == product_check(ts, policy, horizon)
     assert 0 < result.ticks_simulated \
         <= result.patterns_checked * (result.horizon + 1)
+    # a feasible sweep advances every slot that can, so it holds every
+    # list; otherwise each slot holds at least its normal pattern
+    total = sum(count_admissible_patterns(t, result.horizon) for t in ts)
+    if result.feasible:
+        assert result.patterns_built == total
+    else:
+        assert len(ts) <= result.patterns_built <= total
     return result
 
 
@@ -376,6 +385,86 @@ def test_sweep_matches_product_on_random_instances():
         "exception-only", "feasible",
         "violation after the first combination",
     }
+
+
+def test_sweep_matches_product_on_larger_random_instances():
+    # 500-2,000 combinations each, so slots advance and wrap many times
+    # over jobs released again, arrival ticks patched and lists built late
+    feasible = late = 0
+    for seed in range(400):
+        ts, policy, horizon = random_check_instance(
+            seed, max_combinations=2000, min_combinations=500)
+        result = assert_sweep_matches_product(ts, policy, horizon)
+        feasible += result.feasible
+        late += not result.feasible and result.patterns_checked > 1
+    assert feasible >= 20 and late >= 100
+
+
+def reused_starved_task_set():
+    return TaskSet([
+        Task(id="t0", wcet=1, period=2, importance=5, line="l0",
+             envelope_n=1, envelope_w=2,
+             response=ResponseOption.NOTIFY_RUNNING),
+        Task(id="t1", wcet=2, period=6, importance=0, line="l1",
+             envelope_n=2, envelope_w=5,
+             response=ResponseOption.NOTIFY_RUNNING,
+             job_priority_overrides={0: 12}),
+        Task(id="t2", wcet=1, period=3, importance=8, line="l2",
+             envelope_n=2, envelope_w=3),
+    ])
+
+
+@pytest.mark.parametrize("ts,horizon,feasible,checked", [
+    # t's job 1, released at 2, completes in combinations 1 and 2 and is
+    # released again in combination 3, which resumes at tick 1; had it
+    # kept its remaining time of 0 it would never complete and would miss
+    (TaskSet([Task(id="t", wcet=2, period=2, importance=0, line="l",
+                   envelope_n=1, envelope_w=1,
+                   response=ResponseOption.NOTIFY_RUNNING)]),
+     4, True, 4),
+    # t0's job 1, released at 2, is starved by an elevated t2 in
+    # combination 13 and misses in combination 16, which resumes at tick
+    # 1; had it stayed starved the miss would read as a sanctioned drop
+    (reused_starved_task_set(), 5, False, 16),
+], ids=["ran", "starved"])
+def test_sweep_resets_reused_jobs(ts, horizon, feasible, checked):
+    result = assert_sweep_matches_product(ts, None, horizon)
+    assert (result.feasible, result.patterns_checked) == (feasible, checked)
+
+
+def test_first_combination_miss_builds_no_pattern_list(monkeypatch):
+    def no_enumeration(task, horizon):
+        raise AssertionError("pattern list built before a slot advanced")
+
+    monkeypatch.setattr(feasibility, "admissible_patterns", no_enumeration)
+    demo = load_scenario(str(SCENARIOS / "counterexample.json"))
+    for ts, policy, horizon in [(two_task_set(), None, None),
+                                (demo.task_set, demo.policy, demo.horizon)]:
+        result = check_ooe_feasible(ts, policy, horizon)
+        assert not result.feasible
+        assert result.patterns_checked == 1
+        assert result.witness_pattern == {
+            t.id: normal_pattern(t, result.horizon) for t in ts}
+        assert result.witness_trace.of_kind("MISS")
+        assert result.patterns_built == len(ts)
+
+
+def test_advancing_slot_builds_its_list_once(monkeypatch):
+    # t1 and t2 admit 5 patterns each and t0 one: the sweep stops at
+    # t1's fourth and t2's first pattern, after t2 has advanced 12 times
+    # and wrapped 3
+    built = []
+    enumerate_patterns = feasibility.admissible_patterns
+
+    def counted(task, horizon):
+        built.append(task.id)
+        return enumerate_patterns(task, horizon)
+
+    monkeypatch.setattr(feasibility, "admissible_patterns", counted)
+    result = check_ooe_feasible(reused_starved_task_set(), horizon=5)
+    assert result.patterns_checked == 16
+    assert built == ["t2", "t1"]
+    assert result.patterns_built == 1 + 5 + 5
 
 
 def test_sweep_restores_state_changed_after_the_divergence_tick():
