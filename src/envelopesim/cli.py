@@ -317,7 +317,8 @@ def cmd_check(args) -> int:
             f"combinations={result.patterns_checked} "
             f"ticks={result.ticks_simulated} of "
             f"{result.patterns_checked * (result.horizon + 1)} "
-            f"patterns_built={result.patterns_built}",
+            f"patterns_built={result.patterns_built} "
+            f"snapshots={result.snapshots}",
             file=sys.stderr,
         )
     if result.feasible:

@@ -105,6 +105,14 @@ _SUPPRESS_REASON = {
 }
 _DELIVERED = RaiseOutcome.DELIVERED_NOW.value
 
+# The members the run path reads, as module constants: EnumType defines
+# __getattr__, so every attribute read on an Enum class is a Python-level
+# call. _DEFENDED is a tuple, which tests members by identity.
+_COMPLETED_JOB = JobState.COMPLETED
+_MISSED_JOB = JobState.MISSED
+_DROPPED_JOB = JobState.DROPPED
+_DEFENDED = (LineState.WINDOW_MASKED, LineState.FAULTY)
+
 # builds a TraceRecord from a tuple of all six fields in C, without the
 # Python-level NamedTuple __new__
 _record = tuple.__new__
@@ -787,7 +795,7 @@ class Engine:
         done = 0
         last_trigger = None
         for _ in range(count):
-            if mon.state in (LineState.WINDOW_MASKED, LineState.FAULTY):
+            if mon.state in _DEFENDED:
                 break
             reff = self._internalize(line, now, ts, deferred=True)
             last_trigger = reff.job or reff.notified
@@ -811,7 +819,7 @@ class Engine:
 
     def _process_shed(self, t: int) -> None:
         for job in self.sched.shed_check(t):
-            kind = DROP if job.state is JobState.DROPPED else MISS
+            kind = DROP if job.state is _DROPPED_JOB else MISS
             self._log(t, kind, self.line_of(job), job.task_id, job.seq,
                       detail=f"remaining={job.remaining}")
             self._after_finalize(job, t)
@@ -890,12 +898,12 @@ class Engine:
             row = per_task[j.task_id]
             row["released"] += 1
             row["notifications"] += j.notifications
-            if j.state is JobState.COMPLETED:
+            if j.state is _COMPLETED_JOB:
                 row["completions"] += 1
                 responses[j.task_id].append(j.completion - j.release)
-            elif j.state is JobState.MISSED:
+            elif j.state is _MISSED_JOB:
                 row["misses"] += 1
-            elif j.state is JobState.DROPPED:
+            elif j.state is _DROPPED_JOB:
                 row["drops"] += 1
         for task_id, times in responses.items():
             row = per_task[task_id]

@@ -21,20 +21,34 @@ jobs whose deadline has come, and the episode rule
 (monitor.episode_decay) and the starvation rule (scheduler.mark_starved)
 decide elevation and drops. It leaves out only what cannot matter
 within the envelope, the interrupt controller, the line monitors and
-the trace, which keeps it cheap. reference_verdicts runs the step over
-one pattern from t=0.
+the trace, which keeps it cheap. The step calls those rules only on
+events: take_due at ticks where a deadline has come, the decay filter
+where an episode has ended, and pick (with mark_starved for an elevated
+job) after an arrival, a deadline removal, a decay, a completion or a
+restore; in between, the job pick chose keeps running.
+reference_verdicts runs the step over one pattern from t=0.
 
 The sweep visits the combinations in itertools.product order (the last
-task's pattern varies fastest) and keeps a snapshot of the state at
-every tick of the current combination. The state at the start of tick d
-depends only on the arrivals before d, so the next combination resumes
-from the snapshot at its divergence tick: the earliest tick at which a
-task whose pattern changed has a different arrival set. A combination
-stops at its first MISS, which ends the sweep. patterns_checked is the
-1-based product-order index of the first violating combination, or the
-number of combinations when the instance is feasible; ticks_simulated is
-the number of ticks the sweep stepped, at most patterns_checked *
-(horizon + 1).
+task's pattern varies fastest). The state at the start of tick d depends
+only on the arrivals before d, so each combination resumes from a
+snapshot at its divergence tick: the earliest tick at which a task whose
+pattern changed has a different arrival set. The next combination
+depends only on the current one, so the sweep finds its divergence tick
+before stepping the current one, which then snapshots only the ticks
+after its own start up to that tick. That is enough: when a later
+combination resumes at d, every combination since the last one that
+started before d shared its arrivals before d, and that one snapshotted
+d, since its successor started at d or later, while the ones after it
+snapshot only ticks after d. When the next combination moves a task
+whose pattern list is not built yet, the current one snapshots every
+tick instead, so the list is still built only once the sweep gets
+there. A combination stops at
+its first MISS, which ends the sweep. patterns_checked is the 1-based
+product-order index of the first violating combination, or the number of
+combinations when the instance is feasible; ticks_simulated is the
+number of ticks the sweep stepped, at most patterns_checked *
+(horizon + 1); snapshots counts the states it saved, the initial one
+included.
 
 Between combinations the sweep rebuilds only what changed. The state
 keeps every job it released by (task id, seq, release tick), which fix
@@ -125,6 +139,7 @@ class OoeCheckResult:
     witness_trace: Optional[Trace] = None
     ticks_simulated: int = 0
     patterns_built: int = 0
+    snapshots: int = 0
 
 
 def normal_pattern(task: Task, horizon: int) -> Tuple[int, ...]:
@@ -242,6 +257,16 @@ class _CheckerState:
     so internalization happens at raise time and the only moving parts
     are releases, the out-of-envelope episodes, two-band dispatch,
     top-half kernel time, and deadline finalization.
+
+    The step scans only on events. due is the earliest active deadline
+    and decays the earliest episode decay, so take_due and the decay
+    filter run only at ticks where a job or an episode is due; a snapshot
+    carries both. runner is the job pick chose, kept until an arrival, a
+    deadline removal, a decay, a completion or a restore changes the
+    active set, the elevated set or the starvation flags (which only a
+    reused release and a restore reset). While it is kept, pick would
+    choose it again and mark_starved would set the flags it set when the
+    job was chosen, so neither runs.
     """
 
     def __init__(self, task_set: TaskSet, pmap: PriorityMap, horizon: int,
@@ -260,16 +285,24 @@ class _CheckerState:
         self.episodes: Dict[str, float] = {}
         self.last: Dict[str, int] = {}
         self.seqs: Dict[str, int] = {t.id: 0 for t in task_set}
+        # the earliest active deadline and episode decay, and the job
+        # pick chose (None: pick again)
+        self.due: float = math.inf
+        self.decays: float = math.inf
+        self.runner: Optional[Job] = None
         # every job released so far, by (task id, seq, release tick)
         self.released: Dict[Tuple[str, int, int], Job] = {}
 
     def snapshot(self) -> tuple:
-        return (self.kernel, self.episodes, self.last, self.seqs,
+        return (self.kernel, self.episodes, self.last, self.seqs, self.due,
+                self.decays,
                 [(j, j.remaining, j.starved_by_elevated)
                  for j in self.active])
 
     def restore(self, snap: tuple) -> None:
-        self.kernel, self.episodes, self.last, self.seqs, jobs = snap
+        (self.kernel, self.episodes, self.last, self.seqs, self.due,
+         self.decays, jobs) = snap
+        self.runner = None
         self.active = active = []
         for job, remaining, starved in jobs:
             job.remaining = remaining
@@ -283,10 +316,12 @@ class _CheckerState:
         time or of the job pick selects. Returns whether a job
         missed its deadline at t."""
         episodes = self.episodes
-        if episodes and min(episodes.values()) <= t:
+        if self.decays <= t:
             episodes = self.episodes = {
                 tid: decay for tid, decay in episodes.items() if t < decay
             }
+            self.decays = min(episodes.values(), default=math.inf)
+            self.runner = None
         active = self.active
         if batch:
             tasks, pmap = self.tasks, self.pmap
@@ -315,27 +350,43 @@ class _CheckerState:
                     job.remaining = task.wcet
                     job.starved_by_elevated = False
                 active.append(job)
+                if job.abs_deadline < self.due:
+                    self.due = job.abs_deadline
+            self.decays = min(episodes.values(), default=math.inf)
+            self.runner = None
         missed = False
-        for job in take_due(active, t):
-            if not job.starved_by_elevated:
-                missed = True
-            if self.verdicts is not None:
-                self.verdicts[(job.task_id, job.seq)] = (
-                    DROPPED if job.starved_by_elevated else MISSED
-                )
+        if self.due <= t:
+            due = take_due(active, t)
+            self.due = min([j.abs_deadline for j in active],
+                           default=math.inf)
+            self.runner = None
+            for job in due:
+                if not job.starved_by_elevated:
+                    missed = True
+                if self.verdicts is not None:
+                    self.verdicts[(job.task_id, job.seq)] = (
+                        DROPPED if job.starved_by_elevated else MISSED
+                    )
         if t >= self.horizon:
             return missed
         if self.kernel:
             self.kernel -= 1
             return missed
-        job = pick(active, episodes)
+        job = self.runner
         if job is None:
-            return missed
+            job = pick(active, episodes)
+            if job is None:
+                return missed
+            self.runner = job
+            if job.task_id in episodes:
+                mark_starved(job, active, self.tasks)
         job.remaining -= 1
-        if job.task_id in episodes:
-            mark_starved(job, active, self.tasks)
         if job.remaining == 0:
             active.remove(job)
+            self.runner = None
+            if job.abs_deadline == self.due:
+                self.due = min([j.abs_deadline for j in active],
+                               default=math.inf)
             if self.verdicts is not None:
                 self.verdicts[(job.task_id, job.seq)] = COMPLETED
         return missed
@@ -379,12 +430,13 @@ def _sweep(
     counts: List[int],
     horizon: int,
     delta_th: int,
-) -> Tuple[int, int, int, Optional[List[Tuple[int, ...]]]]:
+) -> Tuple[int, int, int, int, Optional[List[Tuple[int, ...]]]]:
     """Step every combination of the tasks' admissible patterns, of which
     task i has counts[i] > 0, in product order, each from the snapshot at
     its divergence tick, until one misses a deadline. Returns the
-    combinations checked, the ticks stepped, the patterns built, and the
-    violating combination (None when there is none)."""
+    combinations checked, the ticks stepped, the snapshots taken, the
+    patterns built, and the violating combination (None when there is
+    none)."""
     tasks = list(task_set)
     state = _CheckerState(task_set, pmap, horizon, delta_th)
     order = interrupt_order(task_set)
@@ -405,41 +457,58 @@ def _sweep(
         for t in changed:
             batches[t] = [task for task, at in zip(order, arrive) if t in at]
 
+    def successor(j: int) -> Tuple[int, List[Tuple[int, int]]]:
+        """The next combination, where slot j advances and every slot
+        after it wraps to its first pattern: its divergence tick and the
+        (slot, index) of each slot whose pattern changes."""
+        start, moves = horizon, []
+        for i in range(j, len(idx)):
+            k = idx[i] + 1 if i == j else 0
+            old, new = per_task[i][idx[i]], per_task[i][k]
+            if new is not old:
+                start = min(start, _first_difference(old, new))
+                moves.append((i, k))
+        return start, moves
+
     for i, options in enumerate(per_task):
         arrive_at(i, options[0])
     snaps = [state.snapshot()] + [None] * horizon
     start = checked = ticks = 0
+    taken = 1
     while True:
         checked += 1
-        state.restore(snaps[start])
-        t = start
-        while True:
-            ticks += 1
-            if state.step(t, batches[t]):
-                return checked, ticks, sum(map(len, per_task)), [
-                    options[i] for options, i in zip(per_task, idx)
-                ]
-            if t == horizon:
-                break
-            t += 1
-            snaps[t] = state.snapshot()
-        # the next combination: the rightmost slot that can advance does,
-        # and every slot after it wraps to its first pattern
+        # the rightmost slot that can advance; the next combination
+        # resumes at its divergence tick, so this one snapshots only the
+        # ticks up to it, or every tick when slot j has no list yet
         j = len(idx) - 1
         while j >= 0 and idx[j] == counts[j] - 1:
             j -= 1
         if j < 0:
-            return checked, ticks, sum(map(len, per_task)), None
+            until = start
+        elif len(per_task[j]) < counts[j]:
+            until = horizon
+        else:
+            resume, moves = successor(j)
+            until = resume
+        state.restore(snaps[start])
+        for t in range(start, horizon + 1):
+            if state.step(t, batches[t]):
+                return (checked, ticks + t - start + 1, taken,
+                        sum(map(len, per_task)),
+                        [options[i] for options, i in zip(per_task, idx)])
+            if t < until:
+                snaps[t + 1] = state.snapshot()
+                taken += 1
+        ticks += horizon + 1 - start
+        if j < 0:
+            return checked, ticks, taken, sum(map(len, per_task)), None
         if len(per_task[j]) < counts[j]:
             per_task[j] = admissible_patterns(tasks[j], horizon)
-        start = horizon
-        for i in range(j, len(idx)):
-            old = per_task[i][idx[i]]
-            idx[i] = idx[i] + 1 if i == j else 0
-            new = per_task[i][idx[i]]
-            if new is not old:
-                start = min(start, _first_difference(old, new))
-                arrive_at(i, new)
+            resume, moves = successor(j)
+        start = resume
+        for i, k in moves:
+            idx[i] = k
+            arrive_at(i, per_task[i][k])
 
 
 def engine_verdicts(
@@ -525,13 +594,14 @@ def check_ooe_feasible(
             f"{total} pattern combinations exceed the enumeration bound "
             f"of {bounds.max_patterns}"
         )
-    checked, ticks, built, witness = _sweep(
+    checked, ticks, snapshots, built, witness = _sweep(
         task_set, pmap, counts, horizon, policy.delta_th
     )
     if witness is None:
         return OoeCheckResult(
             feasible=True, patterns_checked=checked, horizon=horizon,
             ticks_simulated=ticks, patterns_built=built,
+            snapshots=snapshots,
         )
     patterns = dict(zip([t.id for t in task_set], witness))
     verdicts = reference_verdicts(
@@ -557,4 +627,5 @@ def check_ooe_feasible(
         witness_trace=trace,
         ticks_simulated=ticks,
         patterns_built=built,
+        snapshots=snapshots,
     )

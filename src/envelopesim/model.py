@@ -286,9 +286,15 @@ class JobState(Enum):
     DROPPED = "dropped"
 
 
-FINAL_STATES = frozenset(
-    {JobState.COMPLETED, JobState.MISSED, JobState.DROPPED}
-)
+# The members a job's finalization reads, as module constants: EnumType
+# defines __getattr__, so every attribute read on an Enum class is a
+# Python-level call. _FINAL is a tuple, which tests members by identity,
+# since hashing a member is a Python-level call too.
+_RELEASED = JobState.RELEASED
+_COMPLETED = JobState.COMPLETED
+_FINAL = (JobState.COMPLETED, JobState.MISSED, JobState.DROPPED)
+
+FINAL_STATES = frozenset(_FINAL)
 
 
 @dataclass(slots=True, eq=False)
@@ -311,7 +317,7 @@ class Job:
 
     @property
     def finalized(self) -> bool:
-        return self.state in FINAL_STATES
+        return self.state is not _RELEASED
 
     def finalize(self, state: JobState, t: TimeInstant) -> None:
         if self.finalized:
@@ -319,8 +325,8 @@ class Job:
                 f"job {self.task_id}#{self.seq} already finalized as "
                 f"{self.state.value}"
             )
-        if state not in FINAL_STATES:
+        if state not in _FINAL:
             raise ValueError(f"{state} is not a final state")
         self.state = state
-        if state is JobState.COMPLETED:
+        if state is _COMPLETED:
             self.completion = t

@@ -57,6 +57,20 @@ class FaultPolicy(Enum):
     AUTO_RESUME = "auto_resume"
 
 
+# The members the run path reads, as module constants: EnumType defines
+# __getattr__, so every attribute read on an Enum class is a Python-level
+# call
+_IN_ENVELOPE = LineState.IN_ENVELOPE
+_OUT_OF_ENVELOPE = LineState.OUT_OF_ENVELOPE
+_WINDOW_MASKED = LineState.WINDOW_MASKED
+_FAULTY = LineState.FAULTY
+_OOE_ENTERED = AlarmKind.OUT_OF_ENVELOPE_ENTERED
+_WINDOW_BOUND_REACHED = AlarmKind.WINDOW_BOUND_REACHED
+_SENSOR_FAULT = AlarmKind.SENSOR_FAULT
+_SENSOR_RESUMED = AlarmKind.SENSOR_RESUMED
+_AUTO_RESUME = FaultPolicy.AUTO_RESUME
+
+
 @dataclass(frozen=True)
 class Alarm:
     time: int
@@ -123,8 +137,8 @@ class LineMonitor:
         if self._defense is not None:
             return self._defense
         if self._ooe_decay_at is not None:
-            return LineState.OUT_OF_ENVELOPE
-        return LineState.IN_ENVELOPE
+            return _OUT_OF_ENVELOPE
+        return _IN_ENVELOPE
 
     # episode bookkeeping
 
@@ -174,9 +188,7 @@ class LineMonitor:
         decay_at = episode_decay(self.last_internalize, t, self.period,
                                  self.window)
         if decay_at is not None and self._ooe_decay_at is None:
-            eff.alarms.append(
-                Alarm(t, self.line, AlarmKind.OUT_OF_ENVELOPE_ENTERED)
-            )
+            eff.alarms.append(Alarm(t, self.line, _OOE_ENTERED))
         elif decay_at is None and self._ooe_decay_at is not None:
             eff.exited_ooe = True
         self._ooe_decay_at = decay_at
@@ -184,11 +196,9 @@ class LineMonitor:
         insort(self.ring, t)
         if len(self.ring) >= self.n:
             vic.set_line_mask(self.line, True, t)
-            self._defense = LineState.WINDOW_MASKED
+            self._defense = _WINDOW_MASKED
             self.window_timer = self.ring[0] + self.window
-            eff.alarms.append(
-                Alarm(t, self.line, AlarmKind.WINDOW_BOUND_REACHED)
-            )
+            eff.alarms.append(Alarm(t, self.line, _WINDOW_BOUND_REACHED))
         return eff
 
     def handle_window_timer(self, vic: VicState, t: int) -> TimerEffect:
@@ -208,14 +218,14 @@ class LineMonitor:
         eff = TimerEffect()
         self._prune(t)
         _, delta = vic.held(self.line)
-        if self._defense is LineState.WINDOW_MASKED:
+        if self._defense is _WINDOW_MASKED:
             if delta == 0:
                 self._unmask(vic, t)
                 eff.unmasked = True
             else:
-                eff.alarms.append(Alarm(t, self.line, AlarmKind.SENSOR_FAULT))
-                self._defense = LineState.FAULTY
-                if self.fault_policy is FaultPolicy.AUTO_RESUME:
+                eff.alarms.append(Alarm(t, self.line, _SENSOR_FAULT))
+                self._defense = _FAULTY
+                if self.fault_policy is _AUTO_RESUME:
                     vic.set_line_mask(self.line, True, t)
                     self.window_timer = t + self.window
                 else:
@@ -224,7 +234,7 @@ class LineMonitor:
             # auto-resume probe: a full window stayed below the bound
             self._unmask(vic, t)
             eff.unmasked = True
-            eff.alarms.append(Alarm(t, self.line, AlarmKind.SENSOR_RESUMED))
+            eff.alarms.append(Alarm(t, self.line, _SENSOR_RESUMED))
         else:
             vic.set_line_mask(self.line, True, t)
             self.window_timer = t + self.window

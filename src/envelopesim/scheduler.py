@@ -32,6 +32,15 @@ from .model import (
 )
 
 
+# The members the run and check paths read, as module constants: EnumType
+# defines __getattr__, so every attribute read on an Enum class is a
+# Python-level call
+_NOTIFY_RUNNING = ResponseOption.NOTIFY_RUNNING
+_COMPLETED = JobState.COMPLETED
+_MISSED = JobState.MISSED
+_DROPPED = JobState.DROPPED
+
+
 @dataclass
 class ReleaseEffect:
     job: Optional[Job] = None
@@ -80,7 +89,7 @@ def notified_job(task: Task, active: List[Job]) -> Optional[Job]:
     """The response rule: the live job an arrival of task notifies instead
     of releasing one. Only a NOTIFY_RUNNING task has it, and that task
     releases only while it has no live job, so the job is unique."""
-    if task.response is ResponseOption.NOTIFY_RUNNING:
+    if task.response is _NOTIFY_RUNNING:
         for live in active:
             if live.task_id == task.id:
                 return live
@@ -177,8 +186,8 @@ class Scheduler:
         elevated job starved it, MISSED otherwise."""
         due = take_due(self.active, t)
         for job in due:
-            job.finalize(JobState.DROPPED if job.starved_by_elevated
-                         else JobState.MISSED, t)
+            job.finalize(_DROPPED if job.starved_by_elevated else _MISSED,
+                         t)
             if self.running is job:
                 self.running = None
         return due
@@ -213,7 +222,7 @@ class Scheduler:
         if job.task_id in self.elevated:
             mark_starved(job, self.active, self.tasks)
         if job.remaining == 0:
-            job.finalize(JobState.COMPLETED, end)
+            job.finalize(_COMPLETED, end)
             self.active.remove(job)
             self.running = None
             return TickResult(kind="ran", job=job, completed=True)

@@ -470,13 +470,17 @@ def test_check_verbose_reports_simulated_ticks(tmp_path, capsys):
     feasible["horizon"] = 12
     violating = two_task_obj()
     for obj, code, counts in [
-        # the low line admits 1 pattern and the high line 26, all built
+        # the low line admits 1 pattern and the high line 26, all built;
+        # each combination snapshots the ticks up to where the next one
+        # resumes
         (feasible, EXIT_OK,
-         "combinations=26 ticks=133 of 338 patterns_built=27"),
+         "combinations=26 ticks=133 of 338 patterns_built=27 "
+         "snapshots=53"),
         # the sweep stops at the miss at t=3, before either list is built
-        # beyond its normal pattern
+        # beyond its normal pattern, with the initial state and ticks 1-3
+        # snapshotted
         (violating, EXIT_VIOLATION,
-         "combinations=1 ticks=4 of 7 patterns_built=2"),
+         "combinations=1 ticks=4 of 7 patterns_built=2 snapshots=4"),
     ]:
         scenario = write_scenario(tmp_path, obj)
         assert main(["check", "--scenario", scenario]) == code

@@ -501,3 +501,184 @@ def test_sweep_resumes_from_shared_prefixes():
     assert result.feasible
     assert result.patterns_checked == 26
     assert result.ticks_simulated < 0.6 * 26 * 13
+
+
+# the sweep's work counters and the step's cached facts
+
+def expected_snapshots(ts, horizon):
+    """The initial state plus, per combination, the ticks in (start, end]:
+    end is the next combination's start, or the horizon when the next
+    combination is the first to move its slot past the slot's first
+    pattern; the last combination snapshots nothing. A start is the
+    earliest tick at which the arrival sets of some task that changed
+    differ."""
+    lists = [admissible_patterns(t, horizon) for t in ts]
+    combos = list(itertools.product(*[range(len(p)) for p in lists]))
+    starts = [0]
+    for a, b in zip(combos, combos[1:]):
+        starts.append(min(min(set(p[x]) ^ set(p[y]))
+                          for p, x, y in zip(lists, a, b) if x != y))
+    advanced = set()
+    total = 1
+    for c, (a, b) in enumerate(zip(combos, combos[1:])):
+        j = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+        end = starts[c + 1] if j in advanced else horizon
+        advanced.add(j)
+        total += max(end - starts[c], 0)
+    return total
+
+
+def test_sweep_snapshots_only_up_to_the_next_divergence_tick():
+    # snapshotting every tick after each start would take 1 + 133 - 26
+    # on the first instance
+    result = check_ooe_feasible(two_task_set(override=True),
+                                Policy(assignment="explicit"), horizon=12)
+    assert result.feasible and result.patterns_checked == 26
+    assert result.snapshots == expected_snapshots(two_task_set(True), 12)
+    assert result.snapshots == 53
+    checked = 0
+    for seed in range(120):
+        ts, policy, horizon = random_check_instance(seed)
+        result = check_ooe_feasible(ts, policy, horizon)
+        if result.feasible and result.patterns_checked > 1:
+            assert result.snapshots == expected_snapshots(ts, horizon), seed
+            checked += 1
+    assert checked >= 10
+
+
+def assert_step_keeps_its_cached_facts(monkeypatch, instances):
+    """Before every step: due and decays are the earliest active deadline
+    and episode decay, and a kept runner is the job pick chooses, with
+    every less important active job starved when it is elevated. Also
+    checks that take_due runs exactly at the steps where an active job
+    is due, and removes one each time."""
+    step = feasibility._CheckerState.step
+    shed = feasibility.take_due
+    counts = {"due steps": 0, "take_due": 0}
+
+    def checked_step(state, t, batch):
+        active, episodes = state.active, state.episodes
+        assert state.due == min([j.abs_deadline for j in active],
+                                default=float("inf"))
+        assert state.decays == min(episodes.values(), default=float("inf"))
+        runner = state.runner
+        if runner is not None:
+            assert runner in active
+            assert runner is feasibility.pick(active, episodes)
+            if runner.task_id in episodes:
+                imp = state.tasks[runner.task_id].importance
+                assert all(j.starved_by_elevated for j in active
+                           if state.tasks[j.task_id].importance < imp)
+        # jobs released at t fall due after t
+        counts["due steps"] += any(j.abs_deadline <= t for j in active)
+        return step(state, t, batch)
+
+    def counted_take_due(active, t):
+        counts["take_due"] += 1
+        due = shed(active, t)
+        assert due
+        return due
+
+    monkeypatch.setattr(feasibility._CheckerState, "step", checked_step)
+    monkeypatch.setattr(feasibility, "take_due", counted_take_due)
+    for ts, policy, horizon in instances:
+        assert_sweep_matches_product(ts, policy, horizon)
+    assert counts["take_due"] == counts["due steps"] > 0
+
+
+def test_step_keeps_its_cached_facts_on_random_instances(monkeypatch):
+    assert_step_keeps_its_cached_facts(
+        monkeypatch, [random_check_instance(seed) for seed in range(120)])
+
+
+def test_step_keeps_its_cached_facts_on_pinned_instances(monkeypatch):
+    assert_step_keeps_its_cached_facts(monkeypatch, [
+        (two_task_set(override=True), Policy(assignment="explicit"), 12),
+        (restored_runner_task_set(), Policy(assignment="explicit"), 5),
+        (reused_flag_task_set(), Policy(assignment="explicit"), 8),
+        (reused_starved_task_set(), None, 5),
+    ])
+
+
+# the cached runner: each event that must drop it, pinned
+
+def restored_runner_task_set():
+    return TaskSet([
+        Task(id="t0", wcet=1, period=4, importance=1, line="l0",
+             envelope_n=4, envelope_w=3, priority=5,
+             response=ResponseOption.NOTIFY_RUNNING),
+        Task(id="t1", wcet=3, period=4, importance=7, line="l1",
+             envelope_n=1, envelope_w=2, priority=9,
+             response=ResponseOption.NOTIFY_RUNNING),
+    ])
+
+
+def test_restore_drops_the_runner():
+    # combination 3 resumes at tick 2, where nothing arrives, from a
+    # state in which t1's job 0 has a tick left; the runner when
+    # combination 2 ended is t1's job 1, released at 4. Kept across the
+    # restore, that job would run at 2 and t1's job 0 would miss at 4
+    result = assert_sweep_matches_product(
+        restored_runner_task_set(), Policy(assignment="explicit"), 5)
+    assert (result.feasible, result.patterns_checked) == (False, 7)
+    assert result.witness_pattern == {"t0": (0, 2, 3, 4), "t1": (0, 4)}
+
+
+def test_episode_decay_picks_again():
+    # t0 is elevated from its extra arrival at 2 until 5, and t1 from its
+    # extra arrival at 4 until 6. From tick 5 t1's job outranks t0's
+    # job 1, which then misses at 6; a runner kept across the decay
+    # would complete it
+    ts = TaskSet([
+        Task(id="t0", wcet=3, period=3, importance=6, line="l0",
+             envelope_n=3, envelope_w=2, priority=8,
+             response=ResponseOption.NOTIFY_RUNNING),
+        Task(id="t1", wcet=5, period=6, importance=1, line="l1",
+             envelope_n=1, envelope_w=4, priority=7,
+             response=ResponseOption.NOTIFY_RUNNING),
+    ])
+    patterns = {"t0": (0, 2, 3), "t1": (0, 4)}
+    want = {("t0", 0): COMPLETED, ("t0", 1): MISSED, ("t1", 0): DROPPED}
+    assert reference_verdicts(ts, explicit_priority_map(ts), patterns, 6) == want
+    assert oracle_verdicts(ts, explicit_priority_map(ts), patterns, 6) == want
+
+
+def test_deadline_removal_picks_again():
+    # t0's job 1, released at 2, runs from 3 and misses at 5 with a tick
+    # left; the processor then goes to its job 2, released at 3. A runner
+    # kept across the removal would run job 1 on and finish it at 5,
+    # after it left the active set
+    ts = TaskSet([
+        Task(id="t0", wcet=3, period=3, importance=4, line="l0",
+             envelope_n=3, envelope_w=3, priority=4),
+        Task(id="t1", wcet=1, period=12, importance=3, line="l1",
+             envelope_n=1, envelope_w=2, priority=3),
+    ])
+    patterns = {"t0": (0, 2, 3, 4), "t1": (0,)}
+    want = oracle_verdicts(ts, explicit_priority_map(ts), patterns, 6)
+    assert want[("t0", 1)] == MISSED and want[("t0", 2)] == MISSED
+    assert reference_verdicts(ts, explicit_priority_map(ts), patterns, 6) == want
+
+
+def reused_flag_task_set():
+    return TaskSet([
+        Task(id="t0", wcet=6, period=12, importance=3, line="l0",
+             envelope_n=2, envelope_w=12, priority=7,
+             response=ResponseOption.NOTIFY_RUNNING),
+        Task(id="t1", wcet=1, period=3, importance=0, line="l1",
+             envelope_n=1, envelope_w=3, priority=10),
+        Task(id="t2", wcet=1, period=3, importance=2, line="l2",
+             envelope_n=1, envelope_w=2, priority=8),
+    ])
+
+
+def test_reused_job_is_starved_again():
+    # t0's extra arrival elevates it to the horizon, and its job runs
+    # through the releases of t1 and t2 at 3 and 6. In combination 7
+    # t2's job 1, released at 3 in combinations 1 and 6 already, is
+    # released again, flag reset, while t0's job keeps running and pick
+    # would choose it again: only a new mark_starved turns its miss at 6
+    # into a sanctioned drop
+    result = assert_sweep_matches_product(
+        reused_flag_task_set(), Policy(assignment="explicit"), 8)
+    assert (result.feasible, result.patterns_checked) == (True, 8)
