@@ -34,6 +34,11 @@ its raises are taken on the way, as counters and records that land
 before the span's completion. A line's raises at one tick are one run:
 one raise_event call, then one count for the rest.
 
+The raises of a run that the controller holds back are one trace entry,
+a held run, not a RAISE and a SUPPRESS record each: a storm's trace is
+mostly such pairs. Trace expands held runs when its records are read,
+counts them for len, and writes each as one repeated string of CSV rows.
+
 Both deferral optimizations live here: the interrupt priority level and
 the bottom-half mask. The controller counts what either holds back, and
 the engine backfills that count when the hold ends.
@@ -194,15 +199,18 @@ def generate_workload(spec: WorkloadSpec, horizon: int,
         return [spec.at + k * spec.spacing
                 for k in _burst_indices(spec, horizon)]
     if isinstance(spec, Storm):
-        if spec.rate < 1:
-            raise ScenarioError([f"storm workload: rate {spec.rate} < 1"])
-        out = []
-        for t in range(max(0, spec.start), horizon):
-            out.extend([t] * spec.rate)
-        return out
+        return [t for t in _storm_ticks(spec, horizon)
+                for _ in range(spec.rate)]
     if isinstance(spec, Explicit):
         return sorted(t for t in spec.times if 0 <= t < horizon)
     raise ScenarioError([f"unknown workload spec {spec!r}"])
+
+
+def _storm_ticks(spec: Storm, horizon: int) -> range:
+    """The ticks in [0, horizon) at which a storm raises spec.rate times."""
+    if spec.rate < 1:
+        raise ScenarioError([f"storm workload: rate {spec.rate} < 1"])
+    return range(max(0, spec.start), horizon)
 
 
 def _burst_indices(spec: Burst, horizon: int) -> range:
@@ -216,8 +224,9 @@ def _burst_indices(spec: Burst, horizon: int) -> range:
 
 # The most raises a scenario's workload may expand to, counting a sporadic
 # line's random draws, one per tick, as raises. The engine spends a few
-# microseconds and holds one or two trace records per raise, so the limit
-# keeps a run to seconds and hundreds of megabytes.
+# microseconds per raise and, once the records are read, holds one or
+# two trace records per raise, so the limit keeps a run to seconds and
+# hundreds of megabytes.
 MAX_WORKLOAD_RAISES = 1_000_000
 
 
@@ -274,52 +283,116 @@ class TraceRecord(NamedTuple):
     detail: str = ""
 
 
+# The kind slot of a held-run entry. No record kind is this object, so
+# a test by identity tells the two kinds of Trace entry apart
+_HELD = object()
+
+
+def _expand(entries) -> List[TraceRecord]:
+    """Trace entries as records: each held run becomes its count
+    RAISE/SUPPRESS pairs, the two records shared across the repeats."""
+    out = []
+    for entry in entries:
+        if entry[1] is _HELD:
+            t, _, line, task, value, count = entry
+            out += (_record(TraceRecord, (t, RAISE, line, task, None, value)),
+                    _record(TraceRecord,
+                            (t, SUPPRESS, line, task, None,
+                             _SUPPRESS_REASON[value]))) * count
+        else:
+            out.append(entry)
+    return out
+
+
+def _backwards(first, last) -> EngineError:
+    """The error for entry first appended after entry last, an earlier
+    time, naming the records at the seam."""
+    return EngineError(
+        f"trace time went backwards: {_expand([first])[0]} after "
+        f"{_expand([last])[-1]}"
+    )
+
+
 class Trace:
+    """A run's records in time order.
+
+    Most records of a storm are raises the controller held back, each a
+    RAISE record and a SUPPRESS record. The engine stores a line's held
+    raises at one tick, a held run, as one entry: (time, _HELD, line,
+    task, outcome value, count) stands for count such pairs. Every other
+    entry is a TraceRecord. Only this class reads entries: `records`
+    expands held runs into the records they stand for when it is first
+    read after an extend, len counts them without expanding, of_kind
+    skips them when it asks for neither RAISE nor SUPPRESS, and the CSV
+    writes each run's rows as one string repeated count times."""
+
     def __init__(self):
-        self.records: List[TraceRecord] = []
+        self._entries: list = []
+        # whether _entries may hold a held run; only extend adds one
+        self._held = False
+
+    @property
+    def records(self) -> List[TraceRecord]:
+        """The records, with held runs expanded. The same list is
+        returned on every read."""
+        if self._held:
+            self._entries[:] = _expand(self._entries)
+            self._held = False
+        return self._entries
 
     def append(self, rec: TraceRecord) -> None:
-        if self.records and rec.time < self.records[-1].time:
-            raise EngineError(
-                f"trace time went backwards: {rec} after {self.records[-1]}"
-            )
-        self.records.append(rec)
+        entries = self._entries
+        if entries and rec.time < entries[-1][0]:
+            raise _backwards(rec, entries[-1])
+        entries.append(rec)
 
-    def extend(self, records: List[TraceRecord]) -> None:
-        """Append the records of one time step. They share their time, so
-        only the first is checked against the trace's last record."""
-        last = self.records[-1] if self.records else None
-        if records and last is not None and records[0].time < last.time:
-            raise EngineError(
-                f"trace time went backwards: {records[0]} after {last}"
-            )
-        self.records.extend(records)
+    def extend(self, entries: list) -> None:
+        """Append the entries of one time step: records and held runs.
+        They share their time, so only the first is checked against the
+        trace's last entry."""
+        if not entries:
+            return
+        own = self._entries
+        if own and entries[0][0] < own[-1][0]:
+            raise _backwards(entries[0], own[-1])
+        own += entries
+        self._held = True
 
     def of_kind(self, *kinds, line: Optional[str] = None,
                 task: Optional[str] = None) -> List[TraceRecord]:
-        out = []
-        for r in self.records:
-            if kinds and r.kind not in kinds:
-                continue
-            if line is not None and r.line != line:
-                continue
-            if task is not None and r.task != task:
-                continue
-            out.append(r)
-        return out
+        """The records of the given kinds (all when none is given), on
+        the given line and task. A held run holds only RAISE and SUPPRESS
+        records, so a question about neither reads the entries as they
+        are."""
+        if kinds and RAISE not in kinds and SUPPRESS not in kinds:
+            entries = self._entries
+        else:
+            entries = self.records
+        return [r for r in entries
+                if (not kinds or r[1] in kinds)
+                and (line is None or r[2] == line)
+                and (task is None or r[3] == task)]
 
     def to_csv_string(self) -> str:
         """The trace as csv.writer writes it with "\n" line ends. The rows
-        are first joined unquoted. That text is kept when no field holds a
-        comma, a newline, a quote or a carriage return, the characters csv
-        may quote: every line has exactly five separating commas and one
-        newline, so equal totals rule out the first two. Otherwise
-        csv.writer writes the trace."""
+        are first joined unquoted, a held run's 2 * count rows as its
+        RAISE and SUPPRESS rows repeated count times. That text is kept
+        when no field holds a comma, a newline, a quote or a carriage
+        return, the characters csv may quote: every line has exactly five
+        separating commas and one newline, so equal totals rule out the
+        first two. Otherwise csv.writer writes the records."""
+        reason = _SUPPRESS_REASON
         parts = [_CSV_HEADER_LINE]
-        parts += [f"{t},{k},{l},{ta},{'' if j is None else j},{d}\n"
-                  for t, k, l, ta, j, d in self.records]
+        # in a held run's entry, j is the outcome value and d the count
+        parts += [
+            f"{t},{k},{l},{ta},{'' if j is None else j},{d}\n"
+            if k is not _HELD else
+            (f"{t},RAISE,{l},{ta},,{j}\n"
+             f"{t},SUPPRESS,{l},{ta},,{reason[j]}\n") * d
+            for t, k, l, ta, j, d in self._entries
+        ]
         text = "".join(parts)
-        lines = len(self.records) + 1
+        lines = len(self) + 1
         if (text.count("\n") == lines and text.count(",") == 5 * lines
                 and '"' not in text and "\r" not in text):
             return text
@@ -334,7 +407,12 @@ class Trace:
             fh.write(self.to_csv_string())
 
     def __len__(self):
-        return len(self.records)
+        """The number of records, held runs counted without expanding."""
+        entries = self._entries
+        if not self._held:
+            return len(entries)
+        return len(entries) + sum([2 * e[5] - 1 for e in entries
+                                   if e[1] is _HELD])
 
 
 class _OffShape(Exception):
@@ -491,7 +569,7 @@ def select_priority_map(task_set: TaskSet, policy: Policy) -> PriorityMap:
 
 class Engine:
     def __init__(self, scenario: Scenario):
-        _validate_scenario(scenario)
+        self._validate(scenario)
         self.scenario = scenario
         self.policy = scenario.policy
         self.horizon = scenario.resolved_horizon()
@@ -529,22 +607,28 @@ class Engine:
         self._episodes: Set[str] = set()
         # each tick's raises as runs, flat: line, count, line, count, ...
         # in interrupt priority order. A line's raises at one tick are one
-        # run, whichever specs made them. The specs expand in scenario
-        # order, so the first invalid one is reported
-        made = [(line, generate_workload(spec, self.horizon, scenario.seed))
-                for line, spec in scenario.workload]
+        # run, whichever specs made them. A storm adds its rate at each of
+        # its ticks; every other spec adds 1 per raise time it expands to.
+        # The specs expand in scenario order, so the first invalid one is
+        # reported
+        made = [
+            (line, spec.rate, _storm_ticks(spec, self.horizon))
+            if isinstance(spec, Storm) else
+            (line, 1, generate_workload(spec, self.horizon, scenario.seed))
+            for line, spec in scenario.workload
+        ]
         rank = self._irq_rank
         self.raises: Dict[int, list] = {}
         get = self.raises.get
-        for line, times in sorted(made, key=lambda m: rank[m[0]]):
+        for line, count, times in sorted(made, key=lambda m: rank[m[0]]):
             for t in times:
                 runs = get(t)
                 if runs is None:
-                    self.raises[t] = [line, 1]
+                    self.raises[t] = [line, count]
                 elif runs[-2] == line:
-                    runs[-1] += 1
+                    runs[-1] += count
                 else:
-                    runs += (line, 1)
+                    runs += (line, count)
         self._raise_times = sorted(self.raises)
         self._next_raise = 0
         # (due, rank, line): window expiries (rank 0) before episode
@@ -560,10 +644,14 @@ class Engine:
         self.line_suppressed = {l: 0 for l in self.line_task}
         self.line_top_half = {l: 0 for l in self.line_task}
 
+    def _validate(self, scenario: Scenario) -> None:
+        _validate_scenario(scenario)
+
     # logging helpers
 
     def _log(self, time, kind, line="", task="", job=None, detail=""):
-        self.trace.append(TraceRecord(time, kind, line, task, job, detail))
+        self.trace.append(
+            _record(TraceRecord, (time, kind, line, task, job, detail)))
 
     def _alarm(self, time, line, kind: AlarmKind):
         alarm = Alarm(time, line, kind)
@@ -685,13 +773,13 @@ class Engine:
     def _process_raises(self, t: int) -> bool:
         """Raise the tick's occurrences; True when one was delivered.
         A run of count raises on one line calls raise_event for the first
-        and counts the rest at once. Every held raise of the run shares
-        one RAISE/SUPPRESS record pair: after a delivery, the rest of the
-        run is the coalesced pair."""
+        and counts the rest at once. The run's held raises are one
+        held-run trace entry (see Trace): after a delivery, the rest of
+        the run is held as coalesced."""
         runs = self.raises.get(t)
         if runs is None:
             return False
-        records = []
+        entries = []
         vic = self.vic
         delivered = False
         pairs = iter(runs)
@@ -700,7 +788,7 @@ class Engine:
             value = vic.raise_event(line, t)._value_
             if value == _DELIVERED:
                 delivered = True
-                records.append(_record(TraceRecord,
+                entries.append(_record(TraceRecord,
                                        (t, RAISE, line, task, None, value)))
                 count -= 1
                 if not count:
@@ -709,12 +797,8 @@ class Engine:
             elif count > 1:
                 vic.raise_repeated(line, t, count - 1)
             self.line_suppressed[line] += count
-            records += (_record(TraceRecord,
-                                (t, RAISE, line, task, None, value)),
-                        _record(TraceRecord,
-                                (t, SUPPRESS, line, task, None,
-                                 _SUPPRESS_REASON[value]))) * count
-        self.trace.extend(records)
+            entries.append((t, _HELD, line, task, value, count))
+        self.trace.extend(entries)
         return delivered
 
     def _drain_deliverable(self, t: int) -> None:

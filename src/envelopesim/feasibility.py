@@ -76,6 +76,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .engine import (
     COMPLETE,
     DROP,
+    Engine,
     Explicit,
     MISS,
     Metrics,
@@ -511,6 +512,28 @@ def _sweep(
             arrive_at(i, per_task[i][k])
 
 
+class _Replay(Engine):
+    """The engine for a pattern replay. Its scenario is built from a task
+    set, policy and horizon the caller has validated, and only its trace
+    is read: it does not validate them again, and run returns no
+    metrics."""
+
+    def _validate(self, scenario: Scenario) -> None:
+        pass
+
+    def _metrics(self) -> None:
+        return None
+
+
+# each job's verdict from the last of its records of these kinds
+_VERDICT_OF_KIND = {
+    RELEASE: INCOMPLETE,
+    COMPLETE: COMPLETED,
+    MISS: MISSED,
+    DROP: DROPPED,
+}
+
+
 def engine_verdicts(
     task_set: TaskSet,
     policy: Policy,
@@ -518,7 +541,9 @@ def engine_verdicts(
     horizon: int,
 ) -> Tuple[Dict[Tuple[str, int], str], Trace]:
     """Replay one arrival pattern through the full engine and classify
-    every released job from the trace."""
+    every released job from the trace. The task set, policy and horizon
+    must be valid, as check_ooe_feasible makes sure: the replay does not
+    validate them again."""
     tasks = {t.id: t for t in task_set}
     workload = [
         (tasks[tid].line, Explicit(times=tuple(times)))
@@ -527,17 +552,9 @@ def engine_verdicts(
     scenario = Scenario(
         task_set=task_set, policy=policy, workload=workload, horizon=horizon
     )
-    trace, _ = run_scenario(scenario)
-    verdicts: Dict[Tuple[str, int], str] = {}
-    for rec in trace.records:
-        if rec.kind == RELEASE:
-            verdicts[(rec.task, rec.job)] = INCOMPLETE
-        elif rec.kind == COMPLETE:
-            verdicts[(rec.task, rec.job)] = COMPLETED
-        elif rec.kind == MISS:
-            verdicts[(rec.task, rec.job)] = MISSED
-        elif rec.kind == DROP:
-            verdicts[(rec.task, rec.job)] = DROPPED
+    trace, _ = _Replay(scenario).run()
+    verdicts = {(rec.task, rec.job): _VERDICT_OF_KIND[rec.kind]
+                for rec in trace.of_kind(*_VERDICT_OF_KIND)}
     return verdicts, trace
 
 

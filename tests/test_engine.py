@@ -29,7 +29,8 @@ from envelopesim.engine import _validate_scenario, estimate_raises
 from conftest import scenario_monotonic, scenario_override, \
     scenario_override_burst
 from support import ConfirmingEngine, conservation_counts, \
-    internalize_timestamps, random_scenario, with_ipl_and_overrides
+    internalize_timestamps, random_scenario, storm_scenario, \
+    with_ipl_and_overrides
 
 
 def one_task_scenario(task_kw=None, **scenario_kw):
@@ -59,6 +60,43 @@ def test_first_invalid_workload_in_scenario_order_is_reported():
     sc.workload = [("l_low", Periodic(0, 0)), ("l_high", Storm(0, 0))]
     with pytest.raises(ScenarioError, match="periodic workload"):
         Engine(sc)
+
+
+def expanded_run_table(engine, scenario):
+    """The run table from generate_workload's expansion of every spec:
+    at each tick, each raised line's total count, lines in interrupt
+    priority order."""
+    counts = {}
+    for line, spec in scenario.workload:
+        for t in generate_workload(spec, engine.horizon, scenario.seed):
+            at = counts.setdefault(t, {})
+            at[line] = at.get(line, 0) + 1
+    table = {}
+    for t, at in counts.items():
+        table[t] = []
+        for line in sorted(at, key=engine._irq_rank.get):
+            table[t] += [line, at[line]]
+    return table
+
+
+def test_run_table_matches_the_expanded_workload():
+    # a storm adds its rate at each tick, beside the raises of a burst
+    # or a periodic spec on the same line and of other lines
+    both = [sc for sc in map(storm_scenario, range(200))
+            if any(isinstance(a, Storm) and isinstance(b, Burst)
+                   and la == lb
+                   for la, a in sc.workload for lb, b in sc.workload)]
+    assert len(both) >= 20
+    interleaved = scenario_monotonic(horizon=30)
+    interleaved.workload = [
+        ("l_low", Storm(4, 3)), ("l_high", Burst(2, 6, 1)),
+        ("l_low", Burst(0, 8, 0)), ("l_high", Storm(20, 2)),
+        ("l_low", Periodic(1, 5)), ("l_high", Storm(6, 1)),
+        ("l_low", Burst(10, 12, 2)),
+    ]
+    for sc in both + [interleaved]:
+        engine = Engine(sc)
+        assert engine.raises == expanded_run_table(engine, sc)
 
 
 def test_burst_times():

@@ -1,10 +1,12 @@
 """The trace CSV and metrics JSON writers against csv.writer and
-json.dumps (`support.csv_oracle`, `support.json_oracle`), and the
-per-step trace append."""
+json.dumps (`support.csv_oracle`, `support.json_oracle`), the per-step
+trace append, and held-run trace entries against the records they stand
+for."""
 
 import csv
 import io
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,8 @@ from envelopesim import (
     run_scenario,
 )
 from envelopesim.cli import load_scenario
-from support import csv_oracle, json_oracle, random_scenario
+from support import TickEngine, csv_oracle, json_oracle, random_scenario, \
+    storm_scenario
 
 DEMO_SCENARIOS = sorted(
     (Path(__file__).parent.parent / "demos" / "scenarios").glob("*.json")
@@ -195,3 +198,119 @@ def test_extend_with_nothing_is_a_no_op():
     before = list(trace.records)
     trace.extend([])
     assert trace.records == before
+
+
+# held runs: a line's held raises at one tick are one trace entry
+
+def held_scenario(seed, rate, bottom_half):
+    """A seeded storm scenario with every storm at the given rate, the
+    IPL optimization on and bottom-half masking as given."""
+    sc = storm_scenario(seed)
+    return replace(
+        sc,
+        workload=[(line, Storm(spec.start, rate))
+                  if isinstance(spec, Storm) else (line, spec)
+                  for line, spec in sc.workload],
+        policy=replace(sc.policy, ipl_optimization=True,
+                       mask_until_bottom_half=bottom_half),
+    )
+
+
+HELD_SCENARIOS = [
+    pytest.param(held_scenario(seed, rate, bottom_half),
+                 id=f"seed{seed}-rate{rate}-{mode}")
+    for seed in range(4)
+    for rate in (1, 2, 3)
+    for bottom_half, mode in ((False, "plain"), (True, "bottom_half"))
+] + [pytest.param(load_scenario(Path(__file__).parent.parent / "demos"
+                                / "scenarios" / "storm.json"), id="demo")]
+
+
+# the SUPPRESS record's detail for each outcome of a held raise
+SUPPRESS_REASON = {"suppressed_masked": "masked", "suppressed_ipl": "ipl",
+                   "latched_pending": "coalesced"}
+
+
+def pair(run):
+    """The RAISE and SUPPRESS records of one raise of a held run."""
+    time, _, line, task, value, _ = run
+    return [TraceRecord(time, "RAISE", line, task, None, value),
+            TraceRecord(time, "SUPPRESS", line, task, None,
+                        SUPPRESS_REASON[value])]
+
+
+def held_runs(trace):
+    """The trace's held-run entries; every other entry is a record."""
+    return [e for e in trace._entries if not isinstance(e, TraceRecord)]
+
+
+@pytest.mark.parametrize("scenario", HELD_SCENARIOS)
+def test_held_runs_read_as_the_records_they_stand_for(scenario):
+    trace, _ = run_scenario(scenario)
+    assert held_runs(trace)
+    size = len(trace)
+    text = trace.to_csv_string()
+    assert held_runs(trace)  # neither len nor the CSV expanded them
+    assert size == len(trace.records) == len(trace)
+    assert not held_runs(trace)
+    assert trace.to_csv_string() == text == csv_oracle(trace)
+    # the engine before held runs logged each raise with fresh records
+    ticked, _ = TickEngine(scenario).run()
+    assert trace.records == ticked.records
+
+
+def test_a_held_run_expands_to_its_pairs():
+    trace, _ = run_scenario(held_scenario(1, 3, False))
+    run = max(held_runs(trace), key=lambda e: e[-1])
+    count = run[-1]
+    assert count > 1
+    single = Trace()
+    single.extend([run])
+    assert len(single) == 2 * count
+    assert single.records == pair(run) * count
+
+
+@pytest.mark.parametrize("kinds", [("IPL_SET", "TIMER_SET"), ("MASK",),
+                                   ("RELEASE", "COMPLETE", "MISS", "DROP"),
+                                   ("RAISE",), ("SUPPRESS", "UNMASK"), ()],
+                         ids=lambda k: "-".join(k) or "all")
+def test_of_kind_equals_filtering_the_records(kinds):
+    for seed in range(6):
+        trace, _ = run_scenario(held_scenario(seed, 2, seed % 2 == 0))
+        line = sorted({r.line for r in trace.of_kind("INTERNALIZE")})[0]
+        found = trace.of_kind(*kinds)
+        on_line = trace.of_kind(*kinds, line=line, task=f"t{line[1:]}")
+        if kinds and "RAISE" not in kinds and "SUPPRESS" not in kinds:
+            assert held_runs(trace)  # answered without expanding
+        assert found == [r for r in trace.records
+                         if not kinds or r.kind in kinds]
+        assert on_line == [r for r in found
+                           if r.line == line and r.task == f"t{line[1:]}"]
+
+
+def test_a_comma_in_a_line_id_takes_the_fallback_with_held_runs():
+    trace, _ = run_scenario(scenario_with_ids("li,ne", "task"))
+    assert held_runs(trace)
+    text = trace.to_csv_string()
+    assert '"li,ne"' in text
+    assert text == csv_oracle(trace)
+
+
+def test_append_and_extend_refuse_backwards_time_after_a_held_run():
+    trace, _ = run_scenario(held_scenario(1, 3, False))
+    run = held_runs(trace)[-1]
+    time, _, line, task, _, count = run
+    held = Trace()
+    held.extend([run])
+    early = TraceRecord(time - 1, "ALARM", line, task)
+    for add in (held.append, lambda rec: held.extend([rec])):
+        with pytest.raises(EngineError) as err:
+            add(early)
+        assert str(early) in str(err.value)
+        assert str(pair(run)[1]) in str(err.value)
+        assert len(held) == 2 * count
+    held.extend([run])
+    held.append(TraceRecord(time, "INTERNALIZE", line, task))
+    assert len(held) == 4 * count + 1
+    assert held.records == pair(run) * (2 * count) \
+        + [TraceRecord(time, "INTERNALIZE", line, task)]
