@@ -570,8 +570,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument(
         "--verbose", action="store_true",
-        help="print the combinations checked and the ticks simulated "
-             "to stderr",
+        help="print to stderr the combinations checked "
+             "(combinations=), the ticks simulated out of those of "
+             "simulating every combination from t=0 (ticks= of), the "
+             "arrival pattern lists built (patterns_built=) and the "
+             "checker states saved (snapshots=)",
     )
     p_check.set_defaults(func=cmd_check)
 

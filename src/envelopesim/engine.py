@@ -32,12 +32,14 @@ of its span, which is the next step. Nothing masks, unmasks or moves the
 level inside a span either, so a raise tick in it meets only held lines:
 its raises are taken on the way, as counters and records that land
 before the span's completion. A line's raises at one tick are one run:
-one raise_event call, then one count for the rest.
+one raise_event call takes them all and classifies the first, and the
+rest coalesce with it or meet the same hold.
 
 The raises of a run that the controller holds back are one trace entry,
 a held run, not a RAISE and a SUPPRESS record each: a storm's trace is
 mostly such pairs. Trace expands held runs when its records are read,
-counts them for len, and writes each as one repeated string of CSV rows.
+counts their records as they are added, and writes each as one repeated
+string of CSV rows.
 
 Both deferral optimizations live here: the interrupt priority level and
 the bottom-half mask. The controller counts what either holds back, and
@@ -52,7 +54,6 @@ import csv
 import heapq
 import io
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
@@ -109,6 +110,7 @@ _SUPPRESS_REASON = {
     RaiseOutcome.LATCHED_PENDING.value: "coalesced",
 }
 _DELIVERED = RaiseOutcome.DELIVERED_NOW.value
+_COALESCED = RaiseOutcome.LATCHED_PENDING.value
 
 # The members the run path reads, as module constants: EnumType defines
 # __getattr__, so every attribute read on an Enum class is a Python-level
@@ -322,22 +324,25 @@ class Trace:
     task, outcome value, count) stands for count such pairs. Every other
     entry is a TraceRecord. Only this class reads entries: `records`
     expands held runs into the records they stand for when it is first
-    read after an extend, len counts them without expanding, of_kind
-    skips them when it asks for neither RAISE nor SUPPRESS, and the CSV
-    writes each run's rows as one string repeated count times."""
+    read after an extend, len adds the rows they stand for beyond their
+    one entry each, kept as they are added, of_kind skips them when it
+    asks for neither RAISE nor SUPPRESS, and the CSV writes each run's
+    rows as one string repeated count times."""
 
     def __init__(self):
         self._entries: list = []
-        # whether _entries may hold a held run; only extend adds one
-        self._held = False
+        # the records the held runs in _entries stand for beyond one per
+        # entry: 2 * count - 1 each. Only extend adds a held run, so this
+        # is 0 exactly when _entries is all records
+        self._extra = 0
 
     @property
     def records(self) -> List[TraceRecord]:
         """The records, with held runs expanded. The same list is
         returned on every read."""
-        if self._held:
+        if self._extra:
             self._entries[:] = _expand(self._entries)
-            self._held = False
+            self._extra = 0
         return self._entries
 
     def append(self, rec: TraceRecord) -> None:
@@ -346,17 +351,20 @@ class Trace:
             raise _backwards(rec, entries[-1])
         entries.append(rec)
 
-    def extend(self, entries: list) -> None:
+    def extend(self, entries: list, extra: Optional[int] = None) -> None:
         """Append the entries of one time step: records and held runs.
         They share their time, so only the first is checked against the
-        trace's last entry."""
+        trace's last entry. extra is the records their held runs stand
+        for beyond one per entry, counted here when not given."""
         if not entries:
             return
         own = self._entries
         if own and entries[0][0] < own[-1][0]:
             raise _backwards(entries[0], own[-1])
+        if extra is None:
+            extra = sum([2 * e[5] - 1 for e in entries if e[1] is _HELD])
         own += entries
-        self._held = True
+        self._extra += extra
 
     def of_kind(self, *kinds, line: Optional[str] = None,
                 task: Optional[str] = None) -> List[TraceRecord]:
@@ -408,84 +416,38 @@ class Trace:
 
     def __len__(self):
         """The number of records, held runs counted without expanding."""
-        entries = self._entries
-        if not self._held:
-            return len(entries)
-        return len(entries) + sum([2 * e[5] - 1 for e in entries
-                                   if e[1] is _HELD])
+        return len(self._entries) + self._extra
 
 
-class _OffShape(Exception):
-    """A metrics value outside the shape Metrics.to_json_string writes."""
-
-
+# Every row of the metrics, a flat mapping of scalars, sits at the same
+# depth, so one encoder writes them all: json's C encoder, with each item
+# on its own line at the indent json.dumps(indent=2) gives that depth
+_encode_row = json.JSONEncoder(
+    sort_keys=True, separators=(",\n      ", ": ")).encode
 _json_str = json.encoder.encode_basestring_ascii
-_PAD2 = "\n  "
-_PAD4 = "\n    "
+_NESTED = (dict, list, tuple)
 
 
-def _json_scalar(value) -> str:
-    """A scalar as json.dumps writes it. bool is tested before int, whose
-    repr of True is 'True'."""
-    if isinstance(value, str):
-        return _json_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return json.dumps(value)
-    raise _OffShape
+def _is_row(row) -> bool:
+    """Whether row is a dict with no dict, list or tuple value."""
+    return isinstance(row, dict) and not any(
+        [isinstance(value, _NESTED) for value in row.values()])
 
 
-def _json_key(key) -> str:
-    if not isinstance(key, str):
-        raise _OffShape
-    return _json_str(key)
+def _row(row: dict) -> str:
+    """A row as json.dumps with a 2-space indent writes it inside a
+    top-level mapping or list: the encoder's items between braces on
+    their own lines."""
+    return "{\n      " + _encode_row(row)[1:-1] + "\n    }" if row else "{}"
 
 
-def _json_flat(obj, pad: str) -> str:
-    """A mapping of str keys to scalars, as json.dumps writes it with
-    sorted keys and a 2-space indent; pad is the newline and indent of
-    its closing brace."""
-    if not isinstance(obj, dict):
-        raise _OffShape
-    if not obj:
-        return "{}"
-    inner = pad + "  "
-    return "{" + ",".join([
-        inner + _json_key(key) + ": " + _json_scalar(value)
-        for key, value in sorted(obj.items())
-    ]) + pad + "}"
-
-
-def _json_map_of_flat(obj) -> str:
-    """A top-level mapping of str keys to flat mappings."""
-    if not isinstance(obj, dict):
-        raise _OffShape
-    if not obj:
-        return "{}"
-    return "{" + ",".join([
-        _PAD4 + _json_key(key) + ": " + _json_flat(value, _PAD4)
-        for key, value in sorted(obj.items())
-    ]) + _PAD2 + "}"
-
-
-def _json_list_of_flat(obj) -> str:
-    """A top-level list of flat mappings."""
-    if not isinstance(obj, (list, tuple)):
-        raise _OffShape
-    if not obj:
-        return "[]"
-    return "[" + ",".join([
-        _PAD4 + _json_flat(value, _PAD4) for value in obj
-    ]) + _PAD2 + "]"
+def _block(brackets: str, items: List[str]) -> str:
+    """A top-level mapping's or list's written items, as json.dumps with a
+    2-space indent joins them."""
+    if not items:
+        return brackets
+    return (brackets[0] + "\n    " + ",\n    ".join(items) + "\n  "
+            + brackets[1])
 
 
 @dataclass
@@ -506,23 +468,35 @@ class Metrics:
     def to_json_string(self) -> str:
         """The metrics as json.dumps(self.to_dict(), indent=2,
         sort_keys=True) + "\n" writes them. With an indent, json uses its
-        pure-Python encoder, so the fixed shape is written here: two
-        mappings of flat mappings, a list of flat mappings and a scalar.
-        Metrics of any other shape go through json.dumps."""
-        try:
-            return "".join((
-                '{\n  "alarms": ',
-                _json_list_of_flat(self.alarms),
-                ',\n  "per_line": ',
-                _json_map_of_flat(self.per_line),
-                ',\n  "per_task": ',
-                _json_map_of_flat(self.per_task),
-                ',\n  "total_top_half_time": ',
-                _json_scalar(self.total_top_half_time),
-                "\n}\n",
-            ))
-        except _OffShape:
+        pure-Python encoder, so the fixed shape is joined here from rows
+        json's C encoder writes. The shape: per_line and per_task are
+        dicts with str keys, alarms is a list or tuple, every row under
+        them is a dict, and neither a row's values nor
+        total_top_half_time is a dict, list or tuple. Metrics of any other
+        shape go through json.dumps."""
+        per_line, per_task = self.per_line, self.per_task
+        alarms, total = self.alarms, self.total_top_half_time
+        if not (isinstance(per_line, dict) and isinstance(per_task, dict)
+                and isinstance(alarms, (list, tuple))
+                and not isinstance(total, _NESTED)
+                and all([isinstance(key, str)
+                         for key in (*per_line, *per_task)])
+                and all([_is_row(row) for row in (
+                    *per_line.values(), *per_task.values(), *alarms)])):
             return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return "".join((
+            '{\n  "alarms": ',
+            _block("[]", [_row(row) for row in alarms]),
+            ',\n  "per_line": ',
+            _block("{}", [_json_str(key) + ": " + _row(row)
+                          for key, row in sorted(per_line.items())]),
+            ',\n  "per_task": ',
+            _block("{}", [_json_str(key) + ": " + _row(row)
+                          for key, row in sorted(per_task.items())]),
+            ',\n  "total_top_half_time": ',
+            _encode_row(total),
+            "\n}\n",
+        ))
 
     def write_json(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -772,20 +746,21 @@ class Engine:
 
     def _process_raises(self, t: int) -> bool:
         """Raise the tick's occurrences; True when one was delivered.
-        A run of count raises on one line calls raise_event for the first
-        and counts the rest at once. The run's held raises are one
-        held-run trace entry (see Trace): after a delivery, the rest of
-        the run is held as coalesced."""
+        A run of count raises on one line is one raise_event call, which
+        classifies the first. The run's held raises are one held-run
+        trace entry (see Trace): after a delivery, the rest of the run is
+        held as coalesced."""
         runs = self.raises.get(t)
         if runs is None:
             return False
         entries = []
+        extra = 0
         vic = self.vic
         delivered = False
         pairs = iter(runs)
         for line, count in zip(pairs, pairs):
             task = self.line_task[line].id
-            value = vic.raise_event(line, t)._value_
+            value = vic.raise_event(line, t, count)._value_
             if value == _DELIVERED:
                 delivered = True
                 entries.append(_record(TraceRecord,
@@ -793,12 +768,11 @@ class Engine:
                 count -= 1
                 if not count:
                     continue
-                value = vic.raise_repeated(line, t, count)._value_
-            elif count > 1:
-                vic.raise_repeated(line, t, count - 1)
+                value = _COALESCED
             self.line_suppressed[line] += count
             entries.append((t, _HELD, line, task, value, count))
-        self.trace.extend(entries)
+            extra += 2 * count - 1
+        self.trace.extend(entries, extra)
         return delivered
 
     def _drain_deliverable(self, t: int) -> None:

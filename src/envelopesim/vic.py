@@ -106,32 +106,27 @@ class VicState:
             return _LATCHED_PENDING
         return _DELIVERED_NOW
 
-    def raise_event(self, line_id: str, t: int) -> RaiseOutcome:
-        """Record one occurrence on a line and classify its deliverability.
+    def raise_event(self, line_id: str, t: int,
+                    count: int = 1) -> RaiseOutcome:
+        """Record count occurrences at t on a line and classify the first.
 
-        The device counter always increments. Masked and IPL-suppressed
-        occurrences do not set the pending bit; the counter carries them.
+        The device counter always increments, by count. Masked and
+        IPL-suppressed occurrences do not set the pending bit; the counter
+        carries them. The first occurrence leaves the line pending or
+        held back, so every further one coalesces with it
+        (LATCHED_PENDING) or meets the same hold, as count single calls
+        would find.
         """
+        if count < 1:
+            raise VicError(
+                f"line '{line_id}': a run needs at least one raise, got "
+                f"{count} at t={t}"
+            )
         ln = self.lines.get(line_id) or self._line(line_id)
-        ln.device_counter += 1
+        ln.device_counter += count
         outcome = self._outcome(ln)
         if outcome is _DELIVERED_NOW:
             ln.pending = True
-        return outcome
-
-    def raise_repeated(self, line_id: str, t: int,
-                       count: int) -> RaiseOutcome:
-        """Record count more occurrences at t on a line that raise_event
-        has just classified at t, and return their one outcome: that
-        raise left the line pending or held back, so every further one
-        coalesces with it or meets the same hold."""
-        ln = self.lines.get(line_id) or self._line(line_id)
-        outcome = self._outcome(ln)
-        if outcome is _DELIVERED_NOW:
-            raise VicError(
-                f"line '{line_id}' has no raise at t={t} to repeat"
-            )
-        ln.device_counter += count
         return outcome
 
     def delivers(self, line_id: str) -> bool:

@@ -491,6 +491,19 @@ def test_check_verbose_reports_simulated_ticks(tmp_path, capsys):
         assert err.splitlines() == [counts]
 
 
+def test_check_help_names_the_verbose_fields(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, two_task_obj())
+    main(["check", "--scenario", scenario, "--verbose"])
+    fields = [word.split("=")[0] + "="
+              for word in capsys.readouterr().err.split() if "=" in word]
+    assert len(fields) == 4
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for name in fields:
+        assert f"({name}" in text
+
+
 def test_check_violation_writes_default_witness(tmp_path, capsys):
     scenario = write_scenario(tmp_path, two_task_obj())
     code = main(["check", "--scenario", scenario])

@@ -150,9 +150,9 @@ def test_held_raises_are_not_steps():
     raise_event = engine.vic.raise_event
     calls = []
 
-    def counted(line, t):
+    def counted(line, t, count=1):
         calls.append((line, t))
-        return raise_event(line, t)
+        return raise_event(line, t, count)
 
     engine.vic.raise_event = counted
     trace, metrics = engine.run()

@@ -5,8 +5,10 @@ for."""
 
 import csv
 import io
+import json
 import math
 from dataclasses import replace
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -134,6 +136,15 @@ ALARMS = [{"time": 0, "line": "l", "kind": "enter_ooe"},
           {"time": 5, "line": "l", "kind": "fault"},
           {"time": 9, "line": "m", "kind": "exit_ooe"}]
 
+
+class TaskId(str):
+    pass
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 3
+
 METRICS_CASES = {
     "empty": metrics(),
     "no_alarms": metrics({"t": ROW}, {"l": {"raised": 2, "suppressed": 0}}),
@@ -149,16 +160,46 @@ METRICS_CASES = {
     "floats": metrics({"t": dict(ROW, a=0.1, b=-0.0, c=1e300, d=2.5e-8,
                                  e=math.inf, f=-math.inf, g=math.nan)},
                       total=1.5),
+    "str_subclass_id": metrics({TaskId("t"): ROW, "s": ROW},
+                               {TaskId("l"): {"raised": TaskId("x")}}),
+    "row_keys_not_str": metrics({"t": {True: 1, False: 0, 2.5: 3, 7: 4}},
+                                {"l": {None: 1}}),
+    "int_enum": metrics({"t": dict(ROW, level=Level.HIGH)},
+                        {"l": {Level.LOW: Level.HIGH}}, total=Level.LOW),
+    "alarms_tuple": replace(metrics(), alarms=tuple(ALARMS)),
+    "str_total": metrics(total="n/a"),
     # outside the fixed shape: json.dumps writes these
     "nested_value": metrics({"t": {"inner": {"x": [1, 2]}}}),
+    "tuple_value": metrics({"t": dict(ROW, pair=(1, 2))}),
+    "list_in_alarm": metrics(alarms=[{"time": 1, "lines": ["l", "m"]}]),
     "int_keys": metrics(per_line={1: {"raised": 1}}),
+    "row_not_a_dict": metrics(per_line={"l": 5}),
+    "alarms_str": replace(metrics(), alarms=""),
+    "alarms_empty_dict": replace(metrics(), alarms={}),
+    "alarms_dict": replace(metrics(), alarms={"a": {"time": 1}}),
     "list_total": metrics(total=[1, 2]),
+    "dict_total": metrics(total={"l": 1}),
 }
 
 
 @pytest.mark.parametrize("case", METRICS_CASES.values(), ids=METRICS_CASES)
 def test_metrics_json_matches_json_dumps(case):
     assert case.to_json_string() == json_oracle(case)
+
+
+def test_run_metrics_take_the_direct_path(monkeypatch):
+    runs = [run_scenario(load_scenario(path))[1] for path in DEMO_SCENARIOS]
+    runs += [run_scenario(random_scenario(seed))[1] for seed in range(50)]
+    runs += [run_scenario(held_scenario(seed, 2, True))[1]
+             for seed in range(4)]
+    assert any(m.alarms for m in runs)
+    expected = [json_oracle(m) for m in runs]
+
+    def no_dumps(*args, **kwargs):
+        raise AssertionError("json.dumps used for metrics of the run shape")
+
+    monkeypatch.setattr(json, "dumps", no_dumps)
+    assert [m.to_json_string() for m in runs] == expected
 
 
 # Trace.extend
@@ -286,6 +327,39 @@ def test_of_kind_equals_filtering_the_records(kinds):
                          if not kinds or r.kind in kinds]
         assert on_line == [r for r in found
                            if r.line == line and r.task == f"t{line[1:]}"]
+
+
+def test_len_is_kept_as_entries_are_added_and_records_change():
+    for seed in range(4):
+        trace, _ = run_scenario(held_scenario(seed, 3, seed % 2 == 1))
+        runs = held_runs(trace)
+        assert runs
+        size = len(trace)
+        assert size == len(trace.records) == len(trace)
+        # a caller may change the list records returns, as a test that
+        # drops a record to see an oracle catch it does
+        lost = next(r for r in trace.records if r.kind == "SUPPRESS")
+        trace.records.remove(lost)
+        assert len(trace) == len(trace.records) == size - 1
+        trace.records.append(lost)
+        assert len(trace) == len(trace.records) == size
+        # a held run added after the expansion is counted again
+        last = trace.records[-1].time
+        run = (last,) + runs[-1][1:]
+        trace.extend([run])
+        assert len(trace) == size + 2 * run[-1]
+        assert len(trace) == len(trace.records)
+
+
+def test_extend_counts_held_runs_as_the_engine_does():
+    trace, _ = run_scenario(held_scenario(2, 3, False))
+    counted, given = Trace(), Trace()
+    for entry in trace._entries:
+        counted.extend([entry])
+        held = not isinstance(entry, TraceRecord)
+        given.extend([entry], 2 * entry[-1] - 1 if held else 0)
+    assert len(counted) == len(given) == len(trace)
+    assert counted.records == given.records == trace.records
 
 
 def test_a_comma_in_a_line_id_takes_the_fallback_with_held_runs():

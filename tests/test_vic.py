@@ -39,26 +39,33 @@ def test_delivered_then_latched():
      RaiseOutcome.SUPPRESSED_MASKED, RaiseOutcome.SUPPRESSED_MASKED),
     (lambda vic: vic.set_ipl(5, 0), RaiseOutcome.SUPPRESSED_IPL,
      RaiseOutcome.SUPPRESSED_IPL),
-], ids=["delivered", "masked", "ipl"])
+    (lambda vic: vic.raise_event("a", 0), RaiseOutcome.LATCHED_PENDING,
+     RaiseOutcome.LATCHED_PENDING),
+], ids=["delivered", "masked", "ipl", "pending"])
 def test_repeated_raises_share_the_outcome_of_one_more(setup, first, rest):
-    vic = make_vic(dict(id="a", irq_priority=5))
-    setup(vic)
-    assert vic.raise_event("a", 3) is first
-    assert vic.raise_repeated("a", 3, 4) is rest
-    assert vic.lines["a"].device_counter == 5
-    one_by_one = make_vic(dict(id="a", irq_priority=5))
-    setup(one_by_one)
-    one_by_one.raise_event("a", 3)
-    assert [one_by_one.raise_event("a", 3) for _ in range(4)] == [rest] * 4
-    assert one_by_one.lines["a"] == vic.lines["a"]
+    # a run of count raises leaves the line as count single raises do,
+    # and reports the first one's outcome
+    for count in (1, 2, 5):
+        vic = make_vic(dict(id="a", irq_priority=5))
+        setup(vic)
+        before = vic.lines["a"].device_counter
+        assert vic.raise_event("a", 3, count) is first
+        assert vic.lines["a"].device_counter == before + count
+        one_by_one = make_vic(dict(id="a", irq_priority=5))
+        setup(one_by_one)
+        assert [one_by_one.raise_event("a", 3) for _ in range(count)] \
+            == [first] + [rest] * (count - 1)
+        assert one_by_one.lines["a"] == vic.lines["a"]
+        assert one_by_one.poll_deliverable() == vic.poll_deliverable()
 
 
 def test_repeat_needs_a_raise_to_repeat():
     vic = make_vic(dict(id="a", irq_priority=5))
-    assert vic.delivers("a")
-    with pytest.raises(VicError, match="no raise"):
-        vic.raise_repeated("a", 0, 2)
+    for count in (0, -1):
+        with pytest.raises(VicError, match="at least one raise"):
+            vic.raise_event("a", 0, count)
     assert vic.lines["a"].device_counter == 0
+    assert vic.delivers("a")
     vic.raise_event("a", 0)
     assert not vic.delivers("a")  # pending: a raise would coalesce
 
