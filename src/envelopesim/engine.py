@@ -325,9 +325,9 @@ class Trace:
     entry is a TraceRecord. Only this class reads entries: `records`
     expands held runs into the records they stand for when it is first
     read after an extend, len adds the rows they stand for beyond their
-    one entry each, kept as they are added, of_kind skips them when it
-    asks for neither RAISE nor SUPPRESS, and the CSV writes each run's
-    rows as one string repeated count times."""
+    one entry each, a count the engine passes to extend with them,
+    of_kind skips them when it asks for neither RAISE nor SUPPRESS, and
+    the CSV writes each run's rows as one string repeated count times."""
 
     def __init__(self):
         self._entries: list = []
@@ -351,18 +351,18 @@ class Trace:
             raise _backwards(rec, entries[-1])
         entries.append(rec)
 
-    def extend(self, entries: list, extra: Optional[int] = None) -> None:
+    def extend(self, entries: list, extra: int = 0) -> None:
         """Append the entries of one time step: records and held runs.
         They share their time, so only the first is checked against the
         trace's last entry. extra is the records their held runs stand
-        for beyond one per entry, counted here when not given."""
+        for beyond one per entry, 2 * count - 1 each: the caller that
+        builds the runs counts them, and 0 fits entries that are all
+        records."""
         if not entries:
             return
         own = self._entries
         if own and entries[0][0] < own[-1][0]:
             raise _backwards(entries[0], own[-1])
-        if extra is None:
-            extra = sum([2 * e[5] - 1 for e in entries if e[1] is _HELD])
         own += entries
         self._extra += extra
 
@@ -424,7 +424,6 @@ class Trace:
 # on its own line at the indent json.dumps(indent=2) gives that depth
 _encode_row = json.JSONEncoder(
     sort_keys=True, separators=(",\n      ", ": ")).encode
-_json_str = json.encoder.encode_basestring_ascii
 _NESTED = (dict, list, tuple)
 
 
@@ -488,10 +487,10 @@ class Metrics:
             '{\n  "alarms": ',
             _block("[]", [_row(row) for row in alarms]),
             ',\n  "per_line": ',
-            _block("{}", [_json_str(key) + ": " + _row(row)
+            _block("{}", [_encode_row(key) + ": " + _row(row)
                           for key, row in sorted(per_line.items())]),
             ',\n  "per_task": ',
-            _block("{}", [_json_str(key) + ": " + _row(row)
+            _block("{}", [_encode_row(key) + ": " + _row(row)
                           for key, row in sorted(per_task.items())]),
             ',\n  "total_top_half_time": ',
             _encode_row(total),

@@ -306,7 +306,7 @@ def test_a_held_run_expands_to_its_pairs():
     count = run[-1]
     assert count > 1
     single = Trace()
-    single.extend([run])
+    single.extend([run], 2 * count - 1)
     assert len(single) == 2 * count
     assert single.records == pair(run) * count
 
@@ -346,20 +346,9 @@ def test_len_is_kept_as_entries_are_added_and_records_change():
         # a held run added after the expansion is counted again
         last = trace.records[-1].time
         run = (last,) + runs[-1][1:]
-        trace.extend([run])
+        trace.extend([run], 2 * run[-1] - 1)
         assert len(trace) == size + 2 * run[-1]
         assert len(trace) == len(trace.records)
-
-
-def test_extend_counts_held_runs_as_the_engine_does():
-    trace, _ = run_scenario(held_scenario(2, 3, False))
-    counted, given = Trace(), Trace()
-    for entry in trace._entries:
-        counted.extend([entry])
-        held = not isinstance(entry, TraceRecord)
-        given.extend([entry], 2 * entry[-1] - 1 if held else 0)
-    assert len(counted) == len(given) == len(trace)
-    assert counted.records == given.records == trace.records
 
 
 def test_a_comma_in_a_line_id_takes_the_fallback_with_held_runs():
@@ -375,7 +364,7 @@ def test_append_and_extend_refuse_backwards_time_after_a_held_run():
     run = held_runs(trace)[-1]
     time, _, line, task, _, count = run
     held = Trace()
-    held.extend([run])
+    held.extend([run], 2 * count - 1)
     early = TraceRecord(time - 1, "ALARM", line, task)
     for add in (held.append, lambda rec: held.extend([rec])):
         with pytest.raises(EngineError) as err:
@@ -383,7 +372,7 @@ def test_append_and_extend_refuse_backwards_time_after_a_held_run():
         assert str(early) in str(err.value)
         assert str(pair(run)[1]) in str(err.value)
         assert len(held) == 2 * count
-    held.extend([run])
+    held.extend([run], 2 * count - 1)
     held.append(TraceRecord(time, "INTERNALIZE", line, task))
     assert len(held) == 4 * count + 1
     assert held.records == pair(run) * (2 * count) \
