@@ -583,7 +583,7 @@ class Engine:
         # run, whichever specs made them. A storm adds its rate at each of
         # its ticks; every other spec adds 1 per raise time it expands to.
         # The specs expand in scenario order, so the first invalid one is
-        # reported
+        # reported. _process_raises drops a tick's runs once it takes them
         made = [
             (line, spec.rate, _storm_ticks(spec, self.horizon))
             if isinstance(spec, Storm) else
@@ -748,8 +748,8 @@ class Engine:
         A run of count raises on one line is one raise_event call, which
         classifies the first. The run's held raises are one held-run
         trace entry (see Trace): after a delivery, the rest of the run is
-        held as coalesced."""
-        runs = self.raises.get(t)
+        held as coalesced. The tick's runs leave the run table."""
+        runs = self.raises.pop(t, None)
         if runs is None:
             return False
         entries = []

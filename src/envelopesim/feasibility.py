@@ -29,43 +29,46 @@ restore; in between, the job pick chose keeps running.
 reference_verdicts runs the step over one pattern from t=0.
 
 The sweep visits the combinations in itertools.product order (the last
-task's pattern varies fastest). The state at the start of tick d depends
-only on the arrivals before d, so each combination resumes from a
-snapshot at its divergence tick: the earliest tick at which a task whose
-pattern changed has a different arrival set. The next combination
-depends only on the current one, so the sweep finds its divergence tick
-before stepping the current one, which then snapshots only the ticks
-after its own start up to that tick. That is enough: when a later
-combination resumes at d, every combination since the last one that
-started before d shared its arrivals before d, and that one snapshotted
-d, since its successor started at d or later, while the ones after it
-snapshot only ticks after d. When the next combination moves a task
-whose pattern list is not built yet, the current one snapshots every
-tick instead, so the list is still built only once the sweep gets
-there. A combination stops at
-its first MISS, which ends the sweep. patterns_checked is the 1-based
-product-order index of the first violating combination, or the number of
-combinations when the instance is feasible; ticks_simulated is the
-number of ticks the sweep stepped, at most patterns_checked *
-(horizon + 1); snapshots counts the states it saved, the initial one
-included.
+task's pattern varies fastest). It holds each pattern as an int bitmask,
+bit t set when an event happens at t, so the ticks at which a task's
+arrivals differ between two patterns are the bits set in their XOR. The
+state at the start of tick d depends only on the arrivals before d, so
+each combination resumes from a snapshot at its divergence tick: the
+lowest bit set in the XOR of any task whose pattern changed. The next
+combination depends only on the current one, so the sweep finds its
+divergence tick before stepping the current one, which then snapshots
+only the ticks after its own start up to that tick. That is enough:
+when a later combination resumes at d, every combination since the last
+one that started before d shared its arrivals before d, and that one
+snapshotted d, since its successor started at d or later, while the
+ones after it snapshot only ticks after d. When the next combination
+moves a task whose pattern list is not built yet, the current one
+snapshots every tick instead, so the list is still built only once the
+sweep gets there. A combination stops at its first MISS, which ends the
+sweep. patterns_checked is the 1-based product-order index of the first
+violating combination, or the number of combinations when the instance
+is feasible; ticks_simulated is the number of ticks the sweep stepped,
+at most patterns_checked * (horizon + 1); snapshots counts the states it
+saved, the initial one included.
 
 Between combinations the sweep rebuilds only what changed. The state
 keeps every job it released by (task id, seq, release tick), which fix
 the job's keys and deadline, and a repeated release reuses that job with
 its remaining time and starvation flag reset; a snapshot carries both,
-so restoring it rewinds the jobs it holds. The tasks arriving at each
-tick sit in a per-tick table in interrupt order, and a pattern change
-rebuilds only the ticks at which that task's arrivals differ. Each
-task's pattern list starts as its normal pattern, which
-admissible_patterns lists first, and the sweep builds the full list only
-when the task's slot first advances, so a sweep that stops early builds
-few patterns; patterns_built counts those it holds at the end.
+so restoring it rewinds the jobs it holds. Each tick has an arrival
+mask, bit i set when the task at interrupt-order position i arrives, and
+the batch of those tasks in interrupt order, looked up by the mask; a
+pattern change updates both only at the ticks set in the pattern XOR.
+Each task's pattern list starts as its normal pattern, the enumeration's
+first, and the sweep builds the full list only when the task's slot
+first advances, so a sweep that stops early builds few patterns;
+patterns_built counts those it holds at the end.
 
 The violating combination is confirmed by a reference_verdicts run from
 t=0 and replayed through the full engine to produce the witness trace;
-both must show the miss. An independent re-implementation of the rules
-and the product loop that simulated every combination from t=0, the
+both must show the miss. An independent re-implementation of the rules,
+the product loop that simulated every combination from t=0, and the
+enumeration that built each pattern as a tuple of event times, the
 oracles the tests compare against, live in tests/support.py.
 """
 
@@ -155,38 +158,46 @@ def admissible_patterns(task: Task, horizon: int) -> List[Tuple[int, ...]]:
     """Every event-time tuple over [0, horizon) that contains the task's
     normal arrivals and stays within the envelope: at most n events in
     any window (t-W, t]. The expected events always happen; an adversary
-    can only add to them. The normal pattern itself comes first.
+    can only add to them. The normal pattern itself comes first; the rest
+    follow in the depth-first order of _admissible_masks, which builds
+    each pattern as a bitmask that this converts to a tuple.
 
     Returns an empty list when even the normal pattern breaches the
     envelope (a self-contradictory task definition)."""
+    return [_times_of(mask) for mask in _admissible_masks(task, horizon)]
+
+
+def _mask_of(times: Sequence[int]) -> int:
+    """A pattern as a bitmask: bit t is set when an event happens at t."""
+    return sum(1 << t for t in times)
+
+
+def _times_of(mask: int) -> Tuple[int, ...]:
+    """The event times of a pattern bitmask, in ascending order."""
+    return tuple(t for t in range(mask.bit_length()) if mask >> t & 1)
+
+
+def _admissible_masks(task: Task, horizon: int) -> List[int]:
+    """admissible_patterns(task, horizon) as bitmasks. Tick by tick, each
+    partial pattern in turn skips the tick (unless a normal arrival falls
+    there), then picks it (if its window has room): depth-first order."""
     n, w = task.envelope_n, task.envelope_w
-    mandatory = frozenset(normal_pattern(task, horizon))
-    out: List[Tuple[int, ...]] = []
-    chosen: List[int] = []
-    picked = [False] * horizon
-
-    def grow(t: int, inside: int) -> None:
-        # inside: the chosen events in [t-W, t); the one at t-W, if any,
-        # leaves before the envelope test at t
-        if t == horizon:
-            out.append(tuple(chosen))
-            return
-        leaving = t - w
-        if leaving >= 0 and picked[leaving]:
-            inside -= 1
-        # no pattern omits an expected arrival, so a branch where one
-        # cannot fit dies here
-        if t not in mandatory:
-            grow(t + 1, inside)
-        if inside < n:
-            chosen.append(t)
-            picked[t] = True
-            grow(t + 1, inside + 1)
-            picked[t] = False
-            chosen.pop()
-
-    grow(0, 0)
-    return out
+    mandatory = _mask_of(normal_pattern(task, horizon))
+    masks = [0]
+    for t in range(horizon):
+        # the events in (t-W, t) share a window with one at t
+        older = max(t + 1 - w, 0)
+        # no pattern omits an expected arrival, so a partial pattern
+        # where one cannot fit dies here
+        skippable = not mandatory >> t & 1
+        grown: List[int] = []
+        for mask in masks:
+            if skippable:
+                grown.append(mask)
+            if (mask >> older).bit_count() < n:
+                grown.append(mask | 1 << t)
+        masks = grown
+    return masks
 
 
 def count_admissible_patterns(task: Task, horizon: int) -> int:
@@ -198,7 +209,7 @@ def count_admissible_patterns(task: Task, horizon: int) -> int:
     that are still inside the current window. So at most
     min(W, horizon - W) event times are ever tracked."""
     n, w = task.envelope_n, task.envelope_w
-    mandatory = frozenset(normal_pattern(task, horizon))
+    mandatory = _mask_of(normal_pattern(task, horizon))
     lasting = max(horizon - w, 0)
     recent = (1 << lasting) - 1
     # a state is one int: a bitmask of the times of the events chosen
@@ -207,10 +218,11 @@ def count_admissible_patterns(task: Task, horizon: int) -> int:
     states: Dict[int, int] = {0: 1}
     for t in range(horizon):
         kept = ~((1 << max(t + 1 - w, 0)) - 1)
+        skippable = not mandatory >> t & 1
         grown: Dict[int, int] = {}
         for state, ways in states.items():
             state &= kept
-            if t not in mandatory:
+            if skippable:
                 grown[state] = grown.get(state, 0) + ways
             if (state >> lasting) + (state & recent).bit_count() < n:
                 state += 1 << (lasting if t >= lasting else t)
@@ -416,15 +428,6 @@ def reference_verdicts(
     return verdicts
 
 
-def _first_difference(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
-    """The earliest tick in exactly one of two distinct sorted patterns."""
-    for x, y in zip(a, b):
-        if x != y:
-            return min(x, y)
-    shorter = min(len(a), len(b))
-    return (a if len(a) > shorter else b)[shorter]
-
-
 def _sweep(
     task_set: TaskSet,
     pmap: PriorityMap,
@@ -434,42 +437,51 @@ def _sweep(
 ) -> Tuple[int, int, int, int, Optional[List[Tuple[int, ...]]]]:
     """Step every combination of the tasks' admissible patterns, of which
     task i has counts[i] > 0, in product order, each from the snapshot at
-    its divergence tick, until one misses a deadline. Returns the
-    combinations checked, the ticks stepped, the snapshots taken, the
-    patterns built, and the violating combination (None when there is
+    its divergence tick, until one misses a deadline. The patterns are
+    bitmasks from _admissible_masks. Returns the combinations checked,
+    the ticks stepped, the snapshots taken, the patterns built, and the
+    violating combination as event-time tuples (None when there is
     none)."""
     tasks = list(task_set)
     state = _CheckerState(task_set, pmap, horizon, delta_th)
     order = interrupt_order(task_set)
-    # position of each product slot's task in interrupt order
-    slot = [order.index(task) for task in tasks]
-    # admissible_patterns(task, horizon)[0] is the normal pattern; the
-    # rest of a list is built when its slot first advances
-    per_task = [[normal_pattern(task, horizon)] for task in tasks]
+    # each product slot's bit in an arrival mask: its task's position in
+    # interrupt order
+    bit = [1 << order.index(task) for task in tasks]
+    # the batch of each arrival mask: its tasks in interrupt order. The
+    # masks below 1 << i hold only earlier tasks, so order[i] goes last
+    batch_of: List[Tuple[Task, ...]] = [()]
+    for task in order:
+        batch_of += [batch + (task,) for batch in batch_of]
+    # a list's first pattern is the normal one; the rest of the list is
+    # built when its slot first advances
+    per_task = [[_mask_of(normal_pattern(task, horizon))] for task in tasks]
     idx = [0] * len(tasks)
-    arrive = [frozenset()] * len(order)
-    # the tasks arriving at each tick, in interrupt order
-    batches: List[List[Task]] = [[] for _ in range(horizon + 1)]
+    # each tick's arrival mask and batch
+    arrivals = [0] * (horizon + 1)
+    batches: List[Tuple[Task, ...]] = [()] * (horizon + 1)
 
-    def arrive_at(i: int, pattern: Tuple[int, ...]) -> None:
-        times = frozenset(pattern)
-        changed = arrive[slot[i]] ^ times
-        arrive[slot[i]] = times
-        for t in changed:
-            batches[t] = [task for task, at in zip(order, arrive) if t in at]
+    def arrive_at(i: int, changed: int) -> None:
+        """Flip slot i's arrival at every tick set in changed."""
+        while changed:
+            t = (changed & -changed).bit_length() - 1
+            changed &= changed - 1
+            arrivals[t] ^= bit[i]
+            batches[t] = batch_of[arrivals[t]]
 
-    def successor(j: int) -> Tuple[int, List[Tuple[int, int]]]:
+    def successor(j: int) -> Tuple[int, List[Tuple[int, int, int]]]:
         """The next combination, where slot j advances and every slot
-        after it wraps to its first pattern: its divergence tick and the
-        (slot, index) of each slot whose pattern changes."""
-        start, moves = horizon, []
+        after it wraps to its first pattern: its divergence tick, the
+        lowest bit set in any changed slot's old ^ new, and for each
+        such slot (slot, index, old ^ new)."""
+        changes, moves = 0, []
         for i in range(j, len(idx)):
             k = idx[i] + 1 if i == j else 0
-            old, new = per_task[i][idx[i]], per_task[i][k]
-            if new is not old:
-                start = min(start, _first_difference(old, new))
-                moves.append((i, k))
-        return start, moves
+            changed = per_task[i][idx[i]] ^ per_task[i][k]
+            if changed:
+                changes |= changed
+                moves.append((i, k, changed))
+        return (changes & -changes).bit_length() - 1, moves
 
     for i, options in enumerate(per_task):
         arrive_at(i, options[0])
@@ -496,7 +508,8 @@ def _sweep(
             if state.step(t, batches[t]):
                 return (checked, ticks + t - start + 1, taken,
                         sum(map(len, per_task)),
-                        [options[i] for options, i in zip(per_task, idx)])
+                        [_times_of(options[i])
+                         for options, i in zip(per_task, idx)])
             if t < until:
                 snaps[t + 1] = state.snapshot()
                 taken += 1
@@ -504,12 +517,12 @@ def _sweep(
         if j < 0:
             return checked, ticks, taken, sum(map(len, per_task)), None
         if len(per_task[j]) < counts[j]:
-            per_task[j] = admissible_patterns(tasks[j], horizon)
+            per_task[j] = _admissible_masks(tasks[j], horizon)
             resume, moves = successor(j)
         start = resume
-        for i, k in moves:
+        for i, k, changed in moves:
             idx[i] = k
-            arrive_at(i, per_task[i][k])
+            arrive_at(i, changed)
 
 
 class _Replay(Engine):

@@ -12,7 +12,9 @@ schedule-point round that changed anything with one more and polls every
 monitor and line priority in each, as the engine did before it stopped
 at the first round without a backfill and kept that state from events;
 the product check simulates every pattern combination from t=0, as
-the checker did before it shared prefixes; the reference parser
+the checker did before it shared prefixes, over patterns that the
+pattern oracle builds as tuples of event times, as the checker did
+before it held them as bitmasks; the reference parser
 checks every scenario key by hand, as the CLI did before it read each
 object through its dataclass fields; and the output oracles write the
 trace through csv.writer and the metrics through json.dumps, as the
@@ -47,7 +49,6 @@ from envelopesim import (
     Storm,
     Task,
     TaskSet,
-    admissible_patterns,
     compute_ipl,
     hyperperiod,
 )
@@ -62,6 +63,7 @@ from envelopesim.feasibility import (
     INCOMPLETE,
     MISSED,
     count_admissible_patterns,
+    normal_pattern,
 )
 from envelopesim.model import interrupt_order
 
@@ -228,19 +230,55 @@ def oracle_verdicts(
     return verdicts
 
 
+def oracle_admissible_patterns(task: Task,
+                               horizon: int) -> List[Tuple[int, ...]]:
+    """Every admissible pattern of the task over [0, horizon) as a tuple
+    of event times, in the checker's order: a depth-first walk over the
+    ticks that at each tick first skips it, unless a normal arrival falls
+    there, and then picks it, if the window ending there has room. The
+    normal pattern comes first; an empty list means that even it
+    breaches the envelope."""
+    n, w = task.envelope_n, task.envelope_w
+    mandatory = frozenset(normal_pattern(task, horizon))
+    out: List[Tuple[int, ...]] = []
+    chosen: List[int] = []
+    picked = [False] * horizon
+
+    def grow(t: int, inside: int) -> None:
+        # inside: the chosen events in [t-W, t); the one at t-W, if any,
+        # leaves before the envelope test at t
+        if t == horizon:
+            out.append(tuple(chosen))
+            return
+        leaving = t - w
+        if leaving >= 0 and picked[leaving]:
+            inside -= 1
+        if t not in mandatory:
+            grow(t + 1, inside)
+        if inside < n:
+            chosen.append(t)
+            picked[t] = True
+            grow(t + 1, inside + 1)
+            picked[t] = False
+            chosen.pop()
+
+    grow(0, 0)
+    return out
+
+
 def product_check(task_set: TaskSet, policy: Optional[Policy] = None,
                   horizon: Optional[int] = None):
     """The exhaustive check as a product loop, the checker before it
-    shared prefixes: every combination of the tasks' admissible patterns
-    in itertools.product order, each simulated from t=0 by
-    oracle_verdicts, until one misses a deadline. Returns (feasible,
-    patterns_checked, witness_pattern)."""
+    shared prefixes: every combination of the tasks' admissible patterns,
+    as oracle_admissible_patterns lists them, in itertools.product order,
+    each simulated from t=0 by oracle_verdicts, until one misses a
+    deadline. Returns (feasible, patterns_checked, witness_pattern)."""
     policy = policy if policy is not None else Policy()
     if horizon is None:
         horizon = hyperperiod(task_set)
     pmap = select_priority_map(task_set, policy)
     task_ids = [t.id for t in task_set]
-    per_task = [admissible_patterns(t, horizon) for t in task_set]
+    per_task = [oracle_admissible_patterns(t, horizon) for t in task_set]
     checked = 0
     for combo in itertools.product(*per_task):
         checked += 1

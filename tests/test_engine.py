@@ -97,6 +97,9 @@ def test_run_table_matches_the_expanded_workload():
     for sc in both + [interleaved]:
         engine = Engine(sc)
         assert engine.raises == expanded_run_table(engine, sc)
+        # the run takes every tick's runs out of the table
+        engine.run()
+        assert engine.raises == {}
 
 
 def test_burst_times():

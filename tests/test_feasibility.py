@@ -31,6 +31,7 @@ from envelopesim.feasibility import (
 from envelopesim.model import assign_importance_monotonic, explicit_priority_map
 from conftest import two_task_set
 from support import (
+    oracle_admissible_patterns,
     oracle_verdicts,
     product_check,
     random_check_instance,
@@ -77,13 +78,50 @@ def test_admissible_patterns_match_brute_force(n, w, period, horizon):
     assert not got or got[0] == normal_pattern(task, horizon)
 
 
+def assert_enumerators_match_the_oracle(task, horizon):
+    expected = oracle_admissible_patterns(task, horizon)
+    masks = feasibility._admissible_masks(task, horizon)
+    assert admissible_patterns(task, horizon) == expected
+    assert [feasibility._times_of(m) for m in masks] == expected
+    assert masks == [feasibility._mask_of(p) for p in expected]
+    assert count_admissible_patterns(task, horizon) == len(expected)
+    return expected
+
+
+@pytest.mark.parametrize("task,horizon,count", [
+    # exception-only: no arrival is mandatory, the empty pattern first
+    (envelope_task(1, 3, period=INFINITE_PERIOD, deadline=3), 7, 19),
+    # n >= W: no window can ever be full, so every superset of the
+    # normal arrivals is admissible
+    (envelope_task(3, 2, period=4), 8, 2 ** 6),
+    (envelope_task(2, 2, period=INFINITE_PERIOD, deadline=2), 5, 2 ** 5),
+    # W > horizon: one window spans the whole horizon
+    (envelope_task(2, 9, period=3), 6, 1),
+    (envelope_task(3, 9, period=INFINITE_PERIOD, deadline=2), 6, 42),
+    # the normal pattern breaches its envelope: no patterns at all
+    (envelope_task(1, 4, period=3), 6, 0),
+])
+def test_enumerators_match_the_tuple_oracle_on_edge_tasks(task, horizon,
+                                                         count):
+    assert len(assert_enumerators_match_the_oracle(task, horizon)) == count
+
+
+def test_enumerators_match_the_tuple_oracle_on_random_tasks():
+    rng = random.Random(2007)
+    for _ in range(300):
+        period = rng.choice([INFINITE_PERIOD, 1, 2, 3, 4, 6, 12])
+        task = envelope_task(rng.randint(1, 4), rng.randint(1, 14),
+                             period=period, deadline=rng.randint(1, 6))
+        assert_enumerators_match_the_oracle(task, rng.randint(0, 13))
+
+
 def test_refusal_comes_before_any_pattern_is_built(monkeypatch):
     # 2**23 patterns: every subset of the ticks 1..23 joins the arrival
     # at 0, so enumerating them first would take seconds and gigabytes
     def no_enumeration(task, horizon):
         raise AssertionError("patterns built before the bound check")
 
-    monkeypatch.setattr(feasibility, "admissible_patterns", no_enumeration)
+    monkeypatch.setattr(feasibility, "_admissible_masks", no_enumeration)
     task = envelope_task(1, 1, period=24)
     assert count_admissible_patterns(task, 24) == 2 ** 23
     with pytest.raises(BoundsExceeded, match="8388608 pattern combinations"):
@@ -436,7 +474,7 @@ def test_first_combination_miss_builds_no_pattern_list(monkeypatch):
     def no_enumeration(task, horizon):
         raise AssertionError("pattern list built before a slot advanced")
 
-    monkeypatch.setattr(feasibility, "admissible_patterns", no_enumeration)
+    monkeypatch.setattr(feasibility, "_admissible_masks", no_enumeration)
     demo = load_scenario(str(SCENARIOS / "counterexample.json"))
     for ts, policy, horizon in [(two_task_set(), None, None),
                                 (demo.task_set, demo.policy, demo.horizon)]:
@@ -454,13 +492,13 @@ def test_advancing_slot_builds_its_list_once(monkeypatch):
     # t1's fourth and t2's first pattern, after t2 has advanced 12 times
     # and wrapped 3
     built = []
-    enumerate_patterns = feasibility.admissible_patterns
+    enumerate_masks = feasibility._admissible_masks
 
     def counted(task, horizon):
         built.append(task.id)
-        return enumerate_patterns(task, horizon)
+        return enumerate_masks(task, horizon)
 
-    monkeypatch.setattr(feasibility, "admissible_patterns", counted)
+    monkeypatch.setattr(feasibility, "_admissible_masks", counted)
     result = check_ooe_feasible(reused_starved_task_set(), horizon=5)
     assert result.patterns_checked == 16
     assert built == ["t2", "t1"]
