@@ -57,6 +57,7 @@ from .engine import (
     Storm,
     TIMER_SET,
     UNMASK,
+    _validate_scenario,
 )
 from .feasibility import BoundsExceeded, FeasibilityError, check_ooe_feasible
 from .model import INFINITE_PERIOD, Task, TaskSet
@@ -299,6 +300,8 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
+        # the check reads no workload, but refuses what run refuses
+        _validate_scenario(scenario)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

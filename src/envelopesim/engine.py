@@ -171,61 +171,68 @@ class Explicit:
 WorkloadSpec = Union[Periodic, Sporadic, Burst, Storm, Explicit]
 
 
-def generate_workload(spec: WorkloadSpec, horizon: int,
-                      seed: int = 0) -> List[int]:
-    """Expand a workload spec into a sorted list of raise times inside
-    [0, horizon). Sporadic uses its own sub-seed so distinct lines stay
-    decorrelated under one scenario seed."""
+def _raises(spec: WorkloadSpec, horizon: int, seed: int = 0):
+    """What a workload spec raises over [0, horizon), as (count, ticks):
+    count raises at each of the ticks, in ascending order, an explicit
+    spec's repeated time listed once per raise. The only place a spec is
+    checked and expanded; an invalid spec raises ScenarioError. A
+    sporadic spec's ticks are drawn as they are read."""
     if isinstance(spec, Periodic):
         if spec.period < 1:
             raise ScenarioError([f"periodic workload: period {spec.period} < 1"])
-        return list(range(max(0, spec.offset), horizon, spec.period))
+        return 1, range(max(0, spec.offset), horizon, spec.period)
     if isinstance(spec, Sporadic):
         if not (0.0 < spec.density <= 1.0):
             raise ScenarioError(
                 [f"sporadic workload: density {spec.density} outside (0, 1]"]
             )
-        rng = random.Random(f"{seed}:{spec.seed}")
-        out = []
-        t = 0
-        while t < horizon:
-            if rng.random() < spec.density:
-                out.append(t)
-                t += max(1, spec.min_sep)
-            else:
-                t += 1
-        return out
+        return 1, _sporadic_ticks(spec, horizon, seed)
     if isinstance(spec, Burst):
-        if spec.spacing < 0 or spec.count < 0:
+        at, step = spec.at, spec.spacing
+        if step < 0 or spec.count < 0:
             raise ScenarioError(["burst workload: negative count or spacing"])
-        return [spec.at + k * spec.spacing
-                for k in _burst_indices(spec, horizon)]
+        if not step:  # all count raises at the one tick at, if any
+            return spec.count, (range(max(0, at), min(horizon, at + 1))
+                                if spec.count else range(0))
+        # a burst starting before 0 keeps its phase: at % step is its
+        # first tick at or after 0
+        return 1, range(at if at >= 0 else at % step,
+                        min(horizon, at + spec.count * step), step)
     if isinstance(spec, Storm):
-        return [t for t in _storm_ticks(spec, horizon)
-                for _ in range(spec.rate)]
+        if spec.rate < 1:
+            raise ScenarioError([f"storm workload: rate {spec.rate} < 1"])
+        return spec.rate, range(max(0, spec.start), horizon)
     if isinstance(spec, Explicit):
-        return sorted(t for t in spec.times if 0 <= t < horizon)
+        return 1, sorted(t for t in spec.times if 0 <= t < horizon)
     raise ScenarioError([f"unknown workload spec {spec!r}"])
 
 
-def _storm_ticks(spec: Storm, horizon: int) -> range:
-    """The ticks in [0, horizon) at which a storm raises spec.rate times."""
-    if spec.rate < 1:
-        raise ScenarioError([f"storm workload: rate {spec.rate} < 1"])
-    return range(max(0, spec.start), horizon)
+def _sporadic_ticks(spec: Sporadic, horizon: int, seed: int):
+    """A sporadic spec's raise ticks, one random draw per tick passed
+    over. The spec's own sub-seed keeps distinct lines decorrelated under
+    one scenario seed."""
+    draw = random.Random(f"{seed}:{spec.seed}").random
+    density, gap = spec.density, max(1, spec.min_sep)
+    t = 0
+    while t < horizon:
+        if draw() < density:
+            yield t
+            t += gap
+        else:
+            t += 1
 
 
-def _burst_indices(spec: Burst, horizon: int) -> range:
-    """The k in [0, count) whose raise at + k * spacing lies in
-    [0, horizon)."""
-    if spec.spacing == 0:
-        return range(spec.count if 0 <= spec.at < horizon else 0)
-    return range(max(0, -(spec.at // spec.spacing)),
-                 min(spec.count, (horizon - 1 - spec.at) // spec.spacing + 1))
+def generate_workload(spec: WorkloadSpec, horizon: int,
+                      seed: int = 0) -> List[int]:
+    """Expand a workload spec into a sorted list of raise times inside
+    [0, horizon), a tick repeated once per raise at it."""
+    count, ticks = _raises(spec, horizon, seed)
+    return [t for t in ticks for _ in range(count)]
 
 
 # The most raises a scenario's workload may expand to, counting a sporadic
-# line's random draws, one per tick, as raises. The engine spends a few
+# line's random draws, one per tick, as raises; estimate_raises counts
+# them before the engine builds its run table. The engine spends a few
 # microseconds per raise and, once the records are read, holds one or
 # two trace records per raise, so the limit keeps a run to seconds and
 # hundreds of megabytes.
@@ -233,23 +240,12 @@ MAX_WORKLOAD_RAISES = 1_000_000
 
 
 def estimate_raises(spec: WorkloadSpec, horizon: int) -> int:
-    """How many raise times generate_workload(spec, horizon) builds,
-    computed from the spec without building any; for a sporadic spec, the
-    number of draws, which bounds its raises. A spec generate_workload
-    rejects counts as 0."""
-    if isinstance(spec, Periodic):
-        return len(range(max(0, spec.offset), horizon, spec.period)) \
-            if spec.period >= 1 else 0
-    if isinstance(spec, Sporadic):
-        return horizon
-    if isinstance(spec, Burst):
-        return len(_burst_indices(spec, horizon)) \
-            if spec.spacing >= 0 and spec.count >= 0 else 0
-    if isinstance(spec, Storm):
-        return max(0, spec.rate) * max(0, horizon - max(0, spec.start))
-    if isinstance(spec, Explicit):
-        return len(spec.times)
-    return 0
+    """Exactly the number of raise times generate_workload(spec, horizon)
+    lists, counted without listing them; for a sporadic spec, horizon:
+    its random draws, at most one per tick, bound its raises, and none is
+    taken. An invalid spec raises its ScenarioError."""
+    count, ticks = _raises(spec, horizon)
+    return horizon if isinstance(spec, Sporadic) else count * len(ticks)
 
 
 @dataclass
@@ -579,17 +575,12 @@ class Engine:
         # with the monitors where an episode opens, moves or ends
         self._episodes: Set[str] = set()
         # each tick's raises as runs, flat: line, count, line, count, ...
-        # in interrupt priority order. A line's raises at one tick are one
-        # run, whichever specs made them. A storm adds its rate at each of
-        # its ticks; every other spec adds 1 per raise time it expands to.
-        # The specs expand in scenario order, so the first invalid one is
-        # reported. _process_raises drops a tick's runs once it takes them
-        made = [
-            (line, spec.rate, _storm_ticks(spec, self.horizon))
-            if isinstance(spec, Storm) else
-            (line, 1, generate_workload(spec, self.horizon, scenario.seed))
-            for line, spec in scenario.workload
-        ]
+        # in interrupt priority order, built here from every spec's
+        # (count, ticks). A line's raises at one tick are one run,
+        # whichever specs made them: each spec adds its count at each of
+        # its ticks. _process_raises drops a tick's runs once it takes them
+        made = [(line, *_raises(spec, self.horizon, scenario.seed))
+                for line, spec in scenario.workload]
         rank = self._irq_rank
         self.raises: Dict[int, list] = {}
         get = self.raises.get

@@ -11,7 +11,10 @@ only the band between the old and the new level; the confirming engine follows e
 schedule-point round that changed anything with one more and polls every
 monitor and line priority in each, as the engine did before it stopped
 at the first round without a backfill and kept that state from events;
-the product check simulates every pattern combination from t=0, as
+the workload oracles expand each spec kind by its own ladder, and count
+its raises by a second one, as the engine did before every spec became
+one (count, ticks) source; the product check simulates every pattern
+combination from t=0, as
 the checker did before it shared prefixes, over patterns that the
 pattern oracle builds as tuples of event times, as the checker did
 before it held them as bitmasks; the reference parser
@@ -54,7 +57,6 @@ from envelopesim import (
 )
 from envelopesim.engine import (
     CSV_HEADER,
-    generate_workload,
     select_priority_map,
 )
 from envelopesim.feasibility import (
@@ -347,6 +349,76 @@ def random_check_instance(seed, max_combinations=300, min_combinations=0):
             return TaskSet(tasks), policy, horizon
 
 
+def oracle_generate_workload(spec, horizon: int, seed: int = 0) -> List[int]:
+    """A workload spec's sorted raise times inside [0, horizon), expanded
+    by a ladder over the spec kinds."""
+    if isinstance(spec, Periodic):
+        if spec.period < 1:
+            raise ScenarioError([f"periodic workload: period {spec.period} < 1"])
+        return list(range(max(0, spec.offset), horizon, spec.period))
+    if isinstance(spec, Sporadic):
+        if not (0.0 < spec.density <= 1.0):
+            raise ScenarioError(
+                [f"sporadic workload: density {spec.density} outside (0, 1]"]
+            )
+        rng = random.Random(f"{seed}:{spec.seed}")
+        out = []
+        t = 0
+        while t < horizon:
+            if rng.random() < spec.density:
+                out.append(t)
+                t += max(1, spec.min_sep)
+            else:
+                t += 1
+        return out
+    if isinstance(spec, Burst):
+        if spec.spacing < 0 or spec.count < 0:
+            raise ScenarioError(["burst workload: negative count or spacing"])
+        return [spec.at + k * spec.spacing
+                for k in _oracle_burst_indices(spec, horizon)]
+    if isinstance(spec, Storm):
+        return [t for t in _oracle_storm_ticks(spec, horizon)
+                for _ in range(spec.rate)]
+    if isinstance(spec, Explicit):
+        return sorted(t for t in spec.times if 0 <= t < horizon)
+    raise ScenarioError([f"unknown workload spec {spec!r}"])
+
+
+def _oracle_storm_ticks(spec, horizon: int) -> range:
+    """The ticks in [0, horizon) at which a storm raises spec.rate times."""
+    if spec.rate < 1:
+        raise ScenarioError([f"storm workload: rate {spec.rate} < 1"])
+    return range(max(0, spec.start), horizon)
+
+
+def _oracle_burst_indices(spec, horizon: int) -> range:
+    """The k in [0, count) whose raise at + k * spacing lies in
+    [0, horizon)."""
+    if spec.spacing == 0:
+        return range(spec.count if 0 <= spec.at < horizon else 0)
+    return range(max(0, -(spec.at // spec.spacing)),
+                 min(spec.count, (horizon - 1 - spec.at) // spec.spacing + 1))
+
+
+def oracle_estimate_raises(spec, horizon: int) -> int:
+    """A second ladder over the spec kinds, counting raises from the spec
+    alone: a sporadic spec counts its draws, an explicit spec every time
+    it lists, and a spec oracle_generate_workload rejects 0."""
+    if isinstance(spec, Periodic):
+        return len(range(max(0, spec.offset), horizon, spec.period)) \
+            if spec.period >= 1 else 0
+    if isinstance(spec, Sporadic):
+        return horizon
+    if isinstance(spec, Burst):
+        return len(_oracle_burst_indices(spec, horizon)) \
+            if spec.spacing >= 0 and spec.count >= 0 else 0
+    if isinstance(spec, Storm):
+        return max(0, spec.rate) * max(0, horizon - max(0, spec.start))
+    if isinstance(spec, Explicit):
+        return len(spec.times)
+    return 0
+
+
 _SUPPRESS_REASON = {
     RaiseOutcome.SUPPRESSED_MASKED: "masked",
     RaiseOutcome.SUPPRESSED_IPL: "ipl",
@@ -358,15 +430,16 @@ class TickEngine(Engine):
     """The engine's phases driven one tick at a time: every step of
     range(horizon + 1) is visited and the processor advances by single
     ticks. Each occurrence is raised on its own, from a table of one
-    entry per occurrence, and logged with fresh records. Next-event time
-    advance and the engine's raise runs must reproduce its traces byte
-    for byte."""
+    entry per occurrence that the workload oracle expands, and logged
+    with fresh records. Next-event time advance and the engine's raise
+    runs must reproduce its traces byte for byte."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
         rank = {task.line: i
                 for i, task in enumerate(interrupt_order(self.task_set))}
-        made = [(line, generate_workload(spec, self.horizon, scenario.seed))
+        made = [(line,
+                 oracle_generate_workload(spec, self.horizon, scenario.seed))
                 for line, spec in scenario.workload]
         self.occurrences: Dict[int, List[str]] = {}
         for line, times in sorted(made, key=lambda m: rank[m[0]]):

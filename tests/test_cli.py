@@ -8,6 +8,7 @@ import subprocess
 import sys
 from enum import Enum
 from pathlib import Path
+from types import SimpleNamespace
 from typing import List, Tuple
 
 import pytest
@@ -23,6 +24,7 @@ from envelopesim import (
     Storm,
     Task,
     cli,
+    engine,
 )
 from envelopesim.cli import (
     EXIT_BOUNDS,
@@ -337,14 +339,21 @@ def test_run_refuses_an_oversized_workload_before_expanding_it(
         tmp_path, capsys, monkeypatch):
     def never(*args):
         raise AssertionError("the workload was expanded")
-    monkeypatch.setattr("envelopesim.engine.generate_workload", never)
+    # a sporadic line builds its random stream at its first draw
+    monkeypatch.setattr(engine, "random", SimpleNamespace(Random=never))
     obj = two_task_obj()
     obj["horizon"] = 10 ** 7
-    obj["workload"] = [{"kind": "storm", "line": "l_low", "start": 0,
-                        "rate": 1000}]
-    code = main(["run", "--scenario", write_scenario(tmp_path, obj)])
-    assert code == EXIT_INVALID
-    assert "expands to 10000000000 raises" in capsys.readouterr().err
+    # the sporadic line first: without the limit it fails at once, where
+    # the storm would build a table of 10^7 ticks
+    for entry, raises in [
+        (sporadic_entry(), 10 ** 7),
+        ({"kind": "storm", "line": "l_low", "start": 0, "rate": 1000},
+         10 ** 10),
+    ]:
+        obj["workload"] = [entry]
+        code = main(["run", "--scenario", write_scenario(tmp_path, obj)])
+        assert code == EXIT_INVALID
+        assert f"expands to {raises} raises" in capsys.readouterr().err
 
 
 def test_run_refuses_a_repeated_key(tmp_path, capsys):
@@ -535,6 +544,27 @@ def test_check_bounds_exceeded(tmp_path, capsys):
     assert "bounds exceeded" in capsys.readouterr().err
 
 
+def _burst(**changes):
+    return {"kind": "burst", "line": "l_high", "at": 0, "count": 2,
+            "spacing": 1, **changes}
+
+
+def _storm(**changes):
+    return {"kind": "storm", "line": "l_low", "start": 0, "rate": 1000,
+            **changes}
+
+
+def _oversized(obj):
+    obj["horizon"] = 10 ** 7
+    obj["workload"] = [_storm()]
+
+
+def _oversized_and_invalid(obj):
+    # the invalid spec is reported, not the total it is part of
+    _oversized(obj)
+    obj["workload"].append(_storm(rate=0))
+
+
 def _duplicate_importance_and_bad_keys(obj):
     obj["tasks"][1]["importance"] = 1
     obj["tasks"][0]["job_priority_overrides"].update({"7": 10, "-1": 5})
@@ -550,7 +580,23 @@ def _duplicate_importance_and_bad_keys(obj):
      ["unknown priority assignment 'explicitt'"]),
     (lambda o: o["tasks"][1].pop("priority"),
      ["task tau_h: explicit priority assignment requires a priority"]),
-], ids=["duplicates", "horizon", "delta_th", "assignment", "no_priority"])
+    (lambda o: o["workload"][1].update(line="ghost"),
+     ["workload references unknown line 'ghost'"]),
+    (lambda o: o["workload"][0].update(period=0),
+     ["periodic workload: period 0 < 1"]),
+    (lambda o: o["workload"].append(sporadic_entry(density=0.0)),
+     ["sporadic workload: density 0.0 outside (0, 1]"]),
+    (lambda o: o["workload"].append(_burst(count=-1)),
+     ["burst workload: negative count or spacing"]),
+    (lambda o: o["workload"].append(_burst(spacing=-2)),
+     ["burst workload: negative count or spacing"]),
+    (lambda o: o["workload"].append(_storm(rate=0)),
+     ["storm workload: rate 0 < 1"]),
+    (_oversized, ["the workload expands to 10000000000 raises"]),
+    (_oversized_and_invalid, ["storm workload: rate 0 < 1"]),
+], ids=["duplicates", "horizon", "delta_th", "assignment", "no_priority",
+        "unknown_line", "periodic", "sporadic", "burst_count",
+        "burst_spacing", "storm", "oversized", "spec_before_size"])
 def test_check_rejects_invalid_scenario_like_run(tmp_path, capsys, mutate,
                                                  fragments):
     # feasible before the mutation, so no witness replay runs the engine
@@ -563,6 +609,18 @@ def test_check_rejects_invalid_scenario_like_run(tmp_path, capsys, mutate,
     assert all(f in err for f in fragments), err
     assert main(["run", "--scenario", scenario]) == EXIT_INVALID
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("name,code", [
+    ("bottom_half", EXIT_BOUNDS), ("ipl", EXIT_BOUNDS),
+    ("storm", EXIT_BOUNDS), ("counterexample", EXIT_VIOLATION),
+    ("override", EXIT_OK), ("override_burst", EXIT_OK),
+])
+def test_check_demo_scenarios_keep_their_exit_codes(tmp_path, name, code):
+    scenario = Path(__file__).resolve().parent.parent / "demos" \
+        / "scenarios" / f"{name}.json"
+    assert main(["check", "--scenario", str(scenario),
+                 "--witness", str(tmp_path / "w.csv")]) == code
 
 
 def test_check_rejects_self_breaching_envelope(tmp_path, capsys):

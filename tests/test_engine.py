@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -29,7 +30,8 @@ from envelopesim.engine import _validate_scenario, estimate_raises
 from conftest import scenario_monotonic, scenario_override, \
     scenario_override_burst
 from support import ConfirmingEngine, conservation_counts, \
-    internalize_timestamps, random_scenario, storm_scenario, \
+    internalize_timestamps, oracle_estimate_raises, \
+    oracle_generate_workload, random_scenario, storm_scenario, \
     with_ipl_and_overrides
 
 
@@ -191,9 +193,99 @@ def test_raise_estimates_need_no_generation():
     assert estimate_raises(Burst(8, 4, 1), 10) == 2
     assert estimate_raises(Burst(3, 10 ** 12, 0), 10) == 10 ** 12
     assert estimate_raises(Storm(1, 3), 4) == 9
-    assert estimate_raises(Explicit((9, 2, -1, 30)), 10) == 4
+    assert estimate_raises(Explicit((9, 2, -1, 30)), 10) == 2
     # a burst far longer than the horizon expands only its in-range part
     assert generate_workload(Burst(-3, 10 ** 12, 2), 6) == [1, 3, 5]
+
+
+def outcome(fn, *args):
+    """fn's result, or the message of the ScenarioError it raised."""
+    try:
+        return fn(*args)
+    except ScenarioError as exc:
+        return f"refused: {exc}"
+
+
+# specs at the edges of each kind's arithmetic: negative offset, start
+# and at; spacing 0 and count 0; bursts straddling tick 0 or the horizon;
+# storms starting at or after the horizon; explicit duplicates and times
+# outside the horizon; and each kind's invalid values
+EDGE_SPECS = [
+    Periodic(0, 3), Periodic(-5, 4), Periodic(-4, 4), Periodic(9, 4),
+    Periodic(10, 1), Periodic(0, 0), Periodic(3, -2),
+    Burst(3, 2, 0), Burst(3, 0, 0), Burst(3, 0, 2), Burst(-1, 5, 0),
+    Burst(10, 5, 0), Burst(9, 5, 0), Burst(0, 3, 0), Burst(-3, 4, 2),
+    Burst(-4, 4, 2), Burst(-9, 3, 4), Burst(-10, 3, 4), Burst(8, 4, 1),
+    Burst(7, 9, 3), Burst(-3, 10 ** 12, 2), Burst(12, 3, 2),
+    Burst(0, -1, 0), Burst(0, 1, -1),
+    Storm(0, 1), Storm(-4, 2), Storm(9, 3), Storm(10, 2), Storm(15, 1),
+    Storm(0, 0), Storm(2, -1),
+    Explicit(()), Explicit((9, 2, -1, 30)), Explicit((3, 3, 0, 3, 10, 9)),
+    Explicit((-1, 10, 11)),
+    Sporadic(2, 0.5, 42), Sporadic(0, 1.0, 1), Sporadic(-3, 0.3, 2),
+    Sporadic(4, 0.9, 7), Sporadic(1, 0.0, 0), Sporadic(1, 1.5, 0),
+]
+
+
+def random_spec(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Periodic(rng.randint(-6, 12), rng.randint(-1, 7))
+    if kind == 1:
+        density = rng.choice([0.0, 0.1, 0.5, 1.0, 1.2])
+        return Sporadic(rng.randint(-2, 6), density, rng.randrange(100))
+    if kind == 2:
+        return Burst(rng.randint(-12, 14), rng.randint(-1, 9),
+                     rng.randint(-1, 5))
+    if kind == 3:
+        return Storm(rng.randint(-5, 14), rng.randint(-1, 4))
+    return Explicit(tuple(rng.randint(-3, 14)
+                          for _ in range(rng.randrange(7))))
+
+
+def ladder_cases():
+    """(spec, horizon, seed): every edge spec, then a seeded batch of
+    every kind."""
+    rng = random.Random(19)
+    cases = [(spec, horizon, seed) for spec in EDGE_SPECS
+             for horizon in (0, 1, 10) for seed in (0, 3)]
+    return cases + [(random_spec(rng), rng.randint(1, 40), rng.randrange(4))
+                    for _ in range(2000)]
+
+
+def test_workload_matches_the_ladder_oracle():
+    kinds = set()
+    for spec, horizon, seed in ladder_cases():
+        expected = outcome(oracle_generate_workload, spec, horizon, seed)
+        got = outcome(generate_workload, spec, horizon, seed)
+        assert got == expected, (spec, horizon, seed)
+        estimate = outcome(estimate_raises, spec, horizon)
+        if isinstance(got, list):
+            kinds.add(type(spec))
+            assert estimate == (horizon if isinstance(spec, Sporadic)
+                                else len(got)), (spec, horizon)
+            if not isinstance(spec, Explicit):
+                assert estimate == oracle_estimate_raises(spec, horizon)
+        else:  # the estimate refuses the spec as the expansion does
+            assert estimate == got, (spec, horizon)
+    assert kinds == {Periodic, Sporadic, Burst, Storm, Explicit}
+
+
+def test_run_table_matches_the_ladder_oracle():
+    # each spec beside a periodic one on the same line, whose raises the
+    # table adds to the spec's at the ticks they share
+    other = Periodic(1, 4)
+    for spec, horizon, seed in ladder_cases():
+        if horizon < 1 or isinstance(
+                outcome(oracle_generate_workload, spec, horizon), str):
+            continue
+        sc = one_task_scenario(workload=[("l", spec), ("l", other)],
+                               horizon=horizon, seed=seed)
+        counts = {}
+        for t in oracle_generate_workload(spec, horizon, seed) \
+                + oracle_generate_workload(other, horizon):
+            counts[t] = counts.get(t, 0) + 1
+        assert Engine(sc).raises == {t: ["l", n] for t, n in counts.items()}
 
 
 def test_oversized_workload_is_refused_before_expansion():
