@@ -9,7 +9,7 @@ Three subcommands:
 Exit codes:
 
     0  success (for run: no deadline miss; sanctioned drops are fine)
-    1  unreadable or invalid input
+    1  unreadable or invalid input, or an output that cannot be written
     2  run finished with at least one deadline miss
     3  run finished with a sensor declared faulty (and no miss)
     4  check found a violating arrival pattern (witness written)
@@ -29,6 +29,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import sys
 from enum import Enum
@@ -261,6 +262,17 @@ def load_scenario(path) -> Scenario:
 # subcommands
 
 
+def _written(what: str, write, path) -> bool:
+    """write(path) unless path is None; on failure print why, return False."""
+    try:
+        if path is not None:
+            write(path)
+    except OSError as exc:
+        print(f"error: cannot write {what}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
@@ -269,10 +281,9 @@ def cmd_run(args) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    if args.trace:
-        trace.write_csv(args.trace)
-    if args.metrics:
-        metrics.write_json(args.metrics)
+    if not (_written("trace file", trace.write_csv, args.trace)
+            and _written("metrics file", metrics.write_json, args.metrics)):
+        return EXIT_INVALID
     if args.verbose:
         for rec in trace.of_kind(IPL_SET, TIMER_SET):
             print(
@@ -333,7 +344,9 @@ def cmd_check(args) -> int:
     witness_path = args.witness or str(
         Path(args.scenario).with_suffix(".witness.csv")
     )
-    result.witness_trace.write_csv(witness_path)
+    if not _written("witness trace", result.witness_trace.write_csv,
+                    witness_path):
+        return EXIT_INVALID
     pattern = {
         tid: list(times) for tid, times in result.witness_pattern.items()
     }
@@ -446,6 +459,8 @@ _SVG_COLORS = {
 def render_gantt_svg(rows: List[Tuple[str, int, int, str]]) -> str:
     """A small, self-contained chart: one lane per task, run and mask
     bars, tick marks for point events."""
+    from xml.sax.saxutils import escape  # ~40 ms: kept off start-up
+
     tasks = sorted({r[0] for r in rows if r[0]})
     t_max = max((r[2] for r in rows), default=0)
     t_max = max(t_max, 1)
@@ -465,7 +480,7 @@ def render_gantt_svg(rows: List[Tuple[str, int, int, str]]) -> str:
     for task in tasks:
         y = lane[task]
         parts.append(
-            f'<text x="4" y="{y + 18}" fill="#222">{task}</text>'
+            f'<text x="4" y="{y + 18}" fill="#222">{escape(task)}</text>'
         )
         parts.append(
             f'<line x1="{left}" y1="{y + lane_h - 2}" x2="{x(t_max)}" '
@@ -487,7 +502,7 @@ def render_gantt_svg(rows: List[Tuple[str, int, int, str]]) -> str:
             continue
         y = lane[task]
         color = _SVG_COLORS.get(kind, "#9d755d")
-        title = f"<title>{task} {kind} [{start},{end}]</title>"
+        title = f"<title>{escape(f'{task} {kind} [{start},{end}]')}</title>"
         if kind == "run":
             parts.append(
                 f'<rect x="{x(start)}" y="{y + 6}" '
@@ -528,16 +543,14 @@ def cmd_gantt(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if args.format == "csv":
-        import io
-
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(GANTT_HEADER)
-        for row in rows:
-            writer.writerow([row[0], str(row[1]), str(row[2]), row[3]])
-        Path(args.out).write_text(buf.getvalue(), encoding="utf-8")
+        csv.writer(buf, lineterminator="\n").writerows([GANTT_HEADER, *rows])
+        text = buf.getvalue()
     else:
-        Path(args.out).write_text(render_gantt_svg(rows), encoding="utf-8")
+        text = render_gantt_svg(rows)
+    if not _written("chart", lambda out: Path(out).write_text(
+            text, encoding="utf-8"), args.out):
+        return EXIT_INVALID
     print(f"wrote {len(rows)} chart rows to {args.out}")
     return EXIT_OK
 

@@ -14,11 +14,11 @@ visited step t it runs the phases in a fixed order:
    (dispatch plus, when enabled, recomputation of the interrupt
    priority level), repeated only after a round that backfilled, so
    at most lines + 1 rounds. It polls no monitor and no priority: the
-   engine keeps the set of tasks with a recorded episode, updated where
-   an internalization, a decay timer or a window timer's unmask opens,
-   moves or ends one, and each line's next-job priority, updated at
-   each release; the level is recomputed only when the running job or
-   one of those priorities changed.
+   engine keeps the scheduler's elevated set in step with the recorded
+   episodes where an internalization, a decay timer or a window timer's
+   unmask opens, moves or ends one, and each line's next-job priority,
+   updated at each release; the level is recomputed only when the
+   running job or one of those priorities changed.
 
 The engine then jumps to the earliest of the next raise on a line the
 controller lets through (unmasked, above the interrupt priority level and
@@ -56,7 +56,7 @@ import io
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .model import (
     Job,
@@ -71,7 +71,6 @@ from .model import (
     validate_task_set,
 )
 from .monitor import (
-    Alarm,
     AlarmKind,
     FaultPolicy,
     LineMonitor,
@@ -180,12 +179,17 @@ def _raises(spec: WorkloadSpec, horizon: int, seed: int = 0):
     if isinstance(spec, Periodic):
         if spec.period < 1:
             raise ScenarioError([f"periodic workload: period {spec.period} < 1"])
-        return 1, range(max(0, spec.offset), horizon, spec.period)
+        # a negative offset keeps its phase, as a burst's at does
+        return 1, range(max(spec.offset, spec.offset % spec.period),
+                        horizon, spec.period)
     if isinstance(spec, Sporadic):
         if not (0.0 < spec.density <= 1.0):
             raise ScenarioError(
                 [f"sporadic workload: density {spec.density} outside (0, 1]"]
             )
+        if spec.min_sep < 1:
+            raise ScenarioError(
+                [f"sporadic workload: min_sep {spec.min_sep} < 1"])
         return 1, _sporadic_ticks(spec, horizon, seed)
     if isinstance(spec, Burst):
         at, step = spec.at, spec.spacing
@@ -212,7 +216,7 @@ def _sporadic_ticks(spec: Sporadic, horizon: int, seed: int):
     over. The spec's own sub-seed keeps distinct lines decorrelated under
     one scenario seed."""
     draw = random.Random(f"{seed}:{spec.seed}").random
-    density, gap = spec.density, max(1, spec.min_sep)
+    density, gap = spec.density, spec.min_sep
     t = 0
     while t < horizon:
         if draw() < density:
@@ -508,10 +512,13 @@ def _validate_scenario(scenario: Scenario) -> None:
         problems.append(f"horizon must be positive, got {scenario.horizon}")
     if scenario.policy.delta_th < 0:
         problems.append("delta_th must be >= 0")
-    if scenario.policy.assignment not in ("importance_monotonic", "explicit"):
-        problems.append(
-            f"unknown priority assignment '{scenario.policy.assignment}'"
-        )
+    assignment = scenario.policy.assignment
+    if assignment == "explicit":
+        problems += [f"task {t.id}: explicit priority assignment requires "
+                     f"a priority value"
+                     for t in scenario.task_set if t.priority is None]
+    elif assignment != "importance_monotonic":
+        problems.append(f"unknown priority assignment '{assignment}'")
     if not problems and scenario.workload:
         horizon = scenario.resolved_horizon()
         raises = sum(estimate_raises(spec, horizon)
@@ -527,13 +534,10 @@ def _validate_scenario(scenario: Scenario) -> None:
 
 
 def select_priority_map(task_set: TaskSet, policy: Policy) -> PriorityMap:
-    """The scheduler priorities that policy.assignment selects."""
+    """The priorities policy.assignment selects, once validated."""
     if policy.assignment != "explicit":
         return assign_importance_monotonic(task_set)
-    try:
-        return explicit_priority_map(task_set)
-    except ValueError as exc:
-        raise ScenarioError([str(exc)]) from None
+    return explicit_priority_map(task_set)
 
 
 class Engine:
@@ -557,7 +561,7 @@ class Engine:
         self.sched = Scheduler(self.task_set, self.pmap,
                                scenario.policy.delta_th)
         self.trace = Trace()
-        self.alarms: List[Alarm] = []
+        self.alarms: List[Dict[str, object]] = []
         order = interrupt_order(self.task_set)
         self._irq_rank = {task.line: i for i, task in enumerate(order)}
         # per line in interrupt priority order, what compute_ipl reads:
@@ -571,9 +575,6 @@ class Engine:
         self._ipl_stale = True
         # the running job the current level was computed for
         self._ipl_running: Optional[Job] = None
-        # the tasks whose monitor has an episode recorded, kept in step
-        # with the monitors where an episode opens, moves or ends
-        self._episodes: Set[str] = set()
         # each tick's raises as runs, flat: line, count, line, count, ...
         # in interrupt priority order, built here from every spec's
         # (count, ticks). A line's raises at one tick are one run,
@@ -618,8 +619,7 @@ class Engine:
             _record(TraceRecord, (time, kind, line, task, job, detail)))
 
     def _alarm(self, time, line, kind: AlarmKind):
-        alarm = Alarm(time, line, kind)
-        self.alarms.append(alarm)
+        self.alarms.append({"time": time, "line": line, "kind": kind.value})
         self._log(time, ALARM, line, self.line_task[line].id,
                   detail=kind.value)
 
@@ -709,8 +709,8 @@ class Engine:
             if rank == 0:
                 eff = mon.handle_window_timer(self.vic, t)
                 self._note_episode(mon)  # an unmask can retire it
-                for a in eff.alarms:
-                    self._alarm(t, line, a.kind)
+                for kind in eff.alarms:
+                    self._alarm(t, line, kind)
                 if eff.unmasked:
                     self._log(t, UNMASK, line, self.line_task[line].id,
                               detail="window")
@@ -718,14 +718,14 @@ class Engine:
                 if mon.window_timer is not None:  # re-armed
                     self._register_timer(mon.window_timer, "window", line, t)
             elif mon.decay(t):
-                self._episodes.discard(mon.task_id)
+                self.sched.elevated.discard(mon.task_id)
                 self._needs_dispatch = True
 
     def _note_episode(self, mon: LineMonitor) -> None:
         if mon.has_episode():
-            self._episodes.add(mon.task_id)
+            self.sched.elevated.add(mon.task_id)
         else:
-            self._episodes.discard(mon.task_id)
+            self.sched.elevated.discard(mon.task_id)
 
     def _register_timer(self, due: int, kind: str, line: str,
                         now: int) -> None:
@@ -793,8 +793,8 @@ class Engine:
         if eff.exited_ooe:
             detail += ";ooe_exit"
         self._log(now, INTERNALIZE, line, task.id, detail=detail)
-        for a in eff.alarms:
-            self._alarm(now, line, a.kind)
+        for kind in eff.alarms:
+            self._alarm(now, line, kind)
         if mon.window_timer is not None:  # the window defense masked
             self._log(now, MASK, line, task.id, detail="window")
             self._register_timer(mon.window_timer, "window", line, now)
@@ -884,16 +884,15 @@ class Engine:
         # current counter, so each line is backfilled at most once: at
         # most lines + 1 rounds. A backfill repeats the round.
         #
-        # This is the only writer of the elevated set, and it copies the
-        # kept set of recorded episodes instead of asking every monitor
-        # whether its episode is live (ooe_active). The two agree at t:
-        # an episode with a finite decay time d, a whole tick, gets a
-        # decay timer at max(d, now) when it is recorded, so every
-        # episode that has decayed by t retired in _process_timers(t),
-        # which runs before the point and after each backfilling round;
-        # an episode with an infinite decay time is live forever.
+        # The scheduler's elevated set, which the engine keeps, holds the
+        # tasks with a recorded episode; no monitor is asked whether its
+        # episode is live (ooe_active). The two agree at t: an episode
+        # with a finite decay time d, a whole tick, gets a decay timer at
+        # max(d, now) when it is recorded, so every episode that has
+        # decayed by t retired in _process_timers(t), which runs before
+        # the point and after each backfilling round; an episode with an
+        # infinite decay time is live forever.
         for _ in range(len(self.line_task) + 1):
-            self.sched.set_elevated(self._episodes)
             target = self.sched.pick_next(t)
             preempted, started = self.sched.dispatch(target, t)
             if preempted is not None:
@@ -966,14 +965,10 @@ class Engine:
                 "top_half_time": self.line_top_half[line],
                 "mask_ops": self.vic.mask_ops[line],
             }
-        alarms = [
-            {"time": a.time, "line": a.line, "kind": a.kind.value}
-            for a in self.alarms
-        ]
         return Metrics(
             per_task=per_task,
             per_line=per_line,
-            alarms=alarms,
+            alarms=self.alarms,
             total_top_half_time=sum(self.line_top_half.values()),
         )
 

@@ -71,13 +71,6 @@ _SENSOR_RESUMED = AlarmKind.SENSOR_RESUMED
 _AUTO_RESUME = FaultPolicy.AUTO_RESUME
 
 
-@dataclass(frozen=True)
-class Alarm:
-    time: int
-    line: str
-    kind: AlarmKind
-
-
 @dataclass
 class MonitorEffect:
     """What one internalization did to the line. Its alarms report an
@@ -85,7 +78,7 @@ class MonitorEffect:
     window_timer is set exactly when the window defense masked the line."""
 
     exited_ooe: bool = False
-    alarms: List[Alarm] = field(default_factory=list)
+    alarms: List[AlarmKind] = field(default_factory=list)
 
 
 @dataclass
@@ -95,7 +88,7 @@ class TimerEffect:
     monitor's window_timer is set exactly when the timer was re-armed."""
 
     unmasked: bool = False
-    alarms: List[Alarm] = field(default_factory=list)
+    alarms: List[AlarmKind] = field(default_factory=list)
 
 
 def episode_decay(prev: Optional[int], t: int, period: float,
@@ -188,7 +181,7 @@ class LineMonitor:
         decay_at = episode_decay(self.last_internalize, t, self.period,
                                  self.window)
         if decay_at is not None and self._ooe_decay_at is None:
-            eff.alarms.append(Alarm(t, self.line, _OOE_ENTERED))
+            eff.alarms.append(_OOE_ENTERED)
         elif decay_at is None and self._ooe_decay_at is not None:
             eff.exited_ooe = True
         self._ooe_decay_at = decay_at
@@ -198,7 +191,7 @@ class LineMonitor:
             vic.set_line_mask(self.line, True, t)
             self._defense = _WINDOW_MASKED
             self.window_timer = self.ring[0] + self.window
-            eff.alarms.append(Alarm(t, self.line, _WINDOW_BOUND_REACHED))
+            eff.alarms.append(_WINDOW_BOUND_REACHED)
         return eff
 
     def handle_window_timer(self, vic: VicState, t: int) -> TimerEffect:
@@ -223,7 +216,7 @@ class LineMonitor:
                 self._unmask(vic, t)
                 eff.unmasked = True
             else:
-                eff.alarms.append(Alarm(t, self.line, _SENSOR_FAULT))
+                eff.alarms.append(_SENSOR_FAULT)
                 self._defense = _FAULTY
                 if self.fault_policy is _AUTO_RESUME:
                     vic.set_line_mask(self.line, True, t)
@@ -234,7 +227,7 @@ class LineMonitor:
             # auto-resume probe: a full window stayed below the bound
             self._unmask(vic, t)
             eff.unmasked = True
-            eff.alarms.append(Alarm(t, self.line, _SENSOR_RESUMED))
+            eff.alarms.append(_SENSOR_RESUMED)
         else:
             vic.set_line_mask(self.line, True, t)
             self.window_timer = t + self.window

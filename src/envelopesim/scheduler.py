@@ -154,7 +154,7 @@ class Scheduler:
     def on_internalize(self, task_id: str, t: int) -> ReleaseEffect:
         """Respond to an internalized event: release a job, or notify a
         live one for NOTIFY_RUNNING tasks. The elevated set is left to
-        set_elevated, which the caller runs before the next dispatch."""
+        the caller, which keeps it in step before the next dispatch."""
         task = self.tasks[task_id]
         live = notified_job(task, self.active)
         if live is not None:

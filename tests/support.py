@@ -355,19 +355,23 @@ def oracle_generate_workload(spec, horizon: int, seed: int = 0) -> List[int]:
     if isinstance(spec, Periodic):
         if spec.period < 1:
             raise ScenarioError([f"periodic workload: period {spec.period} < 1"])
-        return list(range(max(0, spec.offset), horizon, spec.period))
+        return [t for t in range(spec.offset, horizon, spec.period)
+                if t >= 0]
     if isinstance(spec, Sporadic):
         if not (0.0 < spec.density <= 1.0):
             raise ScenarioError(
                 [f"sporadic workload: density {spec.density} outside (0, 1]"]
             )
+        if spec.min_sep < 1:
+            raise ScenarioError(
+                [f"sporadic workload: min_sep {spec.min_sep} < 1"])
         rng = random.Random(f"{seed}:{spec.seed}")
         out = []
         t = 0
         while t < horizon:
             if rng.random() < spec.density:
                 out.append(t)
-                t += max(1, spec.min_sep)
+                t += spec.min_sep
             else:
                 t += 1
         return out
@@ -405,10 +409,14 @@ def oracle_estimate_raises(spec, horizon: int) -> int:
     alone: a sporadic spec counts its draws, an explicit spec every time
     it lists, and a spec oracle_generate_workload rejects 0."""
     if isinstance(spec, Periodic):
-        return len(range(max(0, spec.offset), horizon, spec.period)) \
-            if spec.period >= 1 else 0
+        if spec.period < 1:
+            return 0
+        first = spec.offset \
+            + max(0, -(spec.offset // spec.period)) * spec.period
+        return len(range(first, horizon, spec.period))
     if isinstance(spec, Sporadic):
-        return horizon
+        return horizon if spec.min_sep >= 1 and 0 < spec.density <= 1 \
+            else 0
     if isinstance(spec, Burst):
         return len(_oracle_burst_indices(spec, horizon)) \
             if spec.spacing >= 0 and spec.count >= 0 else 0

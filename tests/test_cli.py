@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from enum import Enum
 from pathlib import Path
 from types import SimpleNamespace
@@ -447,6 +448,18 @@ def test_run_missing_file(tmp_path, capsys):
     assert "cannot read scenario file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,what", [("--trace", "trace file"),
+                                       ("--metrics", "metrics file")])
+def test_run_reports_an_unwritable_output(tmp_path, capsys, flag, what):
+    scenario = write_scenario(tmp_path, two_task_obj())
+    code = main(["run", "--scenario", scenario,
+                 flag, str(tmp_path / "missing" / "x")])
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {what}: ") \
+        and "No such file or directory" in err, err
+
+
 def test_run_bad_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -534,6 +547,17 @@ def test_check_violation_custom_witness_path(tmp_path):
     assert target.exists()
 
 
+def test_check_reports_an_unwritable_witness(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, two_task_obj())
+    code = main(["check", "--scenario", scenario,
+                 "--witness", str(tmp_path / "missing" / "x")])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write witness trace: ") \
+        and "No such file or directory" in captured.err, captured.err
+    assert "Violation" not in captured.out
+
+
 def test_check_bounds_exceeded(tmp_path, capsys):
     obj = two_task_obj()
     obj["tasks"][0]["T"] = 25  # hyperperiod beyond the horizon bound
@@ -565,6 +589,15 @@ def _oversized_and_invalid(obj):
     obj["workload"].append(_storm(rate=0))
 
 
+def _every_problem_at_once(obj):
+    # without both priorities, explicit_priority_map would name only the
+    # first, and only once the other problems were fixed
+    _duplicate_importance_and_bad_keys(obj)
+    obj["workload"][1]["line"] = "ghost"
+    for task in obj["tasks"]:
+        task.pop("priority")
+
+
 def _duplicate_importance_and_bad_keys(obj):
     obj["tasks"][1]["importance"] = 1
     obj["tasks"][0]["job_priority_overrides"].update({"7": 10, "-1": 5})
@@ -594,9 +627,17 @@ def _duplicate_importance_and_bad_keys(obj):
      ["storm workload: rate 0 < 1"]),
     (_oversized, ["the workload expands to 10000000000 raises"]),
     (_oversized_and_invalid, ["storm workload: rate 0 < 1"]),
+    (lambda o: o["workload"].append(sporadic_entry(min_sep=0)),
+     ["sporadic workload: min_sep 0 < 1"]),
+    (_every_problem_at_once,
+     ["duplicate importance 1", "key -1 outside [0, 2)",
+      "workload references unknown line 'ghost'",
+      "task tau_l: explicit priority assignment requires a priority",
+      "task tau_h: explicit priority assignment requires a priority"]),
 ], ids=["duplicates", "horizon", "delta_th", "assignment", "no_priority",
         "unknown_line", "periodic", "sporadic", "burst_count",
-        "burst_spacing", "storm", "oversized", "spec_before_size"])
+        "burst_spacing", "storm", "oversized", "spec_before_size",
+        "sporadic_min_sep", "every_problem"])
 def test_check_rejects_invalid_scenario_like_run(tmp_path, capsys, mutate,
                                                  fragments):
     # feasible before the mutation, so no witness replay runs the engine
@@ -667,6 +708,40 @@ def test_gantt_svg(tmp_path):
     text = out.read_text()
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
     assert "tau_l" in text and "tau_h" in text
+
+
+def test_gantt_svg_escapes_task_ids(tmp_path):
+    ids = ["a<b&c", "d>e", 'f"g', "h&amp;"]
+    obj = {
+        "tasks": [{"id": tid, "C": 1, "T": 10, "importance": i,
+                   "line": f"l{i}", "n": 1, "W": 5}
+                  for i, tid in enumerate(ids)],
+        "workload": [{"kind": "periodic", "line": f"l{i}", "offset": 0,
+                      "period": 10} for i in range(len(ids))],
+        "horizon": 10,
+    }
+    trace = make_trace(tmp_path, obj)
+    out = tmp_path / "chart.svg"
+    assert main(["gantt", "--trace", str(trace), "--out", str(out),
+                 "--format", "svg"]) == EXIT_OK
+    root = ET.parse(out).getroot()
+    ns = "{http://www.w3.org/2000/svg}"
+    lanes = [el.text for el in root.iter(ns + "text") if el.get("x") == "4"]
+    assert lanes == sorted(ids)
+    titles = {el.text.split(" ")[0] for el in root.iter(ns + "title")}
+    assert titles == set(ids)
+
+
+def test_gantt_reports_an_unwritable_chart(tmp_path, capsys):
+    trace = make_trace(tmp_path, two_task_obj())
+    capsys.readouterr()
+    code = main(["gantt", "--trace", str(trace),
+                 "--out", str(tmp_path / "missing" / "x")])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write chart: ") \
+        and "No such file or directory" in captured.err, captured.err
+    assert captured.out == ""
 
 
 def test_gantt_mask_bar_for_storm(tmp_path):

@@ -47,7 +47,7 @@ def one_task_scenario(task_kw=None, **scenario_kw):
 def test_periodic_times():
     assert generate_workload(Periodic(0, 3), 10) == [0, 3, 6, 9]
     assert generate_workload(Periodic(2, 4), 10) == [2, 6]
-    assert generate_workload(Periodic(-5, 4), 10) == [0, 4, 8]
+    assert generate_workload(Periodic(-5, 4), 10) == [3, 7]
 
 
 def test_periodic_rejects_bad_period():
@@ -188,7 +188,7 @@ def test_scenario_validation_collects_problems():
 
 
 def test_raise_estimates_need_no_generation():
-    assert estimate_raises(Periodic(-5, 4), 10) == 3
+    assert estimate_raises(Periodic(-5, 4), 10) == 2
     assert estimate_raises(Sporadic(2, 0.5, 42), 60) == 60
     assert estimate_raises(Burst(8, 4, 1), 10) == 2
     assert estimate_raises(Burst(3, 10 ** 12, 0), 10) == 10 ** 12
@@ -617,6 +617,48 @@ def test_schedule_points_do_not_poll_monitors_or_priorities(monkeypatch):
         rounds += sum(engine.rounds)
     assert rounds > 5000
     assert calls[0] <= 2 * rounds
+
+
+class LiveEpisodeEngine(Engine):
+    """The engine, asserting at every round of every schedule point, the
+    first included, that the scheduler's elevated set, which the engine
+    keeps from events, holds exactly the tasks whose monitor reports a
+    live episode. Counts the rounds that found a task elevated."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.elevated_rounds = 0
+        pick_next = self.sched.pick_next
+
+        def checked(t):
+            live = {mon.task_id for mon in self.monitors.values()
+                    if mon.ooe_active(t)}
+            assert self.sched.elevated == live, t
+            self.elevated_rounds += bool(live)
+            return pick_next(t)
+
+        self.sched.pick_next = checked
+
+
+def test_elevated_set_and_alarms_are_each_recorded_once():
+    # the random suite and the storm batch, which open episodes, arm
+    # their decay timers and raise every alarm kind
+    elevated_rounds = decay_timers = 0
+    kinds = set()
+    for scenario in [*map(random_scenario, range(1000)),
+                     *map(storm_scenario, range(120))]:
+        engine = LiveEpisodeEngine(scenario)
+        trace, metrics = engine.run()
+        elevated_rounds += engine.elevated_rounds
+        decay_timers += sum(r.detail.startswith("decay_expiry=")
+                      for r in trace.of_kind("TIMER_SET"))
+        alarms = [(a["time"], a["line"], a["kind"]) for a in metrics.alarms]
+        assert alarms == [(r.time, r.line, r.detail)
+                          for r in trace.of_kind("ALARM")]
+        kinds.update(kind for _, _, kind in alarms)
+    assert elevated_rounds > 5000 and decay_timers > 5000
+    assert kinds == {"out_of_envelope_entered", "window_bound_reached",
+                     "sensor_fault", "sensor_resumed"}
 
 
 def test_ipl_off_means_no_ipl_records():

@@ -27,7 +27,7 @@ def test_window_fills_and_reopens():
     assert mon.window_timer is None
     eff = mon.record_internalization(vic, 8)
     assert mon.window_timer == 10  # earliest buffered ts plus window
-    assert [a.kind for a in eff.alarms] == [AlarmKind.WINDOW_BOUND_REACHED]
+    assert eff.alarms == [AlarmKind.WINDOW_BOUND_REACHED]
     assert mon.state is LineState.WINDOW_MASKED
     assert vic.lines["l"].masked
 
@@ -86,7 +86,7 @@ def test_episode_enter_and_alarm_once():
     vic, mon = setup_line(n=10, w=4, period=6)
     assert not mon.record_internalization(vic, 0).alarms
     eff = mon.record_internalization(vic, 3)
-    assert [a.kind for a in eff.alarms] == [AlarmKind.OUT_OF_ENVELOPE_ENTERED]
+    assert eff.alarms == [AlarmKind.OUT_OF_ENVELOPE_ENTERED]
     assert mon.state is LineState.OUT_OF_ENVELOPE
     # still in the same episode: no second alarm
     eff = mon.record_internalization(vic, 5)
@@ -112,7 +112,7 @@ def test_episode_memoryless_exit_on_period_gap():
     # window longer than the period so the exit beats the decay
     vic, mon = setup_line(n=10, w=20, period=6)
     mon.record_internalization(vic, 0)
-    assert [a.kind for a in mon.record_internalization(vic, 3).alarms] == [
+    assert mon.record_internalization(vic, 3).alarms == [
         AlarmKind.OUT_OF_ENVELOPE_ENTERED]
     assert mon.decay_due() == 20
     eff = mon.record_internalization(vic, 12)  # gap 9 >= period
@@ -137,7 +137,7 @@ def test_fault_permanent():
     vic.raise_event("l", 5)  # suppressed, counts toward the fault decision
     eff = mon.handle_window_timer(vic, 10)
     assert not eff.unmasked
-    assert [a.kind for a in eff.alarms] == [AlarmKind.SENSOR_FAULT]
+    assert eff.alarms == [AlarmKind.SENSOR_FAULT]
     assert mon.window_timer is None  # not re-armed
     assert mon.state is LineState.FAULTY
     assert vic.lines["l"].masked  # masked forever
@@ -149,7 +149,7 @@ def test_fault_auto_resume_probes_and_resumes():
     mon.record_internalization(vic, 1)
     vic.raise_event("l", 5)
     eff = mon.handle_window_timer(vic, 10)
-    assert [a.kind for a in eff.alarms] == [AlarmKind.SENSOR_FAULT]
+    assert eff.alarms == [AlarmKind.SENSOR_FAULT]
     assert not eff.unmasked and mon.window_timer == 20
 
     # still storming through the probe window: stays faulty, silent rearm
@@ -162,7 +162,7 @@ def test_fault_auto_resume_probes_and_resumes():
     vic.raise_event("l", 25)
     eff = mon.handle_window_timer(vic, 30)
     assert eff.unmasked and mon.window_timer is None
-    assert [a.kind for a in eff.alarms] == [AlarmKind.SENSOR_RESUMED]
+    assert eff.alarms == [AlarmKind.SENSOR_RESUMED]
     assert mon.state is LineState.IN_ENVELOPE
     assert not vic.lines["l"].masked
 
