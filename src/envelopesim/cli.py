@@ -28,9 +28,11 @@ an integer ("00", " 1", "+1", "1_0").
 import argparse
 import csv
 import dataclasses
+import errno
 import functools
 import io
 import json
+import os
 import sys
 from enum import Enum
 from pathlib import Path
@@ -308,6 +310,23 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _creatable(path: str) -> None:
+    """Raise the OSError that opening path for writing would raise when
+    its directory is missing or cannot be written, or it is a directory,
+    without creating it."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    elif not os.access(directory, os.W_OK | os.X_OK) or (
+            os.path.exists(path) and not os.access(path, os.W_OK)):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def cmd_check(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
@@ -315,6 +334,13 @@ def cmd_check(args) -> int:
         _validate_scenario(scenario)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    witness_path = args.witness or str(
+        Path(args.scenario).with_suffix(".witness.csv")
+    )
+    # a violation's witness is written after the sweep: refuse a path
+    # that cannot be written before the sweep runs, creating no file
+    if not _written("witness trace", _creatable, witness_path):
         return EXIT_INVALID
     try:
         result = check_ooe_feasible(
@@ -326,6 +352,12 @@ def cmd_check(args) -> int:
     except (ScenarioError, FeasibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    if result.vacuous:
+        print(
+            f"note: no deadline can fall due within horizon "
+            f"{result.horizon}, so the check holds vacuously",
+            file=sys.stderr,
+        )
     if args.verbose:
         print(
             f"combinations={result.patterns_checked} "
@@ -341,9 +373,6 @@ def cmd_check(args) -> int:
             f"combinations over horizon {result.horizon}, no deadline miss"
         )
         return EXIT_OK
-    witness_path = args.witness or str(
-        Path(args.scenario).with_suffix(".witness.csv")
-    )
     if not _written("witness trace", result.witness_trace.write_csv,
                     witness_path):
         return EXIT_INVALID

@@ -45,11 +45,34 @@ ones after it snapshot only ticks after d. When the next combination
 moves a task whose pattern list is not built yet, the current one
 snapshots every tick instead, so the list is still built only once the
 sweep gets there. A combination stops at its first MISS, which ends the
-sweep. patterns_checked is the 1-based product-order index of the first
+sweep.
+
+A combination also stops once its state is settled
+(_CheckerState.settled): at the start of tick s every active job falls
+due past the horizon, and s + D > horizon for the shortest relative
+deadline D, so every job released at s or later does too. No arrival
+from s on can then miss: only take_due reports a miss, at a tick t <=
+horizon for a job due by t, and a job's deadline is fixed at its
+release. Settledness holds at every later tick too, so the sweep stops
+at the first settled tick s after the combination's start, snapshotting
+nothing from s on. A later combination that resumes at s or after shares
+every arrival before s with this one, so it reaches the same settled
+state at s and cannot miss: it is counted but not stepped, and the
+settled tick stays. One that resumes before s is stepped and finds its
+own. The snapshot argument still holds. Take the last combination that
+started before a stepped combination's resume tick d: had it been
+skipped, or settled by d, every combination after it up to that one
+would start at or after the settled tick and be skipped too. So it was
+stepped past d and snapshotted d on the way. When no deadline at all can
+fall due within the horizon (D > horizon), the first combination is
+settled after tick 0 and the check is vacuous (OoeCheckResult.vacuous).
+
+patterns_checked is the 1-based product-order index of the first
 violating combination, or the number of combinations when the instance
 is feasible; ticks_simulated is the number of ticks the sweep stepped,
-at most patterns_checked * (horizon + 1); snapshots counts the states it
-saved, the initial one included.
+at most patterns_checked * (horizon + 1), and excludes the ticks the
+cutoff decided; snapshots counts the states it saved, the initial one
+included.
 
 Between combinations the sweep rebuilds only what changed. The state
 keeps every job it released by (task id, seq, release tick), which fix
@@ -144,6 +167,8 @@ class OoeCheckResult:
     ticks_simulated: int = 0
     patterns_built: int = 0
     snapshots: int = 0
+    # no deadline falls due within the horizon, so no pattern can miss one
+    vacuous: bool = False
 
 
 def normal_pattern(task: Task, horizon: int) -> Tuple[int, ...]:
@@ -305,6 +330,14 @@ class _CheckerState:
         self.runner: Optional[Job] = None
         # every job released so far, by (task id, seq, release tick)
         self.released: Dict[Tuple[str, int, int], Job] = {}
+        # a job released at this tick or later falls due past the horizon
+        self.late = horizon + 1 - min(t.deadline for t in task_set)
+
+    def settled(self, s: int) -> bool:
+        """Whether no job can miss its deadline from the start of tick s
+        on, whatever arrives from s: every active job, and every job
+        released at s or later, falls due past the horizon."""
+        return s >= self.late and self.due > self.horizon
 
     def snapshot(self) -> tuple:
         return (self.kernel, self.episodes, self.last, self.seqs, self.due,
@@ -437,8 +470,10 @@ def _sweep(
 ) -> Tuple[int, int, int, int, Optional[List[Tuple[int, ...]]]]:
     """Step every combination of the tasks' admissible patterns, of which
     task i has counts[i] > 0, in product order, each from the snapshot at
-    its divergence tick, until one misses a deadline. The patterns are
-    bitmasks from _admissible_masks. Returns the combinations checked,
+    its divergence tick up to its first settled tick, until one misses a
+    deadline; a combination that resumes at or after the last settled
+    tick is not stepped. The patterns are bitmasks from
+    _admissible_masks. Returns the combinations checked,
     the ticks stepped, the snapshots taken, the patterns built, and the
     violating combination as event-time tuples (None when there is
     none)."""
@@ -488,6 +523,8 @@ def _sweep(
     snaps = [state.snapshot()] + [None] * horizon
     start = checked = ticks = 0
     taken = 1
+    # the tick from which the last combination stepped is settled
+    safe = horizon + 1
     while True:
         checked += 1
         # the rightmost slot that can advance; the next combination
@@ -503,17 +540,26 @@ def _sweep(
         else:
             resume, moves = successor(j)
             until = resume
-        state.restore(snaps[start])
-        for t in range(start, horizon + 1):
-            if state.step(t, batches[t]):
-                return (checked, ticks + t - start + 1, taken,
-                        sum(map(len, per_task)),
-                        [_times_of(options[i])
-                         for options, i in zip(per_task, idx)])
-            if t < until:
-                snaps[t + 1] = state.snapshot()
-                taken += 1
-        ticks += horizon + 1 - start
+        # a combination that starts at or after safe shares the arrivals
+        # before safe with the last one stepped, so it is settled there
+        # too and cannot miss: it is counted but not stepped
+        if start < safe:
+            state.restore(snaps[start])
+            # after tick horizon every job left falls due past it, so
+            # the loop always ends at a settled tick
+            for t in range(start, horizon + 1):
+                if state.step(t, batches[t]):
+                    return (checked, ticks + t - start + 1, taken,
+                            sum(map(len, per_task)),
+                            [_times_of(options[i])
+                             for options, i in zip(per_task, idx)])
+                if state.settled(t + 1):
+                    break
+                if t < until:
+                    snaps[t + 1] = state.snapshot()
+                    taken += 1
+            safe = t + 1
+            ticks += safe - start
         if j < 0:
             return checked, ticks, taken, sum(map(len, per_task)), None
         if len(per_task[j]) < counts[j]:
@@ -632,6 +678,8 @@ def check_ooe_feasible(
             feasible=True, patterns_checked=checked, horizon=horizon,
             ticks_simulated=ticks, patterns_built=built,
             snapshots=snapshots,
+            vacuous=_CheckerState(task_set, pmap, horizon,
+                                  policy.delta_th).settled(0),
         )
     patterns = dict(zip([t.id for t in task_set], witness))
     verdicts = reference_verdicts(

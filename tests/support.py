@@ -131,10 +131,13 @@ def oracle_verdicts(
     patterns: Dict[str, Tuple[int, ...]],
     horizon: int,
     delta_th: int = 0,
+    dues: Optional[List[float]] = None,
 ) -> Dict[Tuple[str, int], str]:
     """Job verdicts for one arrival pattern, computed without the engine
     or its rule functions (the checker's inner loop before it shared
-    them, kept as an independent oracle).
+    them, kept as an independent oracle). A list given as dues receives
+    the earliest deadline among the active jobs at the start of each
+    tick 0..horizon, inf when none is active.
 
     Within the envelope no defense mask ever suppresses an event (a raise
     landing inside a masked span would be the n+1st event of one window),
@@ -169,6 +172,8 @@ def oracle_verdicts(
         )
 
     for t in range(horizon + 1):
+        if dues is not None:
+            dues.append(min([j.deadline for j in active], default=math.inf))
         for tid in ooe:
             if ooe[tid] and decay_at[tid] is not None and t >= decay_at[tid]:
                 ooe[tid] = False

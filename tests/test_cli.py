@@ -26,6 +26,7 @@ from envelopesim import (
     Task,
     cli,
     engine,
+    feasibility,
 )
 from envelopesim.cli import (
     EXIT_BOUNDS,
@@ -494,10 +495,13 @@ def test_check_verbose_reports_simulated_ticks(tmp_path, capsys):
     for obj, code, counts in [
         # the low line admits 1 pattern and the high line 26, all built;
         # each combination snapshots the ticks up to where the next one
-        # resumes
+        # resumes. Once every job due within the horizon has completed,
+        # the cutoff stops 8 combinations one or two ticks early and
+        # steps none of the 4 that resume at 11 after a stop there: 20
+        # ticks and 5 snapshots fewer than stepping each to the horizon
         (feasible, EXIT_OK,
-         "combinations=26 ticks=133 of 338 patterns_built=27 "
-         "snapshots=53"),
+         "combinations=26 ticks=113 of 338 patterns_built=27 "
+         "snapshots=48"),
         # the sweep stops at the miss at t=3, before either list is built
         # beyond its normal pattern, with the initial state and ticks 1-3
         # snapshotted
@@ -547,7 +551,8 @@ def test_check_violation_custom_witness_path(tmp_path):
     assert target.exists()
 
 
-def test_check_reports_an_unwritable_witness(tmp_path, capsys):
+def test_check_reports_an_unwritable_witness(tmp_path, capsys,
+                                             monkeypatch):
     scenario = write_scenario(tmp_path, two_task_obj())
     code = main(["check", "--scenario", scenario,
                  "--witness", str(tmp_path / "missing" / "x")])
@@ -556,6 +561,58 @@ def test_check_reports_an_unwritable_witness(tmp_path, capsys):
     assert captured.err.startswith("error: cannot write witness trace: ") \
         and "No such file or directory" in captured.err, captured.err
     assert "Violation" not in captured.out
+
+    # the path is refused before the sweep, for a violating and a
+    # feasible scenario alike, and no file is created
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(feasibility, "_sweep", no_sweep)
+    (tmp_path / "file").write_text("")
+    for obj in [two_task_obj(), two_task_obj(override=True)]:
+        scenario = write_scenario(tmp_path, obj)
+        for target, reason in [
+                (tmp_path / "missing" / "x", "No such file or directory"),
+                (tmp_path / "file" / "x", "Not a directory"),
+                (tmp_path, "Is a directory")]:
+            before = sorted(tmp_path.iterdir())
+            code = main(["check", "--scenario", scenario,
+                         "--witness", str(target)])
+            assert code == EXIT_INVALID
+            captured = capsys.readouterr()
+            assert captured.err.startswith(
+                "error: cannot write witness trace: [Errno ") \
+                and captured.err.endswith(f"{reason}: '{target}'\n"), \
+                captured.err
+            assert captured.out == ""
+            assert sorted(tmp_path.iterdir()) == before
+
+
+def test_feasible_check_creates_no_witness(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, two_task_obj(override=True))
+    for extra in [[], ["--witness", str(tmp_path / "w.csv")]]:
+        assert main(["check", "--scenario", scenario] + extra) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "scenario.json"]
+
+
+def test_check_notes_a_vacuous_instance(tmp_path, capsys):
+    # both relative deadlines (3 and 6) lie past horizon 2, so no job can
+    # fall due within it: the note goes to stderr, stdout is unchanged
+    obj = two_task_obj(override=True)
+    obj["horizon"] = 2
+    scenario = write_scenario(tmp_path, obj)
+    assert main(["check", "--scenario", scenario]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out == ("Feasible: 2 admissible pattern combinations over "
+                   "horizon 2, no deadline miss\n")
+    assert err == ("note: no deadline can fall due within horizon 2, so "
+                   "the check holds vacuously\n")
+    # at horizon 3 the low line's first job falls due at 3: no note
+    obj["horizon"] = 3
+    scenario = write_scenario(tmp_path, obj)
+    assert main(["check", "--scenario", scenario]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_check_bounds_exceeded(tmp_path, capsys):

@@ -19,6 +19,7 @@ from envelopesim import (
 )
 from envelopesim import feasibility
 from envelopesim.cli import load_scenario
+from envelopesim.engine import select_priority_map
 from envelopesim.feasibility import (
     COMPLETED,
     DROPPED,
@@ -28,7 +29,11 @@ from envelopesim.feasibility import (
     normal_pattern,
     reference_verdicts,
 )
-from envelopesim.model import assign_importance_monotonic, explicit_priority_map
+from envelopesim.model import (
+    assign_importance_monotonic,
+    explicit_priority_map,
+    hyperperiod,
+)
 from conftest import two_task_set
 from support import (
     oracle_admissible_patterns,
@@ -541,45 +546,171 @@ def test_sweep_resumes_from_shared_prefixes():
     assert result.ticks_simulated < 0.6 * 26 * 13
 
 
+# the cutoff: a combination stops once settled, and one resuming after
+# that tick is not stepped
+
+def late_preemption_task_set():
+    # t0's job, due at the horizon 6, needs all of ticks 0-4 and one
+    # more; t1's single extra arrival outranks it and is due at t + 6
+    return TaskSet([
+        Task(id="t0", wcet=5, period=6, importance=1, line="l0",
+             envelope_n=1, envelope_w=6),
+        Task(id="t1", wcet=2, period=INFINITE_PERIOD, deadline=6,
+             importance=2, line="l1", envelope_n=1, envelope_w=6),
+    ])
+
+
+@pytest.mark.parametrize("ts,policy,checked,witness", [
+    # combination 1 completes t0's job at tick 4 and is settled at 5, so
+    # combination 2 (t1 at 5) is not stepped; combination 3 resumes at
+    # 4, where t1's arrival, after the release cutoff (4 + 6 > 6),
+    # preempts t0's job into a miss at 6
+    (late_preemption_task_set(), None, 3,
+     {"t0": (0,), "t1": (4,)}),
+    # with delta_th = 1 the normal arrival's top half and the job fill
+    # ticks 0-5; the extra arrival at 5, after the release cutoff, costs
+    # one more tick of top-half time and the job misses at 6
+    (TaskSet([envelope_task(2, 6, wcet=5)]), Policy(delta_th=1), 2,
+     {"t": (0, 5)}),
+], ids=["preemption", "top_half"])
+def test_cutoff_waits_for_every_active_deadline(ts, policy, checked,
+                                                witness):
+    # every job released from tick 1 on falls due past the horizon, but
+    # a job due at the horizon is still active: a cutoff on releases
+    # alone would prove both instances feasible
+    result = assert_sweep_matches_product(ts, policy, 6)
+    assert (result.feasible, result.patterns_checked,
+            result.witness_pattern) == (False, checked, witness)
+    assert result.ticks_simulated == 8
+
+
+def test_cutoff_matches_product_on_shortened_horizons(monkeypatch):
+    # each random instance at its own horizon and at one below the
+    # hyperperiod, where more jobs fall due past the horizon
+    settled = feasibility._CheckerState.settled
+    restore = feasibility._CheckerState.restore
+    counts = {"stepped": 0, "early": 0}
+
+    def counted_settled(state, s):
+        out = settled(state, s)
+        counts["early"] += out and s <= state.horizon
+        return out
+
+    def counted_restore(state, snap):
+        counts["stepped"] += 1
+        return restore(state, snap)
+
+    monkeypatch.setattr(feasibility._CheckerState, "settled",
+                        counted_settled)
+    monkeypatch.setattr(feasibility._CheckerState, "restore",
+                        counted_restore)
+    # among the instances that are not vacuous: those where a
+    # combination stopped early, those where one was not stepped, and
+    # the violations found after one was not stepped
+    stopped = skipped = late = 0
+    for seed in range(200):
+        ts, policy, horizon = random_check_instance(seed)
+        short = random.Random(seed).randint(
+            1, max(1, min(horizon, hyperperiod(ts)) - 1))
+        for h in (horizon, short):
+            counts.update(stepped=0, early=0)
+            result = assert_sweep_matches_product(ts, policy, h)
+            if result.vacuous:
+                continue
+            stopped += counts["early"] > 0
+            skip = counts["stepped"] < result.patterns_checked
+            skipped += skip
+            late += skip and not result.feasible
+    assert stopped >= 120 and skipped >= 80 and late >= 30, \
+        (stopped, skipped, late)
+
+
+@pytest.mark.parametrize("ts,horizon,checked,ticks", [
+    # periodic arrivals at 0 only: the first combination steps tick 0,
+    # and every later one resumes after it
+    (TaskSet([envelope_task(2, 6, period=6, id="t0", line="l0"),
+              envelope_task(2, 8, period=8, id="t1", line="l1",
+                            importance=1)]), 5, 25, 1),
+    # t1 is exception-only: of its 19 patterns the last 9 arrive at 0,
+    # so each of t0's 5 patterns steps tick 0 again when t1 first
+    # arrives there, and each wrap of t1 back to () does too (4 times)
+    (TaskSet([envelope_task(2, 6, period=6, id="t0", line="l0"),
+              envelope_task(2, 4, period=INFINITE_PERIOD, deadline=6,
+                            id="t1", line="l1", importance=1)]),
+     5, 95, 10),
+], ids=["periodic", "exception_only"])
+def test_vacuous_instance_is_decided_at_tick_zero(ts, horizon, checked,
+                                                  ticks):
+    result = assert_sweep_matches_product(ts, None, horizon)
+    assert result.feasible and result.vacuous
+    assert (result.patterns_checked, result.ticks_simulated,
+            result.snapshots) == (checked, ticks, 1)
+    # one tick more and the shortest deadline (6) falls due within it
+    assert not check_ooe_feasible(ts, None, 6).vacuous
+
+
 # the sweep's work counters and the step's cached facts
 
-def expected_snapshots(ts, horizon):
-    """The initial state plus, per combination, the ticks in (start, end]:
-    end is the next combination's start, or the horizon when the next
-    combination is the first to move its slot past the slot's first
-    pattern; the last combination snapshots nothing. A start is the
-    earliest tick at which the arrival sets of some task that changed
-    differ."""
+def expected_snapshots(ts, policy, horizon):
+    """The initial state plus, per stepped combination, the ticks in
+    (start, min(end, settled - 1)]: end is the next combination's start,
+    or the horizon when the next combination is the first to move its
+    slot past the slot's first pattern; the last combination snapshots
+    nothing. A start is the earliest tick at which the arrival sets of
+    some task that changed differ. settled is the first tick after the
+    start at which the oracle simulator, run over the combination, has
+    no active job due within the horizon, and from which every release
+    falls due past it; a combination that starts at or after the last
+    stepped one's settled tick is not stepped."""
     lists = [admissible_patterns(t, horizon) for t in ts]
     combos = list(itertools.product(*[range(len(p)) for p in lists]))
     starts = [0]
     for a, b in zip(combos, combos[1:]):
         starts.append(min(min(set(p[x]) ^ set(p[y]))
                           for p, x, y in zip(lists, a, b) if x != y))
+    pmap = select_priority_map(ts, policy)
+    shortest = min(t.deadline for t in ts)
     advanced = set()
     total = 1
-    for c, (a, b) in enumerate(zip(combos, combos[1:])):
-        j = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
-        end = starts[c + 1] if j in advanced else horizon
-        advanced.add(j)
-        total += max(end - starts[c], 0)
+    safe = horizon + 1
+    for c, combo in enumerate(combos):
+        if c + 1 < len(combos):
+            j = next(i for i, (x, y) in enumerate(zip(combo, combos[c + 1]))
+                     if x != y)
+            end = starts[c + 1] if j in advanced else horizon
+            advanced.add(j)
+        else:
+            end = starts[c]
+        if starts[c] >= safe:
+            continue
+        dues = []
+        oracle_verdicts(ts, pmap, {t.id: p[x] for t, p, x in
+                                   zip(ts, lists, combo)},
+                        horizon, policy.delta_th, dues)
+        safe = next((s for s in range(starts[c] + 1, horizon + 1)
+                     if s + shortest > horizon and dues[s] > horizon),
+                    horizon + 1)
+        total += max(min(end, safe - 1) - starts[c], 0)
     return total
 
 
 def test_sweep_snapshots_only_up_to_the_next_divergence_tick():
     # snapshotting every tick after each start would take 1 + 133 - 26
-    # on the first instance
+    # on the first instance without the cutoff, which stops 5 of those
+    # snapshots from being taken
     result = check_ooe_feasible(two_task_set(override=True),
                                 Policy(assignment="explicit"), horizon=12)
     assert result.feasible and result.patterns_checked == 26
-    assert result.snapshots == expected_snapshots(two_task_set(True), 12)
-    assert result.snapshots == 53
+    assert result.snapshots == expected_snapshots(
+        two_task_set(True), Policy(assignment="explicit"), 12)
+    assert result.snapshots == 48
     checked = 0
     for seed in range(120):
         ts, policy, horizon = random_check_instance(seed)
         result = check_ooe_feasible(ts, policy, horizon)
         if result.feasible and result.patterns_checked > 1:
-            assert result.snapshots == expected_snapshots(ts, horizon), seed
+            assert result.snapshots == expected_snapshots(
+                ts, policy, horizon), seed
             checked += 1
     assert checked >= 10
 
