@@ -25,8 +25,10 @@ the trace, which keeps it cheap. The step calls those rules only on
 events: take_due at ticks where a deadline has come, the decay filter
 where an episode has ended, and pick (with mark_starved for an elevated
 job) after an arrival, a deadline removal, a decay, a completion or a
-restore; in between, the job pick chose keeps running.
-reference_verdicts runs the step over one pattern from t=0.
+restore; in between, the job pick chose keeps running. The step
+records no job's fate, only whether a job missed its deadline:
+reference_verdicts runs it over one pattern from t=0 and then reads each
+released job's fate off the job.
 
 The sweep visits the combinations in itertools.product order (the last
 task's pattern varies fastest). It holds each pattern as an int bitmask,
@@ -79,9 +81,10 @@ keeps every job it released by (task id, seq, release tick), which fix
 the job's keys and deadline, and a repeated release reuses that job with
 its remaining time and starvation flag reset; a snapshot carries both,
 so restoring it rewinds the jobs it holds. Each tick has an arrival
-mask, bit i set when the task at interrupt-order position i arrives, and
-the batch of those tasks in interrupt order, looked up by the mask; a
-pattern change updates both only at the ticks set in the pattern XOR.
+mask, bit i set when the task at interrupt-order position i arrives, by
+which the step looks up the batch of those tasks in interrupt order; a
+pattern change flips its task's bit only at the ticks set in the pattern
+XOR.
 Each task's pattern list starts as its normal pattern, the enumeration's
 first, and the sweep builds the full list only when the task's slot
 first advances, so a sweep that stops early builds few patterns;
@@ -296,6 +299,10 @@ class _CheckerState:
     are releases, the out-of-envelope episodes, two-band dispatch,
     top-half kernel time, and deadline finalization.
 
+    The step records no job's fate: a job it finalizes leaves active
+    with its remaining time and starvation flag as they were, and
+    reference_verdicts reads the fate off those.
+
     The step scans only on events. due is the earliest active deadline
     and decays the earliest episode decay, so take_due and the decay
     filter run only at ticks where a job or an episode is due; a snapshot
@@ -308,14 +315,11 @@ class _CheckerState:
     """
 
     def __init__(self, task_set: TaskSet, pmap: PriorityMap, horizon: int,
-                 delta_th: int,
-                 verdicts: Optional[Dict[Tuple[str, int], str]] = None):
+                 delta_th: int):
         self.tasks = {t.id: t for t in task_set}
         self.pmap = pmap
         self.horizon = horizon
         self.delta_th = delta_th
-        # finalized jobs' verdicts, kept only when a dict is given
-        self.verdicts = verdicts
         self.kernel = 0
         self.active: List[Job] = []
         # step replaces these three dicts instead of changing them, so a
@@ -409,10 +413,6 @@ class _CheckerState:
             for job in due:
                 if not job.starved_by_elevated:
                     missed = True
-                if self.verdicts is not None:
-                    self.verdicts[(job.task_id, job.seq)] = (
-                        DROPPED if job.starved_by_elevated else MISSED
-                    )
         if t >= self.horizon:
             return missed
         if self.kernel:
@@ -433,8 +433,6 @@ class _CheckerState:
             if job.abs_deadline == self.due:
                 self.due = min([j.abs_deadline for j in active],
                                default=math.inf)
-            if self.verdicts is not None:
-                self.verdicts[(job.task_id, job.seq)] = COMPLETED
         return missed
 
 
@@ -446,9 +444,11 @@ def reference_verdicts(
     delta_th: int = 0,
 ) -> Dict[Tuple[str, int], str]:
     """Job verdicts for one arrival pattern, computed without the engine:
-    the checker's step over ticks 0..horizon from the initial state."""
-    verdicts: Dict[Tuple[str, int], str] = {}
-    state = _CheckerState(task_set, pmap, horizon, delta_th, verdicts)
+    the checker's step over ticks 0..horizon from the initial state, then
+    each released job's fate read off the job. One still active is
+    incomplete; a finished one completed; any other was finalized at its
+    deadline, dropped when an elevated job starved it, else missed."""
+    state = _CheckerState(task_set, pmap, horizon, delta_th)
     arrivals: Dict[int, List[Task]] = {}
     for task in interrupt_order(task_set):
         for t in patterns.get(task.id, ()):
@@ -456,9 +456,13 @@ def reference_verdicts(
                 arrivals.setdefault(t, []).append(task)
     for t in range(horizon + 1):
         state.step(t, arrivals.get(t, ()))
-    for job in state.active:
-        verdicts[(job.task_id, job.seq)] = INCOMPLETE
-    return verdicts
+    return {
+        (job.task_id, job.seq): INCOMPLETE if job in state.active
+        else COMPLETED if job.remaining == 0
+        else DROPPED if job.starved_by_elevated
+        else MISSED
+        for job in state.released.values()
+    }
 
 
 def _sweep(
@@ -492,9 +496,8 @@ def _sweep(
     # built when its slot first advances
     per_task = [[_mask_of(normal_pattern(task, horizon))] for task in tasks]
     idx = [0] * len(tasks)
-    # each tick's arrival mask and batch
+    # each tick's arrival mask
     arrivals = [0] * (horizon + 1)
-    batches: List[Tuple[Task, ...]] = [()] * (horizon + 1)
 
     def arrive_at(i: int, changed: int) -> None:
         """Flip slot i's arrival at every tick set in changed."""
@@ -502,7 +505,6 @@ def _sweep(
             t = (changed & -changed).bit_length() - 1
             changed &= changed - 1
             arrivals[t] ^= bit[i]
-            batches[t] = batch_of[arrivals[t]]
 
     def successor(j: int) -> Tuple[int, List[Tuple[int, int, int]]]:
         """The next combination, where slot j advances and every slot
@@ -548,7 +550,7 @@ def _sweep(
             # after tick horizon every job left falls due past it, so
             # the loop always ends at a settled tick
             for t in range(start, horizon + 1):
-                if state.step(t, batches[t]):
+                if state.step(t, batch_of[arrivals[t]]):
                     return (checked, ticks + t - start + 1, taken,
                             sum(map(len, per_task)),
                             [_times_of(options[i])
@@ -673,14 +675,14 @@ def check_ooe_feasible(
     checked, ticks, snapshots, built, witness = _sweep(
         task_set, pmap, counts, horizon, policy.delta_th
     )
+    result = OoeCheckResult(
+        feasible=witness is None, patterns_checked=checked, horizon=horizon,
+        ticks_simulated=ticks, patterns_built=built, snapshots=snapshots,
+        vacuous=_CheckerState(task_set, pmap, horizon,
+                              policy.delta_th).settled(0),
+    )
     if witness is None:
-        return OoeCheckResult(
-            feasible=True, patterns_checked=checked, horizon=horizon,
-            ticks_simulated=ticks, patterns_built=built,
-            snapshots=snapshots,
-            vacuous=_CheckerState(task_set, pmap, horizon,
-                                  policy.delta_th).settled(0),
-        )
+        return result
     patterns = dict(zip([t.id for t in task_set], witness))
     verdicts = reference_verdicts(
         task_set, pmap, patterns, horizon, policy.delta_th
@@ -696,14 +698,7 @@ def check_ooe_feasible(
             f"reference simulator reports a miss for pattern "
             f"{patterns} but the engine replay does not"
         )
-    return OoeCheckResult(
-        feasible=False,
-        patterns_checked=checked,
-        horizon=horizon,
-        witness_pattern=patterns,
-        witness_verdicts=engine_view,
-        witness_trace=trace,
-        ticks_simulated=ticks,
-        patterns_built=built,
-        snapshots=snapshots,
-    )
+    result.witness_pattern = patterns
+    result.witness_verdicts = engine_view
+    result.witness_trace = trace
+    return result

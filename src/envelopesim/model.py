@@ -28,9 +28,6 @@ Duration = int
 # envelope by definition.
 INFINITE_PERIOD = math.inf
 
-# Interrupt line identifier reserved for the OS timer.
-TIMER_LINE = "timer"
-
 
 class ResponseOption(Enum):
     """How the system responds to a task-releasing event beyond the first.
@@ -199,10 +196,6 @@ def validate_task_set(task_set: TaskSet) -> ValidationReport:
                 f"task {t.id!r}: task and line ids may not hold a "
                 f"carriage return"
             )
-        if t.line == TIMER_LINE:
-            problems.append(
-                f"task {t.id}: line name '{TIMER_LINE}' is reserved"
-            )
         if t.line in seen_lines:
             problems.append(
                 f"task {t.id}: line collision on '{t.line}' with "
@@ -293,8 +286,6 @@ class JobState(Enum):
 _RELEASED = JobState.RELEASED
 _COMPLETED = JobState.COMPLETED
 _FINAL = (JobState.COMPLETED, JobState.MISSED, JobState.DROPPED)
-
-FINAL_STATES = frozenset(_FINAL)
 
 
 @dataclass(slots=True, eq=False)

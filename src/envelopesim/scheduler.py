@@ -198,19 +198,17 @@ class Scheduler:
         self.kernel_pending += self.delta_th
         return self.delta_th
 
-    def execute_tick(self, t: int, until: Optional[int] = None) -> TickResult:
-        """Advance the processor over the ticks [t, until), one tick by
-        default. Pending kernel time is served first, then the running
-        job; execution stops early when the job completes, and the job
-        then completes at the end of its last tick.
+    def execute_tick(self, t: int, until: int) -> TickResult:
+        """Advance the processor over the ticks [t, until), until > t.
+        Pending kernel time is served first, then the running job;
+        execution stops early when the job completes, and the job then
+        completes at the end of its last tick.
 
         The result's kind is "ran" when the job executed at all, else
         "kernel" when kernel time was served, else "idle". The caller
         ends a span at the next release and the next deadline, so the
         active jobs are the same on every tick of it.
         """
-        if until is None:
-            until = t + 1
         kernel = min(self.kernel_pending, until - t)
         self.kernel_pending -= kernel
         start = t + kernel

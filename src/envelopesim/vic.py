@@ -16,16 +16,13 @@ A line is deliverable when it is pending and not held back. Lines are
 kept in interrupt order: priority descending, then line id, so the lines
 a change of level holds back or lets through are one contiguous band.
 Priorities start at 1: level 0 holds nothing back. Kernel timers are not
-a line here: the engine keeps them, and the timer line's name is
-reserved so no device can take it.
+a line here: the engine keeps them.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple
-
-from .model import TIMER_LINE
 
 
 class VicError(Exception):
@@ -72,8 +69,6 @@ class VicState:
     def __init__(self, lines: Iterable[InterruptLine]):
         self.lines: Dict[str, InterruptLine] = {}
         for ln in sorted(lines, key=lambda ln: (-ln.irq_priority, ln.id)):
-            if ln.id == TIMER_LINE:
-                raise VicError(f"line id '{TIMER_LINE}' is reserved")
             if ln.id in self.lines:
                 raise VicError(f"duplicate line id '{ln.id}'")
             if ln.irq_priority < 1:
@@ -166,8 +161,6 @@ class VicState:
             raise VicError(f"interrupt priority level must be >= 0, got {level}")
         old, self.ipl = self.ipl, level
         released = []
-        if level == old:
-            return released
         neg = self._neg_priority
         band = self._order[bisect_left(neg, -max(old, level)):
                            bisect_left(neg, -min(old, level))]

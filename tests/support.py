@@ -488,7 +488,7 @@ class TickEngine(Engine):
                 self._needs_dispatch = False
             if t == self.horizon:
                 break
-            res = self.sched.execute_tick(t)
+            res = self.sched.execute_tick(t, t + 1)
             if res.kind == "idle" and self.sched.active:
                 raise EngineError(f"idle at t={t} with released work pending")
             if res.completed:

@@ -402,6 +402,18 @@ def test_run_clean_scenario_exits_zero(tmp_path, capsys):
     assert "misses=0" in capsys.readouterr().out
 
 
+def test_a_line_may_be_named_timer(tmp_path, capsys):
+    # kernel timers are not a line, so no line name is reserved for them
+    obj = two_task_obj(override=True)
+    obj["tasks"][1]["line"] = obj["workload"][1]["line"] = "timer"
+    trace_path = tmp_path / "trace.csv"
+    code = main(["run", "--scenario", write_scenario(tmp_path, obj),
+                 "--trace", str(trace_path)])
+    assert code == EXIT_OK
+    assert "misses=0" in capsys.readouterr().out
+    assert "0,RELEASE,timer,tau_h,0," in trace_path.read_text()
+
+
 def test_run_sensor_fault_exits_three(tmp_path, capsys):
     scenario = write_scenario(tmp_path, storm_obj())
     code = main(["run", "--scenario", scenario])

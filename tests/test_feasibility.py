@@ -19,10 +19,11 @@ from envelopesim import (
 )
 from envelopesim import feasibility
 from envelopesim.cli import load_scenario
-from envelopesim.engine import select_priority_map
+from envelopesim.engine import NOTIFY, select_priority_map
 from envelopesim.feasibility import (
     COMPLETED,
     DROPPED,
+    INCOMPLETE,
     MISSED,
     count_admissible_patterns,
     engine_verdicts,
@@ -330,7 +331,9 @@ def random_small_instance(seed):
 def test_reference_agrees_with_engine_on_sampled_patterns():
     # the enumeration's inner simulator, the full engine and the
     # independent oracle must reach the same verdict for every job,
-    # pattern by pattern
+    # pattern by pattern; the sample holds every fate reference_verdicts
+    # reads off a job, and a NOTIFY_RUNNING task notifying a live job
+    seen = set()
     for seed in range(40):
         ts, policy, horizon, rng = random_small_instance(seed)
         pmap = explicit_priority_map(ts) if policy.assignment == "explicit" \
@@ -345,10 +348,14 @@ def test_reference_agrees_with_engine_on_sampled_patterns():
             }
             ref = reference_verdicts(ts, pmap, patterns, horizon,
                                      policy.delta_th)
-            eng, _ = engine_verdicts(ts, policy, patterns, horizon)
+            eng, trace = engine_verdicts(ts, policy, patterns, horizon)
             assert ref == eng, (seed, patterns)
             assert ref == oracle_verdicts(ts, pmap, patterns, horizon,
                                           policy.delta_th), (seed, patterns)
+            seen.update(ref.values())
+            if any(trace.of_kind(NOTIFY)):
+                seen.add("notified")
+    assert seen == {COMPLETED, MISSED, DROPPED, INCOMPLETE, "notified"}
 
 
 # the sweep against the product loop it replaced

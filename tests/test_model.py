@@ -85,7 +85,6 @@ def test_validate_clean_set():
     (dict(importance=-1), "negative importance"),
     (dict(envelope_n=0), "envelope_n"),
     (dict(envelope_w=0), "envelope_w"),
-    (dict(line="timer"), "reserved"),
     (dict(job_priority_overrides={1: 5}), "outside [0, 1)"),
 ])
 def test_validate_rejects(kw, fragment):

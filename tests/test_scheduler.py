@@ -109,7 +109,7 @@ def test_shed_miss_vs_drop():
     jh = sched.on_internalize("high", 0).job
     sched.set_elevated({"high"})
     sched.dispatch(jh, 0)
-    sched.execute_tick(0)  # elevated high runs: low is being starved
+    sched.execute_tick(0, 1)  # elevated high runs: low is being starved
     assert jl.starved_by_elevated
     jl.abs_deadline = 1
     shed = sched.shed_check(1)
@@ -127,8 +127,8 @@ def test_shed_ignores_complete_jobs():
     sched = make_sched(two_tasks())
     jl = sched.on_internalize("low", 0).job
     sched.dispatch(jl, 0)
-    sched.execute_tick(0)
-    sched.execute_tick(1)
+    sched.execute_tick(0, 1)
+    sched.execute_tick(1, 2)
     assert jl.state is JobState.COMPLETED
     assert jl.completion == 2
     assert sched.shed_check(10) == []
@@ -140,7 +140,7 @@ def test_starvation_requires_lower_importance_and_open_window():
     jh = sched.on_internalize("high", 0).job
     sched.dispatch(jl, 0)
     sched.set_elevated({"low"})
-    sched.execute_tick(0)
+    sched.execute_tick(0, 1)
     # high is more important than the elevated runner: not starved
     assert not jh.starved_by_elevated
 
@@ -151,23 +151,23 @@ def test_kernel_time_precedes_job_execution():
     sched.dispatch(jl, 0)
     assert sched.account_top_half(0) == 2
     assert sched.kernel_pending == 2
-    assert sched.execute_tick(0).kind == "kernel"
-    assert sched.execute_tick(1).kind == "kernel"
-    res = sched.execute_tick(2)
+    assert sched.execute_tick(0, 1).kind == "kernel"
+    assert sched.execute_tick(1, 2).kind == "kernel"
+    res = sched.execute_tick(2, 3)
     assert res.kind == "ran" and jl.remaining == 1
     assert sched.kernel_pending == 0
 
 
 def test_idle_tick():
     sched = make_sched(two_tasks())
-    assert sched.execute_tick(0).kind == "idle"
+    assert sched.execute_tick(0, 1).kind == "idle"
 
 
 def test_completion_time_is_end_of_tick():
     sched = make_sched(two_tasks(wcet=1))
     jl = sched.on_internalize("low", 4).job
     sched.dispatch(jl, 4)
-    res = sched.execute_tick(4)
+    res = sched.execute_tick(4, 5)
     assert res.completed and jl.completion == 5
 
 

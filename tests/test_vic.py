@@ -3,7 +3,6 @@ import random
 import pytest
 
 from envelopesim import (
-    TIMER_LINE,
     InterruptLine,
     RaiseOutcome,
     VicError,
@@ -129,9 +128,10 @@ def test_poll_tie_breaks_on_id():
 
 
 def test_timer_line_cannot_be_masked():
+    # kernel timers are not a line, and no unknown line can be masked
     vic = make_vic()
     with pytest.raises(VicError):
-        vic.set_line_mask(TIMER_LINE, True, 0)
+        vic.set_line_mask("ghost", True, 0)
 
 
 def test_mask_ops_counts_effective_toggles_only():
@@ -237,11 +237,6 @@ def test_unknown_line_raises():
 def test_duplicate_line_rejected():
     with pytest.raises(VicError):
         make_vic(dict(id="a", irq_priority=1), dict(id="a", irq_priority=2))
-
-
-def test_reserved_timer_id_rejected():
-    with pytest.raises(VicError):
-        make_vic(dict(id=TIMER_LINE, irq_priority=1))
 
 
 def test_priority_below_one_rejected():
