@@ -56,6 +56,7 @@ import io
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .model import (
@@ -236,7 +237,7 @@ def generate_workload(spec: WorkloadSpec, horizon: int,
 
 # The most raises a scenario's workload may expand to, counting a sporadic
 # line's random draws, one per tick, as raises; estimate_raises counts
-# them before the engine builds its run table. The engine spends a few
+# them before the engine reads any spec. The engine spends a few
 # microseconds per raise and, once the records are read, holds one or
 # two trace records per raise, so the limit keeps a run to seconds and
 # hundreds of megabytes.
@@ -315,6 +316,39 @@ def _backwards(first, last) -> EngineError:
     )
 
 
+# The trace entries rendered to CSV text at once. to_csv_string joins
+# the chunk texts and write_csv writes each as it is made, so neither
+# holds a string per entry of the whole trace. Measured, not derived:
+# chunks of 64 to 512 entries gave the same peak on storm traces, and
+# 768 or more gave a higher one on traces of about a thousand entries
+_CSV_CHUNK = 512
+
+# The ticks the engine's run table is filled for at once (Engine._fill):
+# a window's runs are all the table holds. Each fill costs a few
+# microseconds per spec, which a window of 1024 ticks made about 4% of
+# a long, sparse run; 4096 keeps a rate-3 storm's table near 0.6 MB
+_RAISE_WINDOW = 4096
+# the next tick of a spec that raises no more, later than every tick
+_NEVER = float("inf")
+
+
+def _csv_rows(entries, head: str) -> str:
+    """head, then the CSV rows of entries joined unquoted: a held run's
+    2 * count rows are its RAISE and SUPPRESS rows repeated count
+    times."""
+    reason = _SUPPRESS_REASON
+    parts = [head]
+    # in a held run's entry, j is the outcome value and d the count
+    parts += [
+        f"{t},{k},{l},{ta},{'' if j is None else j},{d}\n"
+        if k is not _HELD else
+        (f"{t},RAISE,{l},{ta},,{j}\n"
+         f"{t},SUPPRESS,{l},{ta},,{reason[j]}\n") * d
+        for t, k, l, ta, j, d in entries
+    ]
+    return "".join(parts)
+
+
 class Trace:
     """A run's records in time order.
 
@@ -327,7 +361,10 @@ class Trace:
     read after an extend, len adds the rows they stand for beyond their
     one entry each, a count the engine passes to extend with them,
     of_kind skips them when it asks for neither RAISE nor SUPPRESS, and
-    the CSV writes each run's rows as one string repeated count times."""
+    the CSV writes each run's rows as one string repeated count times.
+    The CSV is rendered _CSV_CHUNK entries at a time, and write_csv
+    writes each chunk as it is made: beside the entries, writing a trace
+    holds one chunk's text, not the whole CSV."""
 
     def __init__(self):
         self._entries: list = []
@@ -381,38 +418,59 @@ class Trace:
                 and (line is None or r[2] == line)
                 and (task is None or r[3] == task)]
 
-    def to_csv_string(self) -> str:
-        """The trace as csv.writer writes it with "\n" line ends. The rows
-        are first joined unquoted, a held run's 2 * count rows as its
-        RAISE and SUPPRESS rows repeated count times. That text is kept
-        when no field holds a comma, a newline, a quote or a carriage
-        return, the characters csv may quote: every line has exactly five
-        separating commas and one newline, so equal totals rule out the
-        first two. Otherwise csv.writer writes the records."""
-        reason = _SUPPRESS_REASON
-        parts = [_CSV_HEADER_LINE]
-        # in a held run's entry, j is the outcome value and d the count
-        parts += [
-            f"{t},{k},{l},{ta},{'' if j is None else j},{d}\n"
-            if k is not _HELD else
-            (f"{t},RAISE,{l},{ta},,{j}\n"
-             f"{t},SUPPRESS,{l},{ta},,{reason[j]}\n") * d
-            for t, k, l, ta, j, d in self._entries
-        ]
-        text = "".join(parts)
-        lines = len(self) + 1
-        if (text.count("\n") == lines and text.count(",") == 5 * lines
-                and '"' not in text and "\r" not in text):
-            return text
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+    def _write_unquoted(self, write) -> bool:
+        """Pass the CSV rows joined unquoted to write, the header first,
+        as one text per _CSV_CHUNK entries; True when they are the text
+        csv.writer writes with "\n" line ends. They are when no field
+        holds a comma, a newline, a quote or a carriage return, the
+        characters csv may quote: every line has exactly five separating
+        commas and one newline, so equal totals over the chunks rule out
+        the first two. False at the first chunk that holds a quote or a
+        carriage return. A trace of one chunk is rendered from the
+        entries themselves, not from a copy."""
+        entries = self._entries
+        size = _CSV_CHUNK
+        chunks = ((entries,) if len(entries) <= size else
+                  (entries[i:i + size] for i in range(0, len(entries), size)))
+        head = _CSV_HEADER_LINE
+        lines = commas = 0
+        for chunk in chunks:
+            text = _csv_rows(chunk, head)
+            head = ""
+            if '"' in text or "\r" in text:
+                return False
+            lines += text.count("\n")
+            commas += text.count(",")
+            write(text)
+        rows = len(self) + 1
+        return lines == rows and commas == 5 * rows
+
+    def _write_quoted(self, fh) -> None:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         writer.writerows(self.records)
+
+    def to_csv_string(self) -> str:
+        """The trace as csv.writer writes it with "\n" line ends: the
+        unquoted chunk texts joined when they are that text (see
+        _write_unquoted), otherwise what csv.writer writes."""
+        chunks = []
+        if self._write_unquoted(chunks.append):
+            return "".join(chunks)
+        buf = io.StringIO()
+        self._write_quoted(buf)
         return buf.getvalue()
 
     def write_csv(self, path) -> None:
+        """Write to_csv_string()'s text to path, streamed: each chunk is
+        written as soon as it is rendered, so no more than one chunk's
+        text is held. When the text needs quoting, the file is truncated
+        and csv.writer writes it again from the start."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.to_csv_string())
+            if not self._write_unquoted(fh.write):
+                fh.seek(0)
+                fh.truncate()
+                self._write_quoted(fh)
 
     def __len__(self):
         """The number of records, held runs counted without expanding."""
@@ -575,27 +633,25 @@ class Engine:
         self._ipl_stale = True
         # the running job the current level was computed for
         self._ipl_running: Optional[Job] = None
-        # each tick's raises as runs, flat: line, count, line, count, ...
-        # in interrupt priority order, built here from every spec's
-        # (count, ticks). A line's raises at one tick are one run,
-        # whichever specs made them: each spec adds its count at each of
-        # its ticks. _process_raises drops a tick's runs once it takes them
-        made = [(line, *_raises(spec, self.horizon, scenario.seed))
-                for line, spec in scenario.workload]
+        # the run table: each tick's raises as runs, flat: line, count,
+        # line, count, ... in interrupt priority order. A line's raises at
+        # one tick are one run, whichever specs made them: each spec adds
+        # its count at each of its ticks. The table is filled one window
+        # of ticks at a time (see _fill), and _process_raises drops a
+        # tick's runs once it takes them, so it holds at most a window.
+        # Per spec, in interrupt priority order: [its next tick, line,
+        # count, its later ticks], the next tick _NEVER once it has none
         rank = self._irq_rank
+        self._sources = []
+        for line, count, times in sorted(
+                ((line, *_raises(spec, self.horizon, scenario.seed))
+                 for line, spec in scenario.workload),
+                key=lambda m: rank[m[0]]):
+            ticks = iter(times)
+            self._sources.append([next(ticks, _NEVER), line, count, ticks])
         self.raises: Dict[int, list] = {}
-        get = self.raises.get
-        for line, count, times in sorted(made, key=lambda m: rank[m[0]]):
-            for t in times:
-                runs = get(t)
-                if runs is None:
-                    self.raises[t] = [line, count]
-                elif runs[-2] == line:
-                    runs[-1] += count
-                else:
-                    runs += (line, count)
-        self._raise_times = sorted(self.raises)
-        self._next_raise = 0
+        self._start = 0
+        self._fill()
         # (due, rank, line): window expiries (rank 0) before episode
         # decays (rank 1), then line id; a line has at most one window
         # entry, and equal decay entries are interchangeable
@@ -685,18 +741,59 @@ class Engine:
         while i < len(times) and times[i] <= t:
             i += 1
         held = set()  # lines found held back; none changes before until
-        while i < len(times) and times[i] < until:
-            r = times[i]
-            for line in self.raises[r][::2]:
-                if line not in held:
-                    if self.vic.delivers(line):
-                        self._next_raise = i
-                        return r
-                    held.add(line)
-            self._process_raises(r)
-            i += 1
+        while True:
+            while i < len(times) and times[i] < until:
+                r = times[i]
+                for line in self.raises[r][::2]:
+                    if line not in held:
+                        if self.vic.delivers(line):
+                            self._next_raise = i
+                            return r
+                        held.add(line)
+                self._process_raises(r)
+                i += 1
+            # the table must reach until itself: run takes its raises next
+            if i < len(times) or self._filled > until:
+                break
+            self._fill()
+            times, i = self._raise_times, 0
         self._next_raise = i
         return until
+
+    def _fill(self) -> None:
+        """Fill the run table for the next window: _RAISE_WINDOW ticks
+        from _start, which is 0 at first and then the earliest tick a
+        spec has not yet raised at, so that an idle stretch costs no
+        fills. _filled is the window's end. Called when every filled
+        tick has been taken; the specs are read in interrupt priority
+        order, so each tick's runs keep that order."""
+        end = self._start + _RAISE_WINDOW
+        table = self.raises
+        get = table.get
+        start = _NEVER
+        for source in self._sources:
+            t = source[0]
+            if t < end:
+                _, line, count, ticks = source
+                for t in chain((t,), ticks):
+                    if t >= end:
+                        break
+                    runs = get(t)
+                    if runs is None:
+                        table[t] = [line, count]
+                    elif runs[-2] == line:
+                        runs[-1] += count
+                    else:
+                        runs += (line, count)
+                else:
+                    t = _NEVER
+                source[0] = t
+            if t < start:
+                start = t
+        self._start = start
+        self._raise_times = sorted(table)
+        self._next_raise = 0
+        self._filled = end
 
     def line_of(self, job: Job) -> str:
         return self.sched.tasks[job.task_id].line

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -26,6 +28,7 @@ from envelopesim import (
     generate_workload,
     run_scenario,
 )
+import envelopesim.engine as engine_module
 from envelopesim.engine import _validate_scenario, estimate_raises
 from conftest import scenario_monotonic, scenario_override, \
     scenario_override_burst
@@ -81,7 +84,45 @@ def expanded_run_table(engine, scenario):
     return table
 
 
-def test_run_table_matches_the_expanded_workload():
+def raise_windows(monkeypatch):
+    """Set the run table's window to the module's, then to a few ticks,
+    so that every run table spans several windows; yield each."""
+    for window in (engine_module._RAISE_WINDOW, 3, 4):
+        monkeypatch.setattr(engine_module, "_RAISE_WINDOW", window)
+        yield window
+
+
+class WindowEngine(Engine):
+    """The engine, keeping a copy of each window of the run table as it
+    is filled."""
+
+    def __init__(self, scenario):
+        self.windows = []
+        super().__init__(scenario)
+
+    def _fill(self):
+        super()._fill()
+        self.windows.append({t: list(runs) for t, runs in self.raises.items()})
+
+
+def filled_run_table(scenario, window):
+    """The union of the windows of the run table that a run fills, and
+    the engine. Each window holds only ticks after the previous one's,
+    spanning fewer than window ticks, and the run leaves the table
+    empty."""
+    engine = WindowEngine(scenario)
+    engine.run()
+    assert engine.raises == {}  # the run takes every tick's runs out
+    table = {}
+    for ticks in engine.windows:
+        if ticks:
+            assert min(ticks) > max(table, default=-1)
+            assert max(ticks) - min(ticks) < window
+        table.update(ticks)
+    return table, engine
+
+
+def test_run_table_matches_the_expanded_workload(monkeypatch):
     # a storm adds its rate at each tick, beside the raises of a burst
     # or a periodic spec on the same line and of other lines
     both = [sc for sc in map(storm_scenario, range(200))
@@ -96,12 +137,79 @@ def test_run_table_matches_the_expanded_workload():
         ("l_low", Periodic(1, 5)), ("l_high", Storm(6, 1)),
         ("l_low", Burst(10, 12, 2)),
     ]
-    for sc in both + [interleaved]:
-        engine = Engine(sc)
-        assert engine.raises == expanded_run_table(engine, sc)
-        # the run takes every tick's runs out of the table
-        engine.run()
-        assert engine.raises == {}
+    for window in raise_windows(monkeypatch):
+        for sc in both + [interleaved]:
+            table, engine = filled_run_table(sc, window)
+            assert table == expanded_run_table(engine, sc)
+
+
+@pytest.mark.parametrize("w", [engine_module._RAISE_WINDOW, 3, 4])
+def test_run_table_spans_many_windows(w, monkeypatch):
+    # every spec kind over several windows, specs sharing a line, and
+    # raises on the first and last tick of each window: a raise on every
+    # tick from 0 on makes the windows [k * w, (k + 1) * w)
+    monkeypatch.setattr(engine_module, "_RAISE_WINDOW", w)
+    edges = tuple(t for k in range(1, 4) for t in (k * w - 1, k * w))
+    sc = scenario_monotonic(horizon=4 * w + 3)
+    sc.seed = 5
+    sc.workload = [
+        ("l_low", Storm(0, 1)),
+        ("l_high", Periodic(-5, 7)),
+        ("l_low", Sporadic(2, 0.4, 9)),
+        ("l_high", Burst(w - 1, 6, 0)),
+        ("l_high", Burst(-3, 3 * w, 2)),
+        ("l_low", Explicit(edges + edges[:2] + (0, 4 * w + 2))),
+        ("l_high", Sporadic(1, 0.2, 3)),
+        ("l_high", Storm(2 * w, 2)),
+        ("l_low", Explicit((w + 1, w + 1, 3 * w + 1))),
+    ]
+    table, engine = filled_run_table(sc, w)
+    assert table == expanded_run_table(engine, sc)
+    assert len(engine.windows) >= 4
+    # a sparse workload: the windows start at the next raise, not at
+    # the last window's end
+    sc.workload = [("l_low", Explicit((1, 50 * w, 50 * w + w - 1,
+                                       50 * w + w, 200 * w)))]
+    sc.horizon = 200 * w + 1
+    table, engine = filled_run_table(sc, w)
+    assert table == expanded_run_table(engine, sc)
+    assert len(engine.windows) <= 6
+
+
+def test_sporadic_ticks_keep_their_stream_across_windows(monkeypatch):
+    specs = [Sporadic(1, 0.3, 0), Sporadic(3, 0.7, 1), Sporadic(2, 1.0, 2)]
+    sc = scenario_monotonic(horizon=9000)
+    sc.seed = 11
+    sc.workload = [(line, spec) for spec in specs
+                   for line in ("l_high", "l_low")]
+    for window in raise_windows(monkeypatch):
+        table, engine = filled_run_table(sc, window)
+        assert table == expanded_run_table(engine, sc)
+        assert len(engine.windows) > 2
+        # each line's ticks are the whole-horizon expansion of its specs
+        for line in ("l_high", "l_low"):
+            expected = sorted(t for spec in specs
+                              for t in generate_workload(spec, 9000, 11))
+            got = [t for t in sorted(table)
+                   for i in range(0, len(table[t]), 2)
+                   if table[t][i] == line
+                   for _ in range(table[t][i + 1])]
+            assert got == expected
+
+
+def test_engine_holds_no_whole_horizon_run_table():
+    # the storm probe: a run table for every tick would be megabytes
+    probe = one_task_scenario(workload=[("l", Storm(0, 3))],
+                              horizon=10 ** 5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        engine = Engine(probe)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
+    assert len(engine.raises) <= engine_module._RAISE_WINDOW
 
 
 def test_burst_times():
@@ -271,10 +379,11 @@ def test_workload_matches_the_ladder_oracle():
     assert kinds == {Periodic, Sporadic, Burst, Storm, Explicit}
 
 
-def test_run_table_matches_the_ladder_oracle():
+def test_run_table_matches_the_ladder_oracle(monkeypatch):
     # each spec beside a periodic one on the same line, whose raises the
     # table adds to the spec's at the ticks they share
     other = Periodic(1, 4)
+    cases = []
     for spec, horizon, seed in ladder_cases():
         if horizon < 1 or isinstance(
                 outcome(oracle_generate_workload, spec, horizon), str):
@@ -285,7 +394,11 @@ def test_run_table_matches_the_ladder_oracle():
         for t in oracle_generate_workload(spec, horizon, seed) \
                 + oracle_generate_workload(other, horizon):
             counts[t] = counts.get(t, 0) + 1
-        assert Engine(sc).raises == {t: ["l", n] for t, n in counts.items()}
+        cases.append((sc, {t: ["l", n] for t, n in counts.items()}))
+    for window in raise_windows(monkeypatch):
+        for sc, expected in cases:
+            table, _ = filled_run_table(sc, window)
+            assert table == expected
 
 
 def test_oversized_workload_is_refused_before_expansion():

@@ -18,7 +18,9 @@ from envelopesim import (
     Storm,
     TaskSet,
     assign_importance_monotonic,
+    generate_workload,
 )
+import envelopesim.engine as engine_module
 from envelopesim.cli import load_scenario
 from envelopesim.model import Task
 from support import (
@@ -118,8 +120,9 @@ def test_storm_scenarios_match_tick_loop():
         scenario = storm_scenario(seed)
         engine = assert_same_run(scenario)
         steps += engine.steps
-        # the run empties the run table; the raise ticks stay listed
-        raise_ticks += len(engine._raise_times)
+        raise_ticks += len({
+            t for _, spec in scenario.workload
+            for t in generate_workload(spec, engine.horizon, scenario.seed)})
         policy = scenario.policy
         for rec in engine.trace.records:
             if rec.kind in ("SUPPRESS", "MASK"):
@@ -133,6 +136,16 @@ def test_storm_scenarios_match_tick_loop():
                     "ipl_with_top_half_time",
                     "rate1", "rate2", "rate3", "rate4"}, seen
     assert 2 * steps < raise_ticks  # most raise ticks are not steps
+
+
+@pytest.mark.parametrize("window", [1, 3, 7])
+def test_runs_do_not_depend_on_the_run_table_window(window, monkeypatch):
+    # a raise, a delivered raise or the horizon on any window edge
+    monkeypatch.setattr(engine_module, "_RAISE_WINDOW", window)
+    for seed in range(40):
+        assert_same_run(storm_scenario(seed))
+        assert_same_run(random_scenario(seed))
+        assert_same_run(sparse_coincident_scenario(seed))
 
 
 def test_held_raises_are_not_steps():

@@ -4,19 +4,25 @@ trace append, and held-run trace entries against the records they stand
 for."""
 
 import csv
+import gc
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from enum import IntEnum
 from pathlib import Path
 
 import pytest
 
+import envelopesim.engine as engine_module
 from envelopesim import (
     EngineError,
+    Explicit,
+    FaultPolicy,
     Metrics,
     Periodic,
+    Policy,
     Scenario,
     ScenarioError,
     Storm,
@@ -120,6 +126,112 @@ def test_plain_ids_take_the_unquoted_path(monkeypatch):
     text = trace.to_csv_string()
     assert text == expected
     assert '"' not in text
+
+
+# the CSV in chunks: to_csv_string joins them, write_csv streams them
+
+@pytest.fixture(params=[None, 7], ids=lambda c: f"chunk{c or ''}")
+def csv_chunk(request, monkeypatch):
+    """The CSV chunk: the module's, then a few entries."""
+    if request.param is not None:
+        monkeypatch.setattr(engine_module, "_CSV_CHUNK", request.param)
+    return engine_module._CSV_CHUNK
+
+
+def written(trace, path):
+    """What write_csv leaves in the file at path, as text."""
+    trace.write_csv(path)
+    return path.read_bytes().decode("utf-8")
+
+
+def test_traces_of_several_chunks_match_the_oracle(csv_chunk, tmp_path):
+    path = tmp_path / "trace.csv"
+    long = 0
+    for seed in range(30):
+        trace, _ = run_scenario(storm_scenario(seed))
+        long += len(trace._entries) > 2 * csv_chunk
+        expected = csv_oracle(trace)
+        assert trace.to_csv_string() == expected
+        assert written(trace, path) == expected
+    assert long >= 3
+
+
+def late_id_scenario(line, horizon):
+    """A periodic line from tick 0 and a line with the given id that
+    raises once, near the horizon."""
+    return Scenario(
+        task_set=TaskSet([
+            Task(id="plain", wcet=1, period=4, importance=1, line="l",
+                 envelope_n=1, envelope_w=4),
+            Task(id="late", wcet=1, period=5, importance=2, line=line,
+                 envelope_n=1, envelope_w=5),
+        ]),
+        workload=[("l", Periodic(0, 4)), (line, Explicit((horizon - 2,)))],
+        horizon=horizon,
+    )
+
+
+@pytest.mark.parametrize("char", [",", '"'], ids=["comma", "quote"])
+def test_an_id_to_quote_in_a_late_chunk_falls_back(char, csv_chunk,
+                                                    tmp_path):
+    line = f"li{char}ne"
+    trace, _ = run_scenario(late_id_scenario(line, 4 * csv_chunk))
+    first = next(i for i, e in enumerate(trace._entries) if e[2] == line)
+    assert first >= 2 * csv_chunk
+    expected = csv_oracle(trace)
+    assert trace.to_csv_string() == expected
+    # the file is rewritten from its start: no unquoted row stays
+    assert written(trace, tmp_path / "trace.csv") == expected
+
+
+def test_empty_and_one_chunk_traces_are_one_text(monkeypatch, tmp_path):
+    path = tmp_path / "trace.csv"
+    empty = Trace()
+    assert empty.to_csv_string() == csv_oracle(empty) \
+        == "time,kind,line,task,job,detail\n"
+    assert written(empty, path) == csv_oracle(empty)
+    trace, _ = run_scenario(scenario_with_ids("line", "task"))
+    assert 1 < len(trace._entries) <= engine_module._CSV_CHUNK
+    rendered = []
+
+    def rows(entries, head):
+        rendered.append(entries)
+        return csv_rows(entries, head)
+
+    csv_rows = engine_module._csv_rows
+    monkeypatch.setattr(engine_module, "_csv_rows", rows)
+    assert trace.to_csv_string() == csv_oracle(trace)
+    assert written(trace, path) == csv_oracle(trace)
+    # one text, rendered from the entries themselves, not a copy
+    assert len(rendered) == 2
+    assert all(entries is trace._entries for entries in rendered)
+
+
+def storm_probe(horizon):
+    """One line under a rate-3 storm from tick 0: a trace mostly of held
+    runs, some 6 records per tick."""
+    task = Task(id="sensor", wcet=1, period=100, importance=0, line="l",
+                envelope_n=2, envelope_w=20)
+    return Scenario(
+        task_set=TaskSet([task]),
+        policy=Policy(delta_th=1, fault_policy=FaultPolicy.AUTO_RESUME),
+        workload=[("l", Storm(0, 3))], horizon=horizon)
+
+
+def test_write_csv_holds_one_chunk_beside_the_trace(tmp_path):
+    trace, _ = run_scenario(storm_probe(3 * 10 ** 4))
+    path = tmp_path / "trace.csv"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace.write_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 5_000_000
+    # the whole text would be size bytes at least
+    assert peak < size / 8
 
 
 # the metrics JSON
