@@ -252,11 +252,11 @@ def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
 def load_scenario(path) -> Scenario:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError([f"cannot read scenario file: {exc}"]) from None
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ScenarioError([f"scenario is not valid JSON: {exc}"]) from None
     return parse_scenario(obj)
 
@@ -396,9 +396,12 @@ GANTT_HEADER = ["task", "start", "end", "kind"]
 def _read_trace_csv(path) -> List[dict]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = list(reader)
     except OSError as exc:
         raise ValueError(f"cannot read trace file: {exc}") from None
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise ValueError(f"trace line {reader.line_num}: {exc}") from None
     if not rows or rows[0] != CSV_HEADER:
         raise ValueError(
             f"not a trace CSV: expected header {','.join(CSV_HEADER)}"

@@ -323,13 +323,62 @@ def _backwards(first, last) -> EngineError:
 # 768 or more gave a higher one on traces of about a thousand entries
 _CSV_CHUNK = 512
 
-# The ticks the engine's run table is filled for at once (Engine._fill):
-# a window's runs are all the table holds. Each fill costs a few
+# The ticks the run table is filled for at once (see _run_table): a
+# window's runs are all the table holds. Each fill costs a few
 # microseconds per spec, which a window of 1024 ticks made about 4% of
 # a long, sparse run; 4096 keeps a rate-3 storm's table near 0.6 MB
 _RAISE_WINDOW = 4096
 # the next tick of a spec that raises no more, later than every tick
 _NEVER = float("inf")
+# the head of a run table that has yielded its last tick
+_END = (_NEVER, None)
+
+
+def _run_table(sources):
+    """The run table: each tick's raises as runs, (tick, runs) in
+    ascending tick order, runs flat: line, count, line, count, ... in
+    interrupt priority order. A line's raises at one tick are one run,
+    whichever specs made them: each spec adds its count at each of its
+    ticks. sources holds each spec's (line, count, ticks), in interrupt
+    priority order, so each tick's runs keep that order.
+
+    The table is filled one window of _RAISE_WINDOW ticks at a time,
+    starting at the earliest tick a spec has not yet raised at, so an
+    idle stretch costs no fills, and each tick's runs leave it as they
+    are yielded: it holds at most a window."""
+    # per spec: [its next tick, line, count, its later ticks], the next
+    # tick _NEVER once it has none
+    heads = []
+    for line, count, ticks in sources:
+        ticks = iter(ticks)
+        heads.append([next(ticks, _NEVER), line, count, ticks])
+    start = min([head[0] for head in heads], default=_NEVER)
+    while start < _NEVER:
+        end = start + _RAISE_WINDOW
+        table = {}
+        get = table.get
+        start = _NEVER
+        for head in heads:
+            t = head[0]
+            if t < end:
+                _, line, count, ticks = head
+                for t in chain((t,), ticks):
+                    if t >= end:
+                        break
+                    runs = get(t)
+                    if runs is None:
+                        table[t] = [line, count]
+                    elif runs[-2] == line:
+                        runs[-1] += count
+                    else:
+                        runs += (line, count)
+                else:
+                    t = _NEVER
+                head[0] = t
+            if t < start:
+                start = t
+        for t in sorted(table):
+            yield t, table.pop(t)
 
 
 def _csv_rows(entries, head: str) -> str:
@@ -362,9 +411,9 @@ class Trace:
     one entry each, a count the engine passes to extend with them,
     of_kind skips them when it asks for neither RAISE nor SUPPRESS, and
     the CSV writes each run's rows as one string repeated count times.
-    The CSV is rendered _CSV_CHUNK entries at a time, and write_csv
-    writes each chunk as it is made: beside the entries, writing a trace
-    holds one chunk's text, not the whole CSV."""
+    The CSV is rendered _CSV_CHUNK entries at a time, quoted or not, and
+    write_csv writes each chunk as it is made: writing a trace holds one
+    chunk's text and records beside the entries, not the whole CSV."""
 
     def __init__(self):
         self._entries: list = []
@@ -448,7 +497,9 @@ class Trace:
     def _write_quoted(self, fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        writer.writerows(self.records)
+        entries = self._entries
+        for i in range(0, len(entries), _CSV_CHUNK):
+            writer.writerows(_expand(entries[i:i + _CSV_CHUNK]))
 
     def to_csv_string(self) -> str:
         """The trace as csv.writer writes it with "\n" line ends: the
@@ -465,7 +516,7 @@ class Trace:
         """Write to_csv_string()'s text to path, streamed: each chunk is
         written as soon as it is rendered, so no more than one chunk's
         text is held. When the text needs quoting, the file is truncated
-        and csv.writer writes it again from the start."""
+        and csv.writer writes it again from the start, chunk by chunk."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
             if not self._write_unquoted(fh.write):
                 fh.seek(0)
@@ -633,25 +684,14 @@ class Engine:
         self._ipl_stale = True
         # the running job the current level was computed for
         self._ipl_running: Optional[Job] = None
-        # the run table: each tick's raises as runs, flat: line, count,
-        # line, count, ... in interrupt priority order. A line's raises at
-        # one tick are one run, whichever specs made them: each spec adds
-        # its count at each of its ticks. The table is filled one window
-        # of ticks at a time (see _fill), and _process_raises drops a
-        # tick's runs once it takes them, so it holds at most a window.
-        # Per spec, in interrupt priority order: [its next tick, line,
-        # count, its later ticks], the next tick _NEVER once it has none
+        # the run table (see _run_table) and its head, the next tick's
+        # (tick, runs), or _END; reading the head fills the first window
         rank = self._irq_rank
-        self._sources = []
-        for line, count, times in sorted(
-                ((line, *_raises(spec, self.horizon, scenario.seed))
-                 for line, spec in scenario.workload),
-                key=lambda m: rank[m[0]]):
-            ticks = iter(times)
-            self._sources.append([next(ticks, _NEVER), line, count, ticks])
-        self.raises: Dict[int, list] = {}
-        self._start = 0
-        self._fill()
+        self._table = _run_table(sorted(
+            ((line, *_raises(spec, self.horizon, scenario.seed))
+             for line, spec in scenario.workload),
+            key=lambda source: rank[source[0]]))
+        self._head = next(self._table, _END)
         # (due, rank, line): window expiries (rank 0) before episode
         # decays (rank 1), then line id; a line has at most one window
         # entry, and equal decay entries are interchangeable
@@ -689,7 +729,7 @@ class Engine:
             self._process_timers(t)
             # a drain clears every pending line, so only a delivered raise
             # leaves one for this step's drain
-            if t < self.horizon and self._process_raises(t):
+            if self._process_raises(t):
                 self._drain_deliverable(t)
             self._process_shed(t)
             self._process_timers(t)
@@ -737,63 +777,16 @@ class Engine:
         # every candidate lies after t (timers due at t have fired and
         # deadlines at t were shed); the floor keeps time moving anyway
         until = max(min(candidates), t + 1)
-        times, i = self._raise_times, self._next_raise
-        while i < len(times) and times[i] <= t:
-            i += 1
         held = set()  # lines found held back; none changes before until
-        while True:
-            while i < len(times) and times[i] < until:
-                r = times[i]
-                for line in self.raises[r][::2]:
-                    if line not in held:
-                        if self.vic.delivers(line):
-                            self._next_raise = i
-                            return r
-                        held.add(line)
-                self._process_raises(r)
-                i += 1
-            # the table must reach until itself: run takes its raises next
-            if i < len(times) or self._filled > until:
-                break
-            self._fill()
-            times, i = self._raise_times, 0
-        self._next_raise = i
+        while self._head[0] < until:
+            r, runs = self._head
+            for line in runs[::2]:
+                if line not in held:
+                    if self.vic.delivers(line):
+                        return r
+                    held.add(line)
+            self._process_raises(r)
         return until
-
-    def _fill(self) -> None:
-        """Fill the run table for the next window: _RAISE_WINDOW ticks
-        from _start, which is 0 at first and then the earliest tick a
-        spec has not yet raised at, so that an idle stretch costs no
-        fills. _filled is the window's end. Called when every filled
-        tick has been taken; the specs are read in interrupt priority
-        order, so each tick's runs keep that order."""
-        end = self._start + _RAISE_WINDOW
-        table = self.raises
-        get = table.get
-        start = _NEVER
-        for source in self._sources:
-            t = source[0]
-            if t < end:
-                _, line, count, ticks = source
-                for t in chain((t,), ticks):
-                    if t >= end:
-                        break
-                    runs = get(t)
-                    if runs is None:
-                        table[t] = [line, count]
-                    elif runs[-2] == line:
-                        runs[-1] += count
-                    else:
-                        runs += (line, count)
-                else:
-                    t = _NEVER
-                source[0] = t
-            if t < start:
-                start = t
-        self._start = start
-        self._raise_times = sorted(table)
-        self._next_raise = 0
-        self._filled = end
 
     def line_of(self, job: Job) -> str:
         return self.sched.tasks[job.task_id].line
@@ -836,10 +829,11 @@ class Engine:
         A run of count raises on one line is one raise_event call, which
         classifies the first. The run's held raises are one held-run
         trace entry (see Trace): after a delivery, the rest of the run is
-        held as coalesced. The tick's runs leave the run table."""
-        runs = self.raises.pop(t, None)
-        if runs is None:
+        held as coalesced. Takes the run table's head when it is t's."""
+        r, runs = self._head
+        if r != t:
             return False
+        self._head = next(self._table, _END)
         entries = []
         extra = 0
         vic = self.vic

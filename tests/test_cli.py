@@ -481,6 +481,40 @@ def test_run_bad_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def assert_reported(code, capsys, fragment):
+    """The command exited 1 with one error line holding fragment."""
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err, err
+    assert "Traceback" not in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_a_scenario_that_is_not_utf8_is_reported(tmp_path, capsys, command):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"tasks": [\xff]}')
+    assert_reported(main([command, "--scenario", str(path)]), capsys,
+                    "cannot read scenario file: 'utf-8' codec")
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_a_scenario_nested_too_deep_is_reported(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert_reported(main([command, "--scenario", str(path)]), capsys,
+                    "scenario is not valid JSON: maximum recursion depth")
+
+
+def test_gantt_reports_a_field_over_the_csv_limit(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("time,kind,line,task,job,detail\n0,START,l,t,0,\n"
+                     f"1,RAISE,l,t,,{'x' * 200_000}\n", encoding="utf-8")
+    code = main(["gantt", "--trace", str(trace), "--out",
+                 str(tmp_path / "chart.csv")])
+    assert_reported(code, capsys, "trace line 3: field larger than field "
+                    "limit")
+
+
 def test_run_invalid_scenario(tmp_path, capsys):
     obj = two_task_obj()
     obj["tasks"][1]["importance"] = 1  # duplicate

@@ -30,6 +30,7 @@ from envelopesim import (
 )
 import envelopesim.engine as engine_module
 from envelopesim.engine import _validate_scenario, estimate_raises
+from envelopesim.model import interrupt_order
 from conftest import scenario_monotonic, scenario_override, \
     scenario_override_burst
 from support import ConfirmingEngine, conservation_counts, \
@@ -67,59 +68,83 @@ def test_first_invalid_workload_in_scenario_order_is_reported():
         Engine(sc)
 
 
-def expanded_run_table(engine, scenario):
+def interrupt_rank(scenario):
+    return {task.line: i
+            for i, task in enumerate(interrupt_order(scenario.task_set))}
+
+
+def expanded_run_table(scenario):
     """The run table from generate_workload's expansion of every spec:
     at each tick, each raised line's total count, lines in interrupt
     priority order."""
+    horizon, rank = scenario.resolved_horizon(), interrupt_rank(scenario)
     counts = {}
     for line, spec in scenario.workload:
-        for t in generate_workload(spec, engine.horizon, scenario.seed):
+        for t in generate_workload(spec, horizon, scenario.seed):
             at = counts.setdefault(t, {})
             at[line] = at.get(line, 0) + 1
     table = {}
     for t, at in counts.items():
         table[t] = []
-        for line in sorted(at, key=engine._irq_rank.get):
+        for line in sorted(at, key=rank.get):
             table[t] += [line, at[line]]
     return table
+
+
+class CountedTicks:
+    """A spec's ticks, counting how many times they are read."""
+
+    def __init__(self, ticks):
+        self.ticks = iter(ticks)
+        self.reads = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.reads += 1
+        return next(self.ticks)
+
+
+def streamed_run_table(scenario):
+    """_run_table over the scenario's specs, read to its end: the table
+    as a dict, and the ticks of each window it filled, in order. A fill
+    reads the specs' ticks and yields at least one tick; the ticks of
+    one window are yielded with no read between them. The ticks are
+    strictly ascending."""
+    horizon, rank = scenario.resolved_horizon(), interrupt_rank(scenario)
+    sources = []
+    for line, spec in sorted(scenario.workload, key=lambda ls: rank[ls[0]]):
+        count, ticks = engine_module._raises(spec, horizon, scenario.seed)
+        sources.append((line, count, CountedTicks(ticks)))
+    stream, windows, reads = [], [], -1
+    for t, runs in engine_module._run_table(sources):
+        now = sum(ticks.reads for _, _, ticks in sources)
+        if now != reads:
+            windows.append([])
+            reads = now
+        windows[-1].append(t)
+        stream.append((t, runs))
+    ticks = [t for t, _ in stream]
+    assert ticks == sorted(set(ticks))
+    return dict(stream), windows
 
 
 def raise_windows(monkeypatch):
     """Set the run table's window to the module's, then to a few ticks,
     so that every run table spans several windows; yield each."""
-    for window in (engine_module._RAISE_WINDOW, 3, 4):
+    for window in (engine_module._RAISE_WINDOW, 4, 3, 1):
         monkeypatch.setattr(engine_module, "_RAISE_WINDOW", window)
         yield window
 
 
-class WindowEngine(Engine):
-    """The engine, keeping a copy of each window of the run table as it
-    is filled."""
-
-    def __init__(self, scenario):
-        self.windows = []
-        super().__init__(scenario)
-
-    def _fill(self):
-        super()._fill()
-        self.windows.append({t: list(runs) for t, runs in self.raises.items()})
-
-
-def filled_run_table(scenario, window):
-    """The union of the windows of the run table that a run fills, and
-    the engine. Each window holds only ticks after the previous one's,
-    spanning fewer than window ticks, and the run leaves the table
-    empty."""
-    engine = WindowEngine(scenario)
-    engine.run()
-    assert engine.raises == {}  # the run takes every tick's runs out
-    table = {}
-    for ticks in engine.windows:
-        if ticks:
-            assert min(ticks) > max(table, default=-1)
-            assert max(ticks) - min(ticks) < window
-        table.update(ticks)
-    return table, engine
+def assert_streamed_run_table(scenario, window):
+    """The streamed run table is the expanded one, each window spanning
+    fewer than window ticks; the table and the windows it filled."""
+    table, windows = streamed_run_table(scenario)
+    assert table == expanded_run_table(scenario)
+    assert all(ticks[-1] - ticks[0] < window for ticks in windows)
+    return table, windows
 
 
 def test_run_table_matches_the_expanded_workload(monkeypatch):
@@ -139,11 +164,10 @@ def test_run_table_matches_the_expanded_workload(monkeypatch):
     ]
     for window in raise_windows(monkeypatch):
         for sc in both + [interleaved]:
-            table, engine = filled_run_table(sc, window)
-            assert table == expanded_run_table(engine, sc)
+            assert_streamed_run_table(sc, window)
 
 
-@pytest.mark.parametrize("w", [engine_module._RAISE_WINDOW, 3, 4])
+@pytest.mark.parametrize("w", [engine_module._RAISE_WINDOW, 4, 3, 1])
 def test_run_table_spans_many_windows(w, monkeypatch):
     # every spec kind over several windows, specs sharing a line, and
     # raises on the first and last tick of each window: a raise on every
@@ -163,17 +187,15 @@ def test_run_table_spans_many_windows(w, monkeypatch):
         ("l_high", Storm(2 * w, 2)),
         ("l_low", Explicit((w + 1, w + 1, 3 * w + 1))),
     ]
-    table, engine = filled_run_table(sc, w)
-    assert table == expanded_run_table(engine, sc)
-    assert len(engine.windows) >= 4
+    _, windows = assert_streamed_run_table(sc, w)
+    assert len(windows) >= 4
     # a sparse workload: the windows start at the next raise, not at
     # the last window's end
     sc.workload = [("l_low", Explicit((1, 50 * w, 50 * w + w - 1,
                                        50 * w + w, 200 * w)))]
     sc.horizon = 200 * w + 1
-    table, engine = filled_run_table(sc, w)
-    assert table == expanded_run_table(engine, sc)
-    assert len(engine.windows) <= 6
+    _, windows = assert_streamed_run_table(sc, w)
+    assert len(windows) <= 6
 
 
 def test_sporadic_ticks_keep_their_stream_across_windows(monkeypatch):
@@ -183,9 +205,8 @@ def test_sporadic_ticks_keep_their_stream_across_windows(monkeypatch):
     sc.workload = [(line, spec) for spec in specs
                    for line in ("l_high", "l_low")]
     for window in raise_windows(monkeypatch):
-        table, engine = filled_run_table(sc, window)
-        assert table == expanded_run_table(engine, sc)
-        assert len(engine.windows) > 2
+        table, windows = assert_streamed_run_table(sc, window)
+        assert len(windows) > 2
         # each line's ticks are the whole-horizon expansion of its specs
         for line in ("l_high", "l_low"):
             expected = sorted(t for spec in specs
@@ -195,6 +216,13 @@ def test_sporadic_ticks_keep_their_stream_across_windows(monkeypatch):
                    if table[t][i] == line
                    for _ in range(table[t][i + 1])]
             assert got == expected
+
+
+def test_engine_reads_the_run_table_to_its_end():
+    for sc in map(storm_scenario, range(20)):
+        engine = Engine(sc)
+        engine.run()
+        assert engine._head is engine_module._END
 
 
 def test_engine_holds_no_whole_horizon_run_table():
@@ -208,8 +236,9 @@ def test_engine_holds_no_whole_horizon_run_table():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    # the engine is still alive, so held counts what it keeps
+    assert engine._head is not engine_module._END
     assert held < 1_000_000
-    assert len(engine.raises) <= engine_module._RAISE_WINDOW
 
 
 def test_burst_times():
@@ -397,7 +426,7 @@ def test_run_table_matches_the_ladder_oracle(monkeypatch):
         cases.append((sc, {t: ["l", n] for t, n in counts.items()}))
     for window in raise_windows(monkeypatch):
         for sc, expected in cases:
-            table, _ = filled_run_table(sc, window)
+            table, _ = assert_streamed_run_table(sc, window)
             assert table == expected
 
 

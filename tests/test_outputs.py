@@ -207,20 +207,20 @@ def test_empty_and_one_chunk_traces_are_one_text(monkeypatch, tmp_path):
     assert all(entries is trace._entries for entries in rendered)
 
 
-def storm_probe(horizon):
+def storm_probe(horizon, line="l"):
     """One line under a rate-3 storm from tick 0: a trace mostly of held
     runs, some 6 records per tick."""
-    task = Task(id="sensor", wcet=1, period=100, importance=0, line="l",
+    task = Task(id="sensor", wcet=1, period=100, importance=0, line=line,
                 envelope_n=2, envelope_w=20)
     return Scenario(
         task_set=TaskSet([task]),
         policy=Policy(delta_th=1, fault_policy=FaultPolicy.AUTO_RESUME),
-        workload=[("l", Storm(0, 3))], horizon=horizon)
+        workload=[(line, Storm(0, 3))], horizon=horizon)
 
 
-def test_write_csv_holds_one_chunk_beside_the_trace(tmp_path):
-    trace, _ = run_scenario(storm_probe(3 * 10 ** 4))
-    path = tmp_path / "trace.csv"
+def assert_write_csv_streams(trace, path):
+    """write_csv on a storm probe's trace peaks under an eighth of the
+    file it writes: the whole text would be its size at least."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -230,8 +230,27 @@ def test_write_csv_holds_one_chunk_beside_the_trace(tmp_path):
         tracemalloc.stop()
     size = path.stat().st_size
     assert size > 5_000_000
-    # the whole text would be size bytes at least
     assert peak < size / 8
+
+
+def test_write_csv_holds_one_chunk_beside_the_trace(tmp_path):
+    trace, _ = run_scenario(storm_probe(3 * 10 ** 4))
+    assert_write_csv_streams(trace, tmp_path / "trace.csv")
+
+
+def test_the_quoted_csv_streams_and_leaves_held_runs_unexpanded(tmp_path):
+    # a comma in the line id: every row goes through csv.writer
+    trace, _ = run_scenario(storm_probe(3 * 10 ** 4, line="l,1"))
+    entries = len(trace._entries)
+    assert entries < len(trace)
+    path = tmp_path / "trace.csv"
+    assert_write_csv_streams(trace, path)
+    assert len(trace._entries) == entries
+    text = trace.to_csv_string()
+    assert len(trace._entries) == entries
+    expected = csv_oracle(trace)
+    assert text == expected
+    assert path.read_bytes().decode("utf-8") == expected
 
 
 # the metrics JSON
