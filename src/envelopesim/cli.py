@@ -292,8 +292,8 @@ def cmd_run(args) -> int:
                 f"t={rec.time} {rec.kind} line={rec.line} {rec.detail}",
                 file=sys.stderr,
             )
-        print(f"steps={engine.steps} ticks={engine.horizon + 1}",
-              file=sys.stderr)
+        print(f"steps={engine.steps} ticks={engine.horizon + 1} "
+              f"entries={trace.entry_count}", file=sys.stderr)
     misses = sum(m["misses"] for m in metrics.per_task.values())
     drops = sum(m["drops"] for m in metrics.per_task.values())
     faults = sum(
@@ -604,7 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--metrics", help="write the metrics JSON here")
     p_run.add_argument(
         "--verbose", action="store_true",
-        help="echo IPL and timer records and the step count to stderr",
+        help="echo IPL and timer records, the step count and the trace's "
+             "entry count to stderr",
     )
     p_run.set_defaults(func=cmd_run)
 

@@ -449,10 +449,29 @@ def test_run_verbose_reports_visited_steps(tmp_path, capsys):
     scenario = write_scenario(tmp_path, obj)
     main(["run", "--scenario", scenario, "--verbose"])
     out, err = capsys.readouterr()
-    assert "steps=31 ticks=10001" in err.splitlines()
+    # no raise is held back: every record is its own entry
+    assert "steps=31 ticks=10001 entries=90" in err.splitlines()
+    assert "records=90 " in out
     assert "steps=" not in out
     main(["run", "--scenario", scenario])
     assert "steps=" not in capsys.readouterr().err
+
+
+def test_run_verbose_reports_trace_entries(tmp_path, capsys):
+    # a rate-3 storm held by an n=1 window: the raises held back between
+    # two steps are one entry, so the entries follow the steps, not the
+    # records
+    obj = {
+        "tasks": [{"id": "t", "C": 3, "T": 50, "importance": 0,
+                   "line": "l", "n": 1, "W": 10}],
+        "policy": {"fault_policy": "auto_resume"},
+        "workload": [{"kind": "storm", "line": "l", "start": 0, "rate": 3}],
+        "horizon": 10000,
+    }
+    main(["run", "--scenario", write_scenario(tmp_path, obj), "--verbose"])
+    out, err = capsys.readouterr()
+    assert "steps=1002 ticks=10001 entries=3011" in err.splitlines()
+    assert "records=61007 " in out
 
 
 def test_run_missing_file(tmp_path, capsys):

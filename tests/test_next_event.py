@@ -165,7 +165,7 @@ def test_held_raises_are_not_steps():
     calls = []
 
     def counted(line, t, count=1):
-        calls.append((line, t))
+        calls.append((line, t, count))
         return raise_event(line, t, count)
 
     engine.vic.raise_event = counted
@@ -173,9 +173,16 @@ def test_held_raises_are_not_steps():
     # the delivery at 0, the completion at 3, the window expiries at
     # 10, 20, ..., 9990, and the horizon at 10000, where the last expiry
     # falls too
-    assert engine.steps == 2 + 999 + 1
-    # one call per (line, tick) run, however many raises it holds
-    assert len(calls) == len(set(calls)) == 10_000
+    steps = [0, 3, *range(10, 10_000, 10)]
+    assert engine.steps == len(steps) + 1
+    # one call per line at each step that raises, and one per line for
+    # each held stretch between two steps, however many ticks it covers
+    expected = []
+    for step, after in zip(steps, steps[1:] + [10_000]):
+        expected += [("l", step, 3), ("l", step + 1, 3 * (after - step - 1))]
+    assert calls == expected
+    assert len(calls) == 2002
+    assert trace.entry_count < 4 * engine.steps
     assert metrics.per_line["l"]["raised"] == 30_000
     assert metrics.per_line["l"]["suppressed"] == 30_000 - 1
     ticked, ticked_metrics = TickEngine(scenario).run()

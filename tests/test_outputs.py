@@ -1,7 +1,7 @@
 """The trace CSV and metrics JSON writers against csv.writer and
 json.dumps (`support.csv_oracle`, `support.json_oracle`), the per-step
-trace append, and held-run trace entries against the records they stand
-for."""
+trace append, and held-stretch trace entries against the records they
+stand for."""
 
 import csv
 import gc
@@ -17,6 +17,8 @@ import pytest
 
 import envelopesim.engine as engine_module
 from envelopesim import (
+    Burst,
+    Engine,
     EngineError,
     Explicit,
     FaultPolicy,
@@ -30,6 +32,7 @@ from envelopesim import (
     TaskSet,
     Trace,
     TraceRecord,
+    generate_workload,
     run_scenario,
 )
 from envelopesim.cli import load_scenario
@@ -144,15 +147,32 @@ def written(trace, path):
     return path.read_bytes().decode("utf-8")
 
 
-def test_traces_of_several_chunks_match_the_oracle(csv_chunk, tmp_path):
+def counting_chunks(monkeypatch):
+    """A list that gets one item per CSV chunk rendered unquoted."""
+    rendered = []
+    csv_rows = engine_module._csv_rows
+
+    def rows(entries, head):
+        rendered.append(entries)
+        return csv_rows(entries, head)
+
+    monkeypatch.setattr(engine_module, "_csv_rows", rows)
+    return rendered
+
+
+def test_traces_of_several_chunks_match_the_oracle(csv_chunk, tmp_path,
+                                                   monkeypatch):
     path = tmp_path / "trace.csv"
+    rendered = counting_chunks(monkeypatch)
     long = 0
     for seed in range(30):
         trace, _ = run_scenario(storm_scenario(seed))
-        long += len(trace._entries) > 2 * csv_chunk
-        expected = csv_oracle(trace)
-        assert trace.to_csv_string() == expected
-        assert written(trace, path) == expected
+        rendered.clear()
+        text = trace.to_csv_string()
+        long += len(rendered) > 2
+        assert written(trace, path) == text
+        # the oracle expands the held stretches the writers rendered
+        assert text == csv_oracle(trace)
     assert long >= 3
 
 
@@ -207,15 +227,15 @@ def test_empty_and_one_chunk_traces_are_one_text(monkeypatch, tmp_path):
     assert all(entries is trace._entries for entries in rendered)
 
 
-def storm_probe(horizon, line="l"):
-    """One line under a rate-3 storm from tick 0: a trace mostly of held
-    runs, some 6 records per tick."""
+def storm_probe(horizon, line="l", rate=3):
+    """One line under a storm from tick 0: a trace mostly of held
+    stretches, some 2 * rate records per tick."""
     task = Task(id="sensor", wcet=1, period=100, importance=0, line=line,
                 envelope_n=2, envelope_w=20)
     return Scenario(
         task_set=TaskSet([task]),
         policy=Policy(delta_th=1, fault_policy=FaultPolicy.AUTO_RESUME),
-        workload=[(line, Storm(0, 3))], horizon=horizon)
+        workload=[(line, Storm(0, rate))], horizon=horizon)
 
 
 def assert_write_csv_streams(trace, path):
@@ -251,6 +271,64 @@ def test_the_quoted_csv_streams_and_leaves_held_runs_unexpanded(tmp_path):
     expected = csv_oracle(trace)
     assert text == expected
     assert path.read_bytes().decode("utf-8") == expected
+
+
+def test_chunks_are_cut_as_stretches_arrive(monkeypatch):
+    # a storm probe's stretches are narrower than a chunk: the cut points
+    # extend records bound every chunk, and no entry is weighed again
+    trace, _ = run_scenario(storm_probe(3 * 10 ** 4))
+    rendered = counting_chunks(monkeypatch)
+
+    def weighed(entries, size):
+        raise AssertionError("an entry weighed while writing")
+
+    monkeypatch.setattr(engine_module, "_pieces", weighed)
+    text = trace.to_csv_string()
+    size = engine_module._CSV_CHUNK
+    rows = [sum(e[4] * e[5] if e[1] is engine_module._HELD else 1
+                for e in chunk) for chunk in rendered]
+    assert sum(rows) == len(trace) == text.count("\n") - 1
+    assert max(rows) <= size
+    assert len(rendered) <= 1.1 * len(trace) / size + 1
+
+
+# an entry wider than a chunk is written in pieces of at most a chunk
+
+QUOTING = pytest.mark.parametrize("line", ["l", "l,1"],
+                                  ids=["unquoted", "quoted"])
+
+
+def assert_streams_whole(trace, path):
+    """write_csv streams (see assert_write_csv_streams), leaves the
+    trace's entries as they were, and writes the text csv.writer writes,
+    which the oracle reads from the expanded records."""
+    entries = list(trace._entries)
+    assert_write_csv_streams(trace, path)
+    assert trace._entries == entries
+    assert path.read_bytes().decode("utf-8") == csv_oracle(trace)
+
+
+@QUOTING
+def test_a_burst_wider_than_a_chunk_is_written_in_pieces(line, tmp_path):
+    # 2 * 10**5 raises at tick 0: one delivered, the rest one held run
+    task = Task(id="sensor", wcet=1, period=100, importance=0, line=line,
+                envelope_n=2, envelope_w=20)
+    trace, _ = run_scenario(Scenario(
+        task_set=TaskSet([task]), workload=[(line, Burst(0, 2 * 10 ** 5, 0))],
+        horizon=10))
+    assert trace.entry_count < 20
+    assert len(trace) > 100 * trace.entry_count * engine_module._CSV_CHUNK
+    assert_streams_whole(trace, tmp_path / "trace.csv")
+
+
+@QUOTING
+def test_a_stretch_wider_than_a_chunk_is_written_in_pieces(line, tmp_path):
+    # a rate-50 storm held back between window expiries: stretches of
+    # some 20 ticks of 100 records each
+    trace, _ = run_scenario(storm_probe(4000, line=line, rate=50))
+    widest = max(e[4] * e[5] for e in held_runs(trace))
+    assert widest > engine_module._CSV_CHUNK
+    assert_streams_whole(trace, tmp_path / "trace.csv")
 
 
 # the metrics JSON
@@ -372,7 +450,7 @@ def test_extend_with_nothing_is_a_no_op():
     assert trace.records == before
 
 
-# held runs: a line's held raises at one tick are one trace entry
+# held runs: the raises a step holds back are one trace entry
 
 def held_scenario(seed, rate, bottom_half):
     """A seeded storm scenario with every storm at the given rate, the
@@ -403,16 +481,25 @@ SUPPRESS_REASON = {"suppressed_masked": "masked", "suppressed_ipl": "ipl",
                    "latched_pending": "coalesced"}
 
 
-def pair(run):
-    """The RAISE and SUPPRESS records of one raise of a held run."""
-    time, _, line, task, value, _ = run
+def pair(time, run):
+    """The RAISE and SUPPRESS records of one raise of a held run
+    (line, task, outcome value, count) at the given tick."""
+    line, task, value, _ = run
     return [TraceRecord(time, "RAISE", line, task, None, value),
             TraceRecord(time, "SUPPRESS", line, task, None,
                         SUPPRESS_REASON[value])]
 
 
+def stretch_records(stretch):
+    """The records a held stretch (last, kind, first, runs, rows, ticks)
+    stands for: at each tick, each run's pair count times."""
+    last, _, first, runs, _, _ = stretch
+    return [rec for t in range(first, last + 1) for run in runs
+            for rec in pair(t, run) * run[3]]
+
+
 def held_runs(trace):
-    """The trace's held-run entries; every other entry is a record."""
+    """The trace's held-stretch entries; every other entry is a record."""
     return [e for e in trace._entries if not isinstance(e, TraceRecord)]
 
 
@@ -433,13 +520,15 @@ def test_held_runs_read_as_the_records_they_stand_for(scenario):
 
 def test_a_held_run_expands_to_its_pairs():
     trace, _ = run_scenario(held_scenario(1, 3, False))
-    run = max(held_runs(trace), key=lambda e: e[-1])
-    count = run[-1]
-    assert count > 1
+    stretch = max(held_runs(trace), key=lambda e: e[4] * e[5])
+    last, _, first, runs, rows, ticks = stretch
+    assert ticks == last - first + 1 > 1
+    assert rows == 2 * sum(run[3] for run in runs)
+    assert max(run[3] for run in runs) > 1
     single = Trace()
-    single.extend([run], 2 * count - 1)
-    assert len(single) == 2 * count
-    assert single.records == pair(run) * count
+    single.extend([stretch], rows * ticks - 1)
+    assert len(single) == rows * ticks
+    assert single.records == stretch_records(stretch)
 
 
 @pytest.mark.parametrize("kinds", [("IPL_SET", "TIMER_SET"), ("MASK",),
@@ -474,11 +563,12 @@ def test_len_is_kept_as_entries_are_added_and_records_change():
         assert len(trace) == len(trace.records) == size - 1
         trace.records.append(lost)
         assert len(trace) == len(trace.records) == size
-        # a held run added after the expansion is counted again
+        # a held stretch added after the expansion is counted again
         last = trace.records[-1].time
-        run = (last,) + runs[-1][1:]
-        trace.extend([run], 2 * run[-1] - 1)
-        assert len(trace) == size + 2 * run[-1]
+        _, kind, _, lines, rows, ticks = runs[-1]
+        trace.extend([(last + ticks - 1, kind, last, lines, rows, ticks)],
+                     rows * ticks - 1)
+        assert len(trace) == size + rows * ticks
         assert len(trace) == len(trace.records)
 
 
@@ -492,19 +582,167 @@ def test_a_comma_in_a_line_id_takes_the_fallback_with_held_runs():
 
 def test_append_and_extend_refuse_backwards_time_after_a_held_run():
     trace, _ = run_scenario(held_scenario(1, 3, False))
-    run = held_runs(trace)[-1]
-    time, _, line, task, _, count = run
+    stretch = next(e for e in reversed(held_runs(trace)) if e[5] > 1)
+    last, kind, first, runs, rows, ticks = stretch
+    line, task = runs[-1][:2]
     held = Trace()
-    held.extend([run], 2 * count - 1)
-    early = TraceRecord(time - 1, "ALARM", line, task)
-    for add in (held.append, lambda rec: held.extend([rec])):
-        with pytest.raises(EngineError) as err:
-            add(early)
-        assert str(early) in str(err.value)
-        assert str(pair(run)[1]) in str(err.value)
-        assert len(held) == 2 * count
-    held.extend([run], 2 * count - 1)
-    held.append(TraceRecord(time, "INTERNALIZE", line, task))
-    assert len(held) == 4 * count + 1
-    assert held.records == pair(run) * (2 * count) \
-        + [TraceRecord(time, "INTERNALIZE", line, task)]
+    held.extend([stretch], rows * ticks - 1)
+    # before the stretch's first tick, and after it but before its last
+    for time in (first - 1, last - 1):
+        early = TraceRecord(time, "ALARM", line, task)
+        for add in (held.append, lambda rec: held.extend([rec])):
+            with pytest.raises(EngineError) as err:
+                add(early)
+            assert str(early) in str(err.value)
+            assert str(pair(last, runs[-1])[1]) in str(err.value)
+            assert len(held) == rows * ticks
+    # a stretch that starts before the last tick, though it ends after it
+    overlapping = (last + 2, kind, last - 1, runs, rows, 4)
+    with pytest.raises(EngineError) as err:
+        held.extend([overlapping], 4 * rows - 1)
+    assert str(pair(last - 1, runs[0])[0]) in str(err.value)
+    assert len(held) == rows * ticks
+    tick = (last, kind, last, runs, rows, 1)
+    held.extend([tick], rows - 1)
+    held.append(TraceRecord(last, "INTERNALIZE", line, task))
+    assert len(held) == rows * (ticks + 1) + 1
+    assert held.records == stretch_records(stretch) + stretch_records(tick) \
+        + [TraceRecord(last, "INTERNALIZE", line, task)]
+
+
+# held stretches: the raises held back between two steps are one entry
+
+def one_line_task(task, line, importance, **kw):
+    return Task(id=task, wcet=kw.get("wcet", 1), period=kw.get("period", 20),
+                importance=importance, line=line,
+                envelope_n=kw.get("n", 1), envelope_w=kw.get("w", 10))
+
+
+AUTO = Policy(fault_policy=FaultPolicy.AUTO_RESUME)
+
+# each scenario and what breaks or holds its stretches
+STRETCH_SCENARIOS = {
+    # ticks 25 to 34 carry a run of 3, the others of 2
+    "overlap": Scenario(
+        task_set=TaskSet([one_line_task("t", "l", 0)]), policy=AUTO,
+        workload=[("l", Storm(0, 2)), ("l", Burst(25, 10, 1))],
+        horizon=120),
+    # raise ticks two apart never follow each other
+    "gap": Scenario(
+        task_set=TaskSet([one_line_task("t", "l", 0)]), policy=AUTO,
+        workload=[("l", Burst(0, 50, 2))], horizon=120),
+    # every seventh tick a raise on another line is delivered
+    "delivers": Scenario(
+        task_set=TaskSet([one_line_task("s", "ls", 1),
+                          one_line_task("p", "lp", 2, n=5, w=7, period=7)]),
+        policy=AUTO,
+        workload=[("ls", Storm(0, 2)), ("lp", Periodic(0, 7))],
+        horizon=120),
+    # the long job of the important line holds the other at the level
+    "ipl": Scenario(
+        task_set=TaskSet([
+            one_line_task("lo", "llo", 1, period=40, n=20, w=40),
+            one_line_task("hi", "lhi", 2, wcet=15, period=40, n=2, w=40)]),
+        policy=Policy(ipl_optimization=True,
+                      fault_policy=FaultPolicy.AUTO_RESUME),
+        workload=[("llo", Storm(0, 2)), ("lhi", Periodic(0, 40))],
+        horizon=120),
+    # two storming lines masked until their bottom halves end
+    "bottom_half": Scenario(
+        task_set=TaskSet([
+            one_line_task("a", "la", 1, wcet=5, period=30, n=20, w=30),
+            one_line_task("b", "lb", 2, wcet=3, period=30, n=20, w=30)]),
+        policy=Policy(mask_until_bottom_half=True,
+                      fault_policy=FaultPolicy.AUTO_RESUME),
+        workload=[("la", Storm(0, 2)), ("lb", Storm(3, 1))],
+        horizon=120),
+}
+
+
+@pytest.fixture(params=[7, 1], ids=lambda c: f"chunk{c}")
+def tiny_chunk(request, monkeypatch):
+    """A CSV chunk of a few rows, or of one: every stretch is narrowed."""
+    monkeypatch.setattr(engine_module, "_CSV_CHUNK", request.param)
+    return request.param
+
+
+def counted_run(scenario):
+    """The engine after its run, its outputs, and its raise_event calls
+    as (line, tick, count)."""
+    engine = Engine(scenario)
+    raise_event = engine.vic.raise_event
+    calls = []
+
+    def counted(line, t, count=1):
+        calls.append((line, t, count))
+        return raise_event(line, t, count)
+
+    engine.vic.raise_event = counted
+    trace, metrics = engine.run()
+    return engine, trace, metrics, calls
+
+
+def outcomes(stretches):
+    """The outcome values of the runs of the given held stretches."""
+    return {run[2] for e in stretches for run in e[3]}
+
+
+@pytest.mark.parametrize("name", sorted(STRETCH_SCENARIOS))
+def test_held_stretches_match_the_tick_engine(name, tiny_chunk, tmp_path):
+    scenario = STRETCH_SCENARIOS[name]
+    engine, trace, metrics, calls = counted_run(scenario)
+    held = held_runs(trace)
+    long = [e for e in held if e[5] > 1]
+    # what each scenario is for: runs of 2 and more leave coalesced
+    # raises after each delivery, and every stretch of more than one
+    # tick but the IPL's is masked
+    if name == "gap":
+        assert held and not long
+    else:
+        assert long
+        assert "latched_pending" in outcomes(held)
+        assert "suppressed_masked" in outcomes(long)
+    if name == "overlap":
+        assert {run[3] for e in long for run in e[3]} == {2, 3}
+    if name == "delivers":
+        assert any((e[0] + 1) % 7 == 0 for e in long)
+    if name == "ipl":
+        assert "suppressed_ipl" in outcomes(long)
+    if name == "bottom_half":
+        assert any(len(e[3]) == 2 for e in long)
+    for e in held:
+        last, _, first, runs, rows, ticks = e
+        assert ticks == last - first + 1 >= 1
+        assert rows == 2 * sum(run[3] for run in runs)
+    # one raise_event call per line for each stretch the walk took, and
+    # at most one per line at each step: fewer calls than raise ticks
+    assert len(set((line, t) for line, t, _ in calls)) == len(calls)
+    for _, _, first, runs, _, ticks in long:
+        for line, _, _, count in runs:
+            assert (line, first, count * ticks) in calls
+    raised = {line: sum(c for l, _, c in calls if l == line)
+              for line in metrics.per_line}
+    assert raised == {line: row["raised"]
+                      for line, row in metrics.per_line.items()}
+    raise_ticks = len({(line, t) for line, spec in scenario.workload
+                       for t in generate_workload(spec, engine.horizon)})
+    assert len(calls) < raise_ticks or name == "gap"
+    # the outputs
+    size = len(trace)
+    text = trace.to_csv_string()
+    assert written(trace, tmp_path / "trace.csv") == text
+    assert held_runs(trace) == held  # the CSV narrowed nothing in place
+    ticked, ticked_metrics = TickEngine(scenario).run()
+    assert text == csv_oracle(ticked)
+    assert trace.records == ticked.records
+    assert size == len(trace)
+    assert metrics.to_json_string() == ticked_metrics.to_json_string()
+
+
+def test_storm_probe_entries_follow_the_steps():
+    # 605,012 records; one entry per held raise tick would be 105,016
+    engine = Engine(storm_probe(10 ** 5))
+    trace, _ = engine.run()
+    assert engine.steps == 5004
+    assert len(trace) == 605_012
+    assert trace.entry_count < 4 * engine.steps
