@@ -44,7 +44,7 @@ mostly such pairs. The held runs of a step, between two delivered
 raises, are a stretch of one tick. Trace expands stretches when its
 records are read, counts their records as they are added, and writes
 each tick of one as one joined string of CSV rows, in chunks of a
-bounded number of rows.
+bounded number of rows, unquoted when the engine's ids need no quoting.
 
 Both deferral optimizations live here: the interrupt priority level and
 the bottom-half mask. The controller counts what either holds back, and
@@ -296,10 +296,9 @@ class TraceRecord(NamedTuple):
 _HELD = object()
 
 
-def _pair(t, run):
-    """The RAISE and SUPPRESS records of one raise of a held run
-    (line, task, outcome value, count) at tick t."""
-    line, task, value, _ = run
+def _pair(t, line, task, value):
+    """The RAISE and SUPPRESS records at tick t of one raise of a held
+    run on line and task with the given outcome value."""
     return (_record(TraceRecord, (t, RAISE, line, task, None, value)),
             _record(TraceRecord, (t, SUPPRESS, line, task, None,
                                   _SUPPRESS_REASON[value])))
@@ -314,8 +313,8 @@ def _expand(entries) -> List[TraceRecord]:
         if entry[1] is _HELD:
             last, _, first, runs, _, _ = entry
             for t in range(first, last + 1):
-                for run in runs:
-                    out += _pair(t, run) * run[3]
+                for line, task, value, count in zip(*[iter(runs)] * 4):
+                    out += _pair(t, line, task, value) * count
         else:
             out.append(entry)
     return out
@@ -325,9 +324,9 @@ def _backwards(first, last) -> EngineError:
     """The error for entry first appended after entry last, which ends
     at a later time, naming the records at the seam."""
     if first[1] is _HELD:
-        first = _pair(first[2], first[3][0])[0]
+        first = _pair(first[2], *first[3][:3])[0]
     if last[1] is _HELD:
-        last = _pair(last[0], last[3][-1])[1]
+        last = _pair(last[0], *last[3][-4:-1])[1]
     return EngineError(f"trace time went backwards: {first} after {last}")
 
 
@@ -397,30 +396,34 @@ def _run_table(sources):
             yield t, table.pop(t)
 
 
-def _csv_rows(entries, head: str) -> str:
+def _csv_rows(entries, head: str, memo: list) -> str:
     """head, then the CSV rows of entries joined unquoted (see
-    _stretch_rows for a held stretch's)."""
+    _stretch_rows for a held stretch's, and for memo)."""
     parts = [head]
     # in a held stretch's entry, t is its last tick, l its first and ta
     # its runs
     parts += [
         f"{t},{k},{l},{ta},{'' if j is None else j},{d}\n"
-        if k is not _HELD else _stretch_rows(l, t, ta)
+        if k is not _HELD else _stretch_rows(l, t, ta, memo)
         for t, k, l, ta, j, d in entries
     ]
     return "".join(parts)
 
 
-def _stretch_rows(first: int, last: int, runs) -> str:
+def _stretch_rows(first: int, last: int, runs: tuple, memo: list) -> str:
     """The CSV rows of a held stretch: at each tick from first to last,
     each run's RAISE and SUPPRESS rows repeated count times. The rows of
     a tick differ from another tick's only in their time, so each tick's
-    are one join of the rows' suffixes with the tick."""
-    reason = _SUPPRESS_REASON
-    suffixes = [""]
-    for line, task, value, count in runs:
-        suffixes += (f",RAISE,{line},{task},,{value}\n",
-                     f",SUPPRESS,{line},{task},,{reason[value]}\n") * count
+    are one join of the rows' suffixes with the tick. memo keeps the last
+    runs' suffixes: a storm's stretches mostly repeat the runs before."""
+    if runs != memo[0]:
+        reason = _SUPPRESS_REASON
+        suffixes = [""]
+        for line, task, value, count in zip(*[iter(runs)] * 4):
+            suffixes += (f",RAISE,{line},{task},,{value}\n",
+                         f",SUPPRESS,{line},{task},,{reason[value]}\n") * count
+        memo[:] = runs, suffixes
+    suffixes = memo[1]
     if first == last:  # a step's stretch: some 15% faster without the list
         return str(first).join(suffixes)
     return "".join([str(t).join(suffixes) for t in range(first, last + 1)])
@@ -441,10 +444,10 @@ def _narrow(entry, size: int):
     else:
         most = max(1, size // 2)
         for t in range(first, last + 1):
-            for line, task, value, count in runs:
+            for line, task, value, count in zip(*[iter(runs)] * 4):
                 for done in range(0, count, most):
                     n = min(most, count - done)
-                    yield (t, _HELD, t, ((line, task, value, n),), 2 * n, 1)
+                    yield (t, _HELD, t, (line, task, value, n), 2 * n, 1)
 
 
 def _pieces(entries, size: int):
@@ -466,28 +469,31 @@ def _pieces(entries, size: int):
 class Trace:
     """A run's records in time order.
 
-    Most records of a storm are raises the controller held back, each a
-    RAISE record and a SUPPRESS record. The engine stores them as held
-    stretches: one entry (last, _HELD, first, runs, rows, ticks) stands
-    for, at every tick from first to last, each run's count such pairs,
-    where runs holds (line, task, outcome value, count) per line in
-    interrupt order, rows is the records of one tick and ticks is
-    last - first + 1. Its time slot holds its last tick, the one that
-    appending checks a later entry against, as a record's holds its
-    time. A step's held runs are stretches of one tick. Every
-    other entry is a TraceRecord. Only this class reads entries:
-    `records` expands stretches into the records they stand for when it
-    is first read after an extend, len adds the rows they stand for
-    beyond their one entry each, a count the engine passes to extend with
-    them, of_kind skips them when it asks for neither RAISE nor SUPPRESS,
-    and the CSV writes each tick of a stretch as one joined string.
+    Most records of a storm are RAISE and SUPPRESS pairs of raises the
+    controller held back. The engine stores them as held stretches: an
+    entry (last, _HELD, first, runs, rows, ticks) stands for, at every
+    tick from first to last, each run's count such pairs. runs holds
+    line, task, outcome value and count per line, flat, in interrupt
+    order; rows is the records of one tick, and ticks last - first + 1.
+    The time slot holds the last tick, which appending checks against.
+    Only this class reads entries: `records` expands stretches when it is
+    first read after an extend, len adds the records they stand for (a
+    count the engine passes to extend), of_kind skips them unless asked
+    for RAISE or SUPPRESS, and the CSV writes each tick of one as one
+    joined string. Every other entry is a TraceRecord.
 
-    The CSV is rendered in chunks of at most _CSV_CHUNK rows, quoted or
-    not, and write_csv writes each chunk as it is made: writing a trace
-    holds one chunk's text and records beside the entries, not the whole
-    CSV. extend records where chunks end as held stretches arrive (see
-    _chunks), so writing weighs no entry but those of an extend wider
-    than a chunk, which it writes in narrower pieces."""
+    The CSV is rendered and written in chunks of at most _CSV_CHUNK rows
+    (see _chunks), so writing holds one chunk's text beside the entries.
+    Quoting is decided from the ids, not by scanning the text: in the
+    engine's records only a line or task id can hold a comma, a quote or
+    a newline (kinds are constants and details are built from ints and
+    fixed words; a detail that names a task, as a DROP cause would, must
+    extend this rule to its own text). The engine marks its trace plain
+    when none does, and renders a plain trace unquoted, any other through
+    csv.writer. It adds through _append and _extend, which check nothing
+    per record. append, extend and reading records, whose list the
+    caller may change, can bring in any string, so they drop the mark:
+    such a trace is written more slowly, never wrongly."""
 
     def __init__(self):
         self._entries: list = []
@@ -502,11 +508,13 @@ class Trace:
         # the rest of the segment is records only. None, one segment of
         # records, until extend adds a held stretch
         self._cuts = None
+        self._plain = False  # no field needs quoting: only the engine sets it
 
     @property
     def records(self) -> List[TraceRecord]:
-        """The records, with held stretches expanded. The same list is
-        returned on every read."""
+        """The records, with held stretches expanded: the same list on
+        every read, which the caller may change, so it drops the mark."""
+        self._plain = False
         if self._extra:
             self._entries[:] = _expand(self._entries)
             self._extra = 0
@@ -520,18 +528,27 @@ class Trace:
         return len(self._entries)
 
     def append(self, rec: TraceRecord) -> None:
+        """Append a record, whose fields may hold any string."""
+        self._plain = False
+        self._append(rec)
+
+    def _append(self, rec: TraceRecord) -> None:
         entries = self._entries
         if entries and rec.time < entries[-1][0]:
             raise _backwards(rec, entries[-1])
         entries.append(rec)
 
     def extend(self, entries: list, extra: int = 0) -> None:
-        """Append the entries of one time step, records and held
-        stretches of one tick, or one held stretch. Only the first tick
-        of the first is checked against the trace's last tick. extra is
-        the records their stretches stand for beyond one per entry,
-        rows * ticks - 1 each: the caller that builds the stretches counts
-        them, and 0 fits entries that are all records."""
+        """Append the entries of one time step, records of any strings
+        and held stretches of one tick, or one held stretch. Only the
+        first tick of the first is checked against the trace's last tick.
+        extra is the records their stretches stand for beyond one per
+        entry, rows * ticks - 1 each: the caller that builds the
+        stretches counts them, and 0 fits entries that are all records."""
+        self._plain = False
+        self._extend(entries, extra)
+
+    def _extend(self, entries: list, extra: int = 0) -> None:
         if not entries:
             return
         own = self._entries
@@ -564,7 +581,7 @@ class Trace:
         if kinds and RAISE not in kinds and SUPPRESS not in kinds:
             entries = self._entries
         else:
-            entries = self.records
+            entries = _expand(self._entries)
         return [r for r in entries
                 if (not kinds or r[1] in kinds)
                 and (line is None or r[2] == line)
@@ -599,55 +616,34 @@ class Trace:
             for j in range(held, end, size):
                 yield entries[j:min(j + size, end)]
 
-    def _write_unquoted(self, write) -> bool:
-        """Pass the CSV rows joined unquoted to write, the header first,
-        one text per chunk (see _chunks); True when they are the text
-        csv.writer writes with "\n" line ends. They are when no field
-        holds a comma, a newline, a quote or a carriage return, the
-        characters csv may quote: every line has exactly five separating
-        commas and one newline, so equal totals over the chunks rule out
-        the first two. False at the first chunk that holds a quote or a
-        carriage return."""
-        head = _CSV_HEADER_LINE
-        lines = commas = 0
-        for chunk in self._chunks():
-            text = _csv_rows(chunk, head)
-            head = ""
-            if '"' in text or "\r" in text:
-                return False
-            lines += text.count("\n")
-            commas += text.count(",")
-            write(text)
-        rows = len(self) + 1
-        return lines == rows and commas == 5 * rows
-
-    def _write_quoted(self, fh) -> None:
+    def _write(self, fh) -> None:
+        """Write the CSV to fh one chunk at a time (see _chunks): a plain
+        trace's rows joined unquoted, with one memo for the call (see
+        _stretch_rows), any other's through csv.writer."""
+        if self._plain:
+            head, memo = _CSV_HEADER_LINE, [None, None]
+            for chunk in self._chunks():
+                fh.write(_csv_rows(chunk, head, memo))
+                head = ""
+            return
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for chunk in self._chunks():
             writer.writerows(_expand(chunk))
 
     def to_csv_string(self) -> str:
-        """The trace as csv.writer writes it with "\n" line ends: the
-        unquoted chunk texts joined when they are that text (see
-        _write_unquoted), otherwise what csv.writer writes."""
-        chunks = []
-        if self._write_unquoted(chunks.append):
-            return "".join(chunks)
+        """The trace as csv.writer writes it with "\n" line ends."""
+        if self._plain and len(self) <= _CSV_CHUNK:  # one text, no buffer
+            return _csv_rows(self._entries, _CSV_HEADER_LINE, [None, None])
         buf = io.StringIO()
-        self._write_quoted(buf)
+        self._write(buf)
         return buf.getvalue()
 
     def write_csv(self, path) -> None:
         """Write to_csv_string()'s text to path, streamed: each chunk is
-        written as soon as it is rendered, so no more than one chunk's
-        text is held. When the text needs quoting, the file is truncated
-        and csv.writer writes it again from the start, chunk by chunk."""
+        written as soon as it is rendered."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            if not self._write_unquoted(fh.write):
-                fh.seek(0)
-                fh.truncate()
-                self._write_quoted(fh)
+            self._write(fh)
 
     def __len__(self):
         """The number of records, held stretches counted without
@@ -797,6 +793,9 @@ class Engine:
         self.sched = Scheduler(self.task_set, self.pmap,
                                scenario.policy.delta_th)
         self.trace = Trace()
+        # only an id can bring a character csv.writer quotes (see Trace)
+        ids = "".join([t.line + t.id for t in self.task_set])
+        self.trace._plain = not any([c in ids for c in ',"\n'])
         self.alarms: List[Dict[str, object]] = []
         order = interrupt_order(self.task_set)
         self._irq_rank = {task.line: i for i, task in enumerate(order)}
@@ -838,7 +837,7 @@ class Engine:
     # logging helpers
 
     def _log(self, time, kind, line="", task="", job=None, detail=""):
-        self.trace.append(
+        self.trace._append(
             _record(TraceRecord, (time, kind, line, task, job, detail)))
 
     def _alarm(self, time, line, kind: AlarmKind):
@@ -950,10 +949,10 @@ class Engine:
         for line, count in zip(pairs, pairs):
             value = vic.raise_event(line, first, count * ticks)._value_
             suppressed[line] += count * ticks
-            taken.append((line, self.line_task[line].id, value, count))
+            taken += (line, self.line_task[line].id, value, count)
             rows += 2 * count
-        self.trace.extend([(last, _HELD, first, tuple(taken), rows, ticks)],
-                          rows * ticks - 1)
+        self.trace._extend([(last, _HELD, first, tuple(taken), rows, ticks)],
+                           rows * ticks - 1)
 
     def line_of(self, job: Job) -> str:
         return self.sched.tasks[job.task_id].line
@@ -1025,12 +1024,12 @@ class Engine:
                     continue
                 value = _COALESCED
             self.line_suppressed[line] += count
-            taken.append((line, task, value, count))
+            taken += (line, task, value, count)
             rows += 2 * count
         if taken:
             entries.append((t, _HELD, t, tuple(taken), rows, 1))
             extra += rows - 1
-        self.trace.extend(entries, extra)
+        self.trace._extend(entries, extra)
         return delivered
 
     def _drain_deliverable(self, t: int) -> None:

@@ -120,7 +120,8 @@ def test_quoted_ids_read_back():
 
 def test_plain_ids_take_the_unquoted_path(monkeypatch):
     trace, _ = run_scenario(scenario_with_ids("line", "task"))
-    expected = csv_oracle(trace)
+    # reading the records makes a trace quoted: the oracle reads a twin
+    expected = csv_oracle(run_scenario(scenario_with_ids("line", "task"))[0])
 
     def no_writer(*args, **kwargs):
         raise AssertionError("csv.writer used for a trace without quoting")
@@ -152,9 +153,9 @@ def counting_chunks(monkeypatch):
     rendered = []
     csv_rows = engine_module._csv_rows
 
-    def rows(entries, head):
+    def rows(entries, *rest):
         rendered.append(entries)
-        return csv_rows(entries, head)
+        return csv_rows(entries, *rest)
 
     monkeypatch.setattr(engine_module, "_csv_rows", rows)
     return rendered
@@ -192,16 +193,80 @@ def late_id_scenario(line, horizon):
 
 
 @pytest.mark.parametrize("char", [",", '"'], ids=["comma", "quote"])
-def test_an_id_to_quote_in_a_late_chunk_falls_back(char, csv_chunk,
-                                                    tmp_path):
+def test_an_id_to_quote_in_a_late_chunk_is_quoted_from_the_start(
+        char, csv_chunk, tmp_path):
     line = f"li{char}ne"
     trace, _ = run_scenario(late_id_scenario(line, 4 * csv_chunk))
     first = next(i for i, e in enumerate(trace._entries) if e[2] == line)
     assert first >= 2 * csv_chunk
     expected = csv_oracle(trace)
     assert trace.to_csv_string() == expected
-    # the file is rewritten from its start: no unquoted row stays
+    # the engine knew of the id before the first row, so the early
+    # chunks go through csv.writer as the late one does
     assert written(trace, tmp_path / "trace.csv") == expected
+
+
+class WrittenOnce(io.StringIO):
+    """A file write_csv may only append to: it is never rewound or cut.
+    Its text is kept when it is closed."""
+
+    def seek(self, *args):
+        raise AssertionError("the file was rewound")
+
+    def truncate(self, *args):
+        raise AssertionError("the file was truncated")
+
+    def close(self):
+        self.text = self.getvalue()
+        super().close()
+
+
+@pytest.mark.parametrize("char", [",", '"', "\n"],
+                         ids=["comma", "quote", "newline"])
+def test_an_id_to_quote_renders_no_chunk_unquoted(char, csv_chunk,
+                                                  monkeypatch):
+    line = f"li{char}ne"
+    scenario = late_id_scenario(line, 4 * csv_chunk)
+    expected = csv_oracle(run_scenario(scenario)[0])
+    trace, _ = run_scenario(scenario)
+    rendered = counting_chunks(monkeypatch)
+    files = []
+
+    def opened(*args, **kwargs):
+        files.append(WrittenOnce())
+        return files[-1]
+
+    monkeypatch.setattr(engine_module, "open", opened, raising=False)
+    assert trace.to_csv_string() == expected
+    trace.write_csv("trace.csv")
+    assert [f.text for f in files] == [expected]
+    assert rendered == []
+
+
+# the characters csv.writer quotes, and "\r", which it leaves as it is
+ODD = [",", '"', "\n", "\r"]
+
+
+@pytest.mark.parametrize("add", ["append", "extend", "records"])
+def test_records_added_from_outside_are_written_as_csv_writer_does(
+        add, csv_chunk, tmp_path):
+    trace, _ = run_scenario(scenario_with_ids("line", "task"))
+    assert held_runs(trace)
+    end = trace._entries[-1][0]
+    plain = TraceRecord(end, "MASK", "l", "plain", 1, "window")
+    odd = [plain._replace(**{field: f"a{c}b"})
+           for c in ODD for field in ("line", "task", "kind", "detail")]
+    if add == "append":
+        for rec in odd:
+            trace.append(rec)
+    elif add == "extend":
+        trace.extend(odd)
+    else:
+        trace.records.extend(odd)
+    text = trace.to_csv_string()
+    assert written(trace, tmp_path / "trace.csv") == text
+    assert text == csv_oracle(trace)
+    assert '"a,b"' in text and '"a""b"' in text and "a\rb" in text
 
 
 def test_empty_and_one_chunk_traces_are_one_text(monkeypatch, tmp_path):
@@ -214,14 +279,14 @@ def test_empty_and_one_chunk_traces_are_one_text(monkeypatch, tmp_path):
     assert 1 < len(trace._entries) <= engine_module._CSV_CHUNK
     rendered = []
 
-    def rows(entries, head):
+    def rows(entries, *rest):
         rendered.append(entries)
-        return csv_rows(entries, head)
+        return csv_rows(entries, *rest)
 
     csv_rows = engine_module._csv_rows
     monkeypatch.setattr(engine_module, "_csv_rows", rows)
-    assert trace.to_csv_string() == csv_oracle(trace)
-    assert written(trace, path) == csv_oracle(trace)
+    text = trace.to_csv_string()
+    assert written(trace, path) == text == csv_oracle(trace)
     # one text, rendered from the entries themselves, not a copy
     assert len(rendered) == 2
     assert all(entries is trace._entries for entries in rendered)
@@ -490,11 +555,18 @@ def pair(time, run):
                         SUPPRESS_REASON[value])]
 
 
+def runs_of(stretch):
+    """A held stretch's runs, flat in the entry, as (line, task, outcome
+    value, count) tuples."""
+    runs = stretch[3]
+    return [runs[i:i + 4] for i in range(0, len(runs), 4)]
+
+
 def stretch_records(stretch):
     """The records a held stretch (last, kind, first, runs, rows, ticks)
     stands for: at each tick, each run's pair count times."""
-    last, _, first, runs, _, _ = stretch
-    return [rec for t in range(first, last + 1) for run in runs
+    last, _, first, _, _, _ = stretch
+    return [rec for t in range(first, last + 1) for run in runs_of(stretch)
             for rec in pair(t, run) * run[3]]
 
 
@@ -521,7 +593,8 @@ def test_held_runs_read_as_the_records_they_stand_for(scenario):
 def test_a_held_run_expands_to_its_pairs():
     trace, _ = run_scenario(held_scenario(1, 3, False))
     stretch = max(held_runs(trace), key=lambda e: e[4] * e[5])
-    last, _, first, runs, rows, ticks = stretch
+    last, _, first, _, rows, ticks = stretch
+    runs = runs_of(stretch)
     assert ticks == last - first + 1 > 1
     assert rows == 2 * sum(run[3] for run in runs)
     assert max(run[3] for run in runs) > 1
@@ -584,7 +657,7 @@ def test_append_and_extend_refuse_backwards_time_after_a_held_run():
     trace, _ = run_scenario(held_scenario(1, 3, False))
     stretch = next(e for e in reversed(held_runs(trace)) if e[5] > 1)
     last, kind, first, runs, rows, ticks = stretch
-    line, task = runs[-1][:2]
+    line, task = runs[-4:-2]
     held = Trace()
     held.extend([stretch], rows * ticks - 1)
     # before the stretch's first tick, and after it but before its last
@@ -594,13 +667,13 @@ def test_append_and_extend_refuse_backwards_time_after_a_held_run():
             with pytest.raises(EngineError) as err:
                 add(early)
             assert str(early) in str(err.value)
-            assert str(pair(last, runs[-1])[1]) in str(err.value)
+            assert str(pair(last, runs[-4:])[1]) in str(err.value)
             assert len(held) == rows * ticks
     # a stretch that starts before the last tick, though it ends after it
     overlapping = (last + 2, kind, last - 1, runs, rows, 4)
     with pytest.raises(EngineError) as err:
         held.extend([overlapping], 4 * rows - 1)
-    assert str(pair(last - 1, runs[0])[0]) in str(err.value)
+    assert str(pair(last - 1, runs[:4])[0]) in str(err.value)
     assert len(held) == rows * ticks
     tick = (last, kind, last, runs, rows, 1)
     held.extend([tick], rows - 1)
@@ -684,7 +757,7 @@ def counted_run(scenario):
 
 def outcomes(stretches):
     """The outcome values of the runs of the given held stretches."""
-    return {run[2] for e in stretches for run in e[3]}
+    return {run[2] for e in stretches for run in runs_of(e)}
 
 
 @pytest.mark.parametrize("name", sorted(STRETCH_SCENARIOS))
@@ -703,22 +776,23 @@ def test_held_stretches_match_the_tick_engine(name, tiny_chunk, tmp_path):
         assert "latched_pending" in outcomes(held)
         assert "suppressed_masked" in outcomes(long)
     if name == "overlap":
-        assert {run[3] for e in long for run in e[3]} == {2, 3}
+        assert {run[3] for e in long for run in runs_of(e)} == {2, 3}
     if name == "delivers":
         assert any((e[0] + 1) % 7 == 0 for e in long)
     if name == "ipl":
         assert "suppressed_ipl" in outcomes(long)
     if name == "bottom_half":
-        assert any(len(e[3]) == 2 for e in long)
+        assert any(len(runs_of(e)) == 2 for e in long)
     for e in held:
-        last, _, first, runs, rows, ticks = e
+        last, _, first, _, rows, ticks = e
         assert ticks == last - first + 1 >= 1
-        assert rows == 2 * sum(run[3] for run in runs)
+        assert rows == 2 * sum(run[3] for run in runs_of(e))
     # one raise_event call per line for each stretch the walk took, and
     # at most one per line at each step: fewer calls than raise ticks
     assert len(set((line, t) for line, t, _ in calls)) == len(calls)
-    for _, _, first, runs, _, ticks in long:
-        for line, _, _, count in runs:
+    for e in long:
+        _, _, first, _, _, ticks = e
+        for line, _, _, count in runs_of(e):
             assert (line, first, count * ticks) in calls
     raised = {line: sum(c for l, _, c in calls if l == line)
               for line in metrics.per_line}
@@ -746,3 +820,25 @@ def test_storm_probe_entries_follow_the_steps():
     assert engine.steps == 5004
     assert len(trace) == 605_012
     assert trace.entry_count < 4 * engine.steps
+
+
+def test_stretches_alternating_between_two_runs_match_the_oracle(
+        csv_chunk, tmp_path):
+    # two lines raising on alternate ticks, held back together: each
+    # stretch's runs differ from the one before and equal the one before
+    # that, so the CSV's last-runs memo misses at every stretch
+    scenario = Scenario(
+        task_set=TaskSet([one_line_task("a", "la", 1),
+                          one_line_task("b", "lb", 2)]),
+        policy=AUTO,
+        workload=[("la", Burst(0, 300, 2)), ("lb", Burst(1, 300, 2))],
+        horizon=600)
+    trace, _ = run_scenario(scenario)
+    runs = [e[3] for e in held_runs(trace)]
+    alternating = sum(a != b and a == c
+                      for a, b, c in zip(runs, runs[1:], runs[2:]))
+    assert alternating > 0.9 * len(runs)
+    assert len(trace) > 2 * csv_chunk
+    text = trace.to_csv_string()
+    assert written(trace, tmp_path / "trace.csv") == text
+    assert text == csv_oracle(trace)
