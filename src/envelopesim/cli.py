@@ -312,13 +312,18 @@ def cmd_run(args) -> int:
 
 def _creatable(path: str) -> None:
     """Raise the OSError that opening path for writing would raise when
-    its directory is missing or cannot be written, or it is a directory,
-    without creating it."""
+    its directory is missing or cannot be written, or it is or names a
+    directory, without creating it. open refuses a name that ends in a
+    separator as a directory, whether or not anything of that name
+    exists, and before it checks permission; abspath drops the separator,
+    so the directory tested is the one that holds the name."""
     directory = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         code = errno.EISDIR
     elif not os.path.isdir(directory):
         code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    elif path.endswith((os.sep, os.altsep or os.sep)):
+        code = errno.EISDIR
     elif not os.access(directory, os.W_OK | os.X_OK) or (
             os.path.exists(path) and not os.access(path, os.W_OK)):
         code = errno.EACCES

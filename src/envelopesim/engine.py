@@ -330,12 +330,12 @@ def _backwards(first, last) -> EngineError:
     return EngineError(f"trace time went backwards: {first} after {last}")
 
 
-# The most CSV rows rendered to text at once. to_csv_string joins the
-# chunk texts and write_csv writes each as it is made, so neither holds a
-# string per row of the whole trace. Measured, not derived: on the bench
-# batches, chunks of 128 to 2048 rows gave storm peaks within 1.5% of
-# each other, and 1024 or more raised the peak of traces of about a
-# thousand records by 14%
+# The most CSV rows write_csv renders to text at once: it writes each
+# chunk as it is made, so it never holds a string per row of the whole
+# trace. to_csv_string renders a plain trace this many entries at a time.
+# Measured, not derived: on the bench batches, chunks of 128 to 2048 rows
+# gave storm peaks within 1.5% of each other, and 1024 or more raised the
+# peak of traces of about a thousand records by 14%
 _CSV_CHUNK = 512
 
 # The ticks the run table is filled for at once (see _run_table): a
@@ -482,8 +482,12 @@ class Trace:
     for RAISE or SUPPRESS, and the CSV writes each tick of one as one
     joined string. Every other entry is a TraceRecord.
 
-    The CSV is rendered and written in chunks of at most _CSV_CHUNK rows
-    (see _chunks), so writing holds one chunk's text beside the entries.
+    write_csv renders and writes the CSV in chunks of at most _CSV_CHUNK
+    rows, weighing the entries as it goes (see _pieces), so it holds one
+    chunk's text beside the entries. to_csv_string holds the whole text
+    anyway: on a plain trace it renders slices of _CSV_CHUNK entries and
+    weighs nothing; on any other it takes write_csv's chunks, because
+    csv.writer is given each chunk's records built.
     Quoting is decided from the ids, not by scanning the text: in the
     engine's records only a line or task id can hold a comma, a quote or
     a newline (kinds are constants and details are built from ints and
@@ -501,13 +505,6 @@ class Trace:
         # per entry. Only extend adds a stretch, so this is 0 exactly
         # when _entries is all records
         self._extra = 0
-        # the CSV chunks, flat, three ints per segment of the entries:
-        # where it starts, where its held part ends and that part's rows.
-        # The held part runs up to its segment's last stretch and holds at
-        # most _CSV_CHUNK rows, unless it is one extend's entries alone;
-        # the rest of the segment is records only. None, one segment of
-        # records, until extend adds a held stretch
-        self._cuts = None
         self._plain = False  # no field needs quoting: only the engine sets it
 
     @property
@@ -518,7 +515,6 @@ class Trace:
         if self._extra:
             self._entries[:] = _expand(self._entries)
             self._extra = 0
-            self._cuts = None
         return self._entries
 
     @property
@@ -555,21 +551,7 @@ class Trace:
         head = entries[0]
         if own and (head[2] if head[1] is _HELD else head[0]) < own[-1][0]:
             raise _backwards(head, own[-1])
-        if extra:
-            # the new entries join the held part of the last segment when
-            # it stays within a chunk, or start a segment of their own
-            cuts = self._cuts
-            if cuts is None:
-                cuts = self._cuts = [0, 0, 0]
-            start, end = len(own), len(own) + len(entries)
-            rows = len(entries) + extra
-            held = cuts[-1] + start - cuts[-2] + rows
-            if held <= _CSV_CHUNK:
-                cuts[-2] = end
-                cuts[-1] = held
-            else:
-                cuts += (start, end, rows)
-            self._extra += extra
+        self._extra += extra
         own += entries
 
     def of_kind(self, *kinds, line: Optional[str] = None,
@@ -587,48 +569,26 @@ class Trace:
                 and (line is None or r[2] == line)
                 and (task is None or r[3] == task)]
 
-    def _chunks(self):
-        """The entries as lists of at most _CSV_CHUNK rows, in order: a
-        trace of one chunk as the entries themselves, otherwise each
-        segment of _cuts as one list when it fits, else its held part
-        (narrowed by _pieces when it is wider than a chunk) and then its
-        records in slices. A held stretch narrowed into pieces stays
-        whole in the trace."""
+    def _row_chunks(self):
+        """The entries in lists of at most _CSV_CHUNK rows (see _pieces):
+        the entries themselves when the whole trace fits in one."""
         if len(self) <= _CSV_CHUNK:
             return (self._entries,)
-        return self._segments()
+        return _pieces(self._entries, _CSV_CHUNK)
 
-    def _segments(self):
-        """The chunks of a trace of more than one (see _chunks)."""
-        entries = self._entries
-        size = _CSV_CHUNK
-        cuts = self._cuts or (0, 0, 0)
-        ends = [*cuts[3::3], len(entries)]
-        for start, held, rows, end in zip(cuts[::3], cuts[1::3], cuts[2::3],
-                                          ends):
-            if rows + end - held <= size:
-                yield entries[start:end]
-                continue
-            if rows > size:
-                yield from _pieces(entries[start:held], size)
-            elif held > start:
-                yield entries[start:held]
-            for j in range(held, end, size):
-                yield entries[j:min(j + size, end)]
-
-    def _write(self, fh) -> None:
-        """Write the CSV to fh one chunk at a time (see _chunks): a plain
-        trace's rows joined unquoted, with one memo for the call (see
-        _stretch_rows), any other's through csv.writer."""
+    def _write(self, fh, chunks) -> None:
+        """Write the CSV to fh one chunk, a list of the entries, at a
+        time: a plain trace's rows joined unquoted, with one memo for the
+        call (see _stretch_rows), any other's through csv.writer."""
         if self._plain:
             head, memo = _CSV_HEADER_LINE, [None, None]
-            for chunk in self._chunks():
+            for chunk in chunks:
                 fh.write(_csv_rows(chunk, head, memo))
                 head = ""
             return
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for chunk in self._chunks():
+        for chunk in chunks:
             writer.writerows(_expand(chunk))
 
     def to_csv_string(self) -> str:
@@ -636,14 +596,22 @@ class Trace:
         if self._plain and len(self) <= _CSV_CHUNK:  # one text, no buffer
             return _csv_rows(self._entries, _CSV_HEADER_LINE, [None, None])
         buf = io.StringIO()
-        self._write(buf)
+        if self._plain:
+            # the text is whole in the end, so a chunk is a slice of
+            # entries, whatever rows they stand for
+            entries, size = self._entries, _CSV_CHUNK
+            self._write(buf, (entries[i:i + size]
+                              for i in range(0, len(entries), size)))
+        else:
+            # _expand builds a chunk's records: bound them
+            self._write(buf, self._row_chunks())
         return buf.getvalue()
 
     def write_csv(self, path) -> None:
-        """Write to_csv_string()'s text to path, streamed: each chunk is
-        written as soon as it is rendered."""
+        """Write to_csv_string()'s text to path, streamed: each chunk of
+        at most _CSV_CHUNK rows is written as soon as it is rendered."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            self._write(fh)
+            self._write(fh, self._row_chunks())
 
     def __len__(self):
         """The number of records, held stretches counted without

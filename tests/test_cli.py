@@ -653,6 +653,32 @@ def test_check_reports_an_unwritable_witness(tmp_path, capsys,
             assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("override", [False, True],
+                         ids=["violating", "feasible"])
+def test_check_refuses_a_witness_path_ending_in_a_separator(
+        override, tmp_path, capsys, monkeypatch):
+    # the directory the path names is missing, or a file: open refuses
+    # both, so the check refuses them before the sweep, with open's error
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(feasibility, "_sweep", no_sweep)
+    scenario = write_scenario(tmp_path, two_task_obj(override=override))
+    (tmp_path / "file").write_text("")
+    for name in ["nodir", "file"]:
+        target = f"{tmp_path / name}{os.sep}"
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(OSError) as opened:
+            open(target, "w")
+        assert main(["check", "--scenario", scenario,
+                     "--witness", target]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"error: cannot write witness trace: {opened.value}\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == before
+
+
 def test_feasible_check_creates_no_witness(tmp_path, capsys):
     scenario = write_scenario(tmp_path, two_task_obj(override=True))
     for extra in [[], ["--witness", str(tmp_path / "w.csv")]]:

@@ -168,10 +168,10 @@ def test_traces_of_several_chunks_match_the_oracle(csv_chunk, tmp_path,
     long = 0
     for seed in range(30):
         trace, _ = run_scenario(storm_scenario(seed))
-        rendered.clear()
         text = trace.to_csv_string()
-        long += len(rendered) > 2
+        rendered.clear()
         assert written(trace, path) == text
+        long += len(rendered) > 2
         # the oracle expands the held stretches the writers rendered
         assert text == csv_oracle(trace)
     assert long >= 3
@@ -338,18 +338,26 @@ def test_the_quoted_csv_streams_and_leaves_held_runs_unexpanded(tmp_path):
     assert path.read_bytes().decode("utf-8") == expected
 
 
-def test_chunks_are_cut_as_stretches_arrive(monkeypatch):
-    # a storm probe's stretches are narrower than a chunk: the cut points
-    # extend records bound every chunk, and no entry is weighed again
+def test_to_csv_string_slices_entries_and_write_csv_bounds_rows(
+        monkeypatch, tmp_path):
+    # to_csv_string returns the whole text, so it renders slices of
+    # entries and weighs none; write_csv streams chunks of bounded rows
     trace, _ = run_scenario(storm_probe(3 * 10 ** 4))
+    size = engine_module._CSV_CHUNK
     rendered = counting_chunks(monkeypatch)
+    pieces = engine_module._pieces
 
     def weighed(entries, size):
-        raise AssertionError("an entry weighed while writing")
+        raise AssertionError("an entry weighed by to_csv_string")
 
     monkeypatch.setattr(engine_module, "_pieces", weighed)
     text = trace.to_csv_string()
-    size = engine_module._CSV_CHUNK
+    assert max(len(chunk) for chunk in rendered) <= size
+    assert len(rendered) == math.ceil(trace.entry_count / size)
+    assert [e for chunk in rendered for e in chunk] == trace._entries
+    monkeypatch.setattr(engine_module, "_pieces", pieces)
+    rendered.clear()
+    assert written(trace, tmp_path / "trace.csv") == text
     rows = [sum(e[4] * e[5] if e[1] is engine_module._HELD else 1
                 for e in chunk) for chunk in rendered]
     assert sum(rows) == len(trace) == text.count("\n") - 1
@@ -645,7 +653,7 @@ def test_len_is_kept_as_entries_are_added_and_records_change():
         assert len(trace) == len(trace.records)
 
 
-def test_a_comma_in_a_line_id_takes_the_fallback_with_held_runs():
+def test_a_comma_in_a_line_id_is_quoted_with_held_runs():
     trace, _ = run_scenario(scenario_with_ids("li,ne", "task"))
     assert held_runs(trace)
     text = trace.to_csv_string()
