@@ -363,6 +363,12 @@ def cmd_check(args) -> int:
             f"{result.horizon}, so the check holds vacuously",
             file=sys.stderr,
         )
+    if not result.patterns_checked:  # vacuous over a bound: not counted
+        print(
+            f"Feasible: no deadline can fall due within horizon "
+            f"{result.horizon} (combinations not counted)"
+        )
+        return EXIT_OK
     if args.verbose:
         print(
             f"combinations={result.patterns_checked} "

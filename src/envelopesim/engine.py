@@ -33,10 +33,12 @@ level inside a span either, so a raise tick in it meets only held lines:
 its raises are taken on the way, as counters and records that land
 before the span's completion. A line's raises at one tick are one run:
 one raise_event call takes them all and classifies the first, and the
-rest coalesce with it or meet the same hold. Raise ticks in a span that
-follow each other tick by tick with the same runs are one held stretch:
-one raise_event call per line takes the whole stretch, since every raise
-of it meets the same hold.
+rest coalesce with it or meet the same hold. The run table hands the
+raises over as segments, stretches of ticks with the same runs, so a
+storm or any other spec that raises on every tick costs nothing per
+tick. The raise ticks in a span that follow each other tick by tick
+with the same runs are one held stretch: one raise_event call per line
+takes the whole stretch, since every raise of it meets the same hold.
 
 The raises the controller holds back are one trace entry per held
 stretch, not a RAISE and a SUPPRESS record each: a storm's trace is
@@ -339,35 +341,51 @@ def _backwards(first, last) -> EngineError:
 _CSV_CHUNK = 512
 
 # The ticks the run table is filled for at once (see _run_table): a
-# window's runs are all the table holds. Each fill costs a few
-# microseconds per spec, which a window of 1024 ticks made about 4% of
-# a long, sparse run; 4096 keeps a rate-3 storm's table near 0.6 MB
+# window's point ticks are all the table holds, and no segment crosses a
+# window's end. Each fill costs a few microseconds per spec, which a
+# window of 1024 ticks made about 4% of a long, sparse run. Intervals
+# add nothing to the table, and one per window to the segments
 _RAISE_WINDOW = 4096
 # the next tick of a spec that raises no more, later than every tick
 _NEVER = float("inf")
-# the head of a run table that has yielded its last tick
-_END = (_NEVER, None)
+# the head of a run table that has yielded its last segment
+_END = (_NEVER, _NEVER, None)
 
 
 def _run_table(sources):
-    """The run table: each tick's raises as runs, (tick, runs) in
-    ascending tick order, runs flat: line, count, line, count, ... in
-    interrupt priority order. A line's raises at one tick are one run,
+    """The run table: the raises as segments (first, last, runs) in
+    ascending, disjoint tick order, where every tick from first to last
+    has exactly these raises. runs is flat: line, count, line, count, ...
+    in interrupt priority order. A line's raises at one tick are one run,
     whichever specs made them: each spec adds its count at each of its
     ticks. sources holds each spec's (line, count, ticks), in interrupt
     priority order, so each tick's runs keep that order.
 
-    The table is filled one window of _RAISE_WINDOW ticks at a time,
-    starting at the earliest tick a spec has not yet raised at, so an
-    idle stretch costs no fills, and each tick's runs leave it as they
-    are yielded: it holds at most a window."""
-    # per spec: [its next tick, line, count, its later ticks], the next
-    # tick _NEVER once it has none
+    A spec whose ticks are a range of step 1 (a storm, a burst of spacing
+    1 or a period-1 spec) is an interval, which costs nothing per tick.
+    Every other spec's ticks are points, filled into a dict one window of
+    _RAISE_WINDOW ticks at a time, starting at the earliest tick a spec
+    has not yet raised at, so an idle stretch costs no fills and the
+    table holds at most a window's points. In a window where no interval
+    is live, each point tick is a segment of its own, and its runs leave
+    the table as it is yielded; in any other the segments are cut (see
+    _cut). No segment crosses a window's end."""
+    rank = {}
+    # per point spec: [its next tick, line, count, its later ticks], the
+    # next tick _NEVER once it has none; per interval: [its next tick,
+    # its end, line, count]
     heads = []
+    spans = []
     for line, count, ticks in sources:
-        ticks = iter(ticks)
-        heads.append([next(ticks, _NEVER), line, count, ticks])
-    start = min([head[0] for head in heads], default=_NEVER)
+        rank.setdefault(line, len(rank))
+        if type(ticks) is range and ticks.step == 1:
+            if ticks:
+                spans.append([ticks.start, ticks.stop, line, count])
+        else:
+            ticks = iter(ticks)
+            heads.append([next(ticks, _NEVER), line, count, ticks])
+    del sources  # a run holds only heads and spans, not the spec tuples
+    start = min([head[0] for head in heads + spans], default=_NEVER)
     while start < _NEVER:
         end = start + _RAISE_WINDOW
         table = {}
@@ -392,8 +410,69 @@ def _run_table(sources):
                 head[0] = t
             if t < start:
                 start = t
-        for t in sorted(table):
-            yield t, table.pop(t)
+        live = [span for span in spans if span[0] < end]
+        if live:
+            yield from _cut(live, table, end, rank)
+            for span in live:
+                span[0] = end
+            spans = [span for span in spans if span[0] < span[1]]
+        else:
+            for t in sorted(table):
+                yield t, t, table.pop(t)
+        for span in spans:
+            if span[0] < start:
+                start = span[0]
+
+
+def _cut(live, points: dict, end: int, rank: dict):
+    """The segments of a window, up to end, where the intervals in live
+    raise beside the point ticks' runs in points. The window is cut at
+    the intervals' ends, clipped to it, and at each point tick and the
+    tick after it. Each piece carries the runs of the intervals over it,
+    a line's counts summed, and at a point tick also that tick's runs,
+    merged by interrupt rank (rank) with a shared line's counts summed.
+    Pieces with no runs are left out, and contiguous pieces with equal
+    runs are one segment."""
+    cuts = {end}
+    for a, stop, _, _ in live:
+        cuts.add(a)
+        if stop < end:
+            cuts.add(stop)
+    for t in points:
+        cuts.add(t)
+        cuts.add(t + 1)
+    cuts = sorted(cuts)
+    first = last = -1
+    held = None
+    for lo, hi in zip(cuts, cuts[1:]):
+        runs = []
+        for a, stop, line, count in live:
+            if a <= lo < stop:
+                if runs and runs[-2] == line:
+                    runs[-1] += count
+                else:
+                    runs += (line, count)
+        more = points.get(lo)
+        if more is not None:
+            if runs:
+                counts = dict(zip(runs[::2], runs[1::2]))
+                for line, count in zip(more[::2], more[1::2]):
+                    counts[line] = counts.get(line, 0) + count
+                runs = []
+                for line in sorted(counts, key=rank.__getitem__):
+                    runs += (line, counts[line])
+            else:
+                runs = more
+        elif not runs:
+            continue
+        if lo == last + 1 and runs == held:
+            last = hi - 1
+            continue
+        if held is not None:
+            yield first, last, held
+        first, last, held = lo, hi - 1, runs
+    if held is not None:
+        yield first, last, held
 
 
 def _csv_rows(entries, head: str, memo: list) -> str:
@@ -778,8 +857,9 @@ class Engine:
         self._ipl_stale = True
         # the running job the current level was computed for
         self._ipl_running: Optional[Job] = None
-        # the run table (see _run_table) and its head, the next tick's
-        # (tick, runs), or _END; reading the head fills the first window
+        # the run table (see _run_table) and its head, the next segment
+        # (first, last, runs) or what is left of it, or _END; reading the
+        # head fills the first window
         rank = self._irq_rank
         self._table = _run_table(sorted(
             ((line, *_raises(spec, self.horizon, scenario.seed))
@@ -862,7 +942,10 @@ class Engine:
         the span's COMPLETE. For the same reason every raise of a line
         meets the same hold on the way, so ticks that follow each other
         tick by tick with the same runs are one held stretch, taken at
-        once (see _take_stretch)."""
+        once (see _take_stretch). The walk goes a segment of the run table
+        at a time, and only a segment that opens a stretch is asked
+        whether it delivers. A segment reaching past the step leaves its
+        rest, from the step on, as the head."""
         candidates = [self.horizon]
         if self.timers:
             candidates.append(self.timers[0][0])
@@ -884,7 +967,7 @@ class Engine:
         first = last = -1
         stretch = None
         while head[0] < until:
-            r, runs = head
+            r, r_last, runs = head
             if r != last + 1 or runs != stretch:
                 if stretch is not None:
                     self._take_stretch(first, last, stretch)
@@ -895,8 +978,12 @@ class Engine:
                             return r
                         held.add(line)
                 first, stretch = r, runs
-            last = r
-            head = next(table, _END)
+            if r_last < until:
+                last = r_last
+                head = next(table, _END)
+            else:  # the segment reaches past until: its rest is the head
+                last = until - 1
+                head = (until, r_last, runs)
         self._head = head
         if stretch is not None:
             self._take_stretch(first, last, stretch)
@@ -909,6 +996,8 @@ class Engine:
         per line takes them all, and one trace entry stands for their
         records (see Trace)."""
         ticks = last - first + 1
+        if ticks == 1:  # the entry holds one int for both ends, not two
+            last = first
         vic = self.vic
         suppressed = self.line_suppressed
         taken = []
@@ -963,12 +1052,14 @@ class Engine:
         A run of count raises on one line is one raise_event call, which
         classifies the first. After a delivery, the rest of the run is
         held as coalesced. The held runs between two delivered raises are
-        one held stretch of one tick (see Trace). Takes the run table's
-        head when it is t's."""
-        r, runs = self._head
+        one held stretch of one tick (see Trace). Takes tick t off the
+        run table's head when the head starts at t: the rest of its
+        segment, if any, is the head then."""
+        r, last, runs = self._head
         if r != t:
             return False
-        self._head = next(self._table, _END)
+        self._head = (t + 1, last, runs) if last > t \
+            else next(self._table, _END)
         entries = []
         taken = []  # the held runs since the last delivered raise
         rows = extra = 0

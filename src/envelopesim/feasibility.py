@@ -67,7 +67,9 @@ skipped, or settled by d, every combination after it up to that one
 would start at or after the settled tick and be skipped too. So it was
 stepped past d and snapshotted d on the way. When no deadline at all can
 fall due within the horizon (D > horizon), the first combination is
-settled after tick 0 and the check is vacuous (OoeCheckResult.vacuous).
+settled after tick 0 and the check is vacuous (OoeCheckResult.vacuous);
+such an instance is decided before the bounds are asked, so one over a
+bound is feasible with no sweep.
 
 patterns_checked is the 1-based product-order index of the first
 violating combination, or the number of combinations when the instance
@@ -162,6 +164,9 @@ class NormalCheckResult:
 @dataclass
 class OoeCheckResult:
     feasible: bool
+    # the 1-based product-order index of the violating combination, or
+    # the number of combinations when feasible; 0 for a vacuous instance
+    # over max_tasks or max_horizon, decided without counting them
     patterns_checked: int
     horizon: int
     witness_pattern: Optional[Dict[str, Tuple[int, ...]]] = None
@@ -638,7 +643,10 @@ def check_ooe_feasible(
 
     Raises ScenarioError when the task set or policy is invalid, and
     BoundsExceeded when the instance is too large to enumerate; the
-    pattern count is checked before any pattern is built.
+    pattern count is checked before any pattern is built. A vacuous
+    instance (see OoeCheckResult.vacuous) is feasible whatever its size:
+    over a bound it is decided without the sweep, and over max_tasks or
+    max_horizon without a pattern count.
     On a violation the witness pattern is replayed through the full
     engine; the resulting trace is attached to the verdict.
     """
@@ -648,17 +656,26 @@ def check_ooe_feasible(
     )
     if horizon is None:
         horizon = hyperperiod(task_set)
-    if len(task_set) > bounds.max_tasks:
-        raise BoundsExceeded(
-            f"{len(task_set)} tasks exceed the enumeration bound of "
-            f"{bounds.max_tasks}"
-        )
-    if horizon > bounds.max_horizon:
-        raise BoundsExceeded(
-            f"horizon {horizon} exceeds the enumeration bound of "
-            f"{bounds.max_horizon}"
-        )
     pmap = select_priority_map(task_set, policy)
+    vacuous = _CheckerState(task_set, pmap, horizon,
+                            policy.delta_th).settled(0)
+    if len(task_set) > bounds.max_tasks:
+        refusal = (f"{len(task_set)} tasks exceed the enumeration bound "
+                   f"of {bounds.max_tasks}")
+    elif horizon > bounds.max_horizon:
+        refusal = (f"horizon {horizon} exceeds the enumeration bound of "
+                   f"{bounds.max_horizon}")
+    else:
+        refusal = None
+    if refusal is not None:
+        if not vacuous:
+            raise BoundsExceeded(refusal)
+        # no pattern can miss a deadline. Counting the combinations costs
+        # horizon times the states, unbounded here, and is not needed to
+        # see that the normal pattern fits: a task's deadline, at most
+        # its period, lies past the horizon, so it arrives at most once
+        return OoeCheckResult(feasible=True, patterns_checked=0,
+                              horizon=horizon, vacuous=True)
     counts = [count_admissible_patterns(t, horizon) for t in task_set]
     for task, count in zip(task_set, counts):
         if not count:
@@ -668,6 +685,9 @@ def check_ooe_feasible(
             )
     total = math.prod(counts)
     if total > bounds.max_patterns:
+        if vacuous:  # the sweep would count every combination, feasible
+            return OoeCheckResult(feasible=True, patterns_checked=total,
+                                  horizon=horizon, vacuous=True)
         raise BoundsExceeded(
             f"{total} pattern combinations exceed the enumeration bound "
             f"of {bounds.max_patterns}"
@@ -678,8 +698,7 @@ def check_ooe_feasible(
     result = OoeCheckResult(
         feasible=witness is None, patterns_checked=checked, horizon=horizon,
         ticks_simulated=ticks, patterns_built=built, snapshots=snapshots,
-        vacuous=_CheckerState(task_set, pmap, horizon,
-                              policy.delta_th).settled(0),
+        vacuous=vacuous,
     )
     if witness is None:
         return result

@@ -801,8 +801,8 @@ def test_check_rejects_invalid_scenario_like_run(tmp_path, capsys, mutate,
 
 
 @pytest.mark.parametrize("name,code", [
-    ("bottom_half", EXIT_BOUNDS), ("ipl", EXIT_BOUNDS),
-    ("storm", EXIT_BOUNDS), ("counterexample", EXIT_VIOLATION),
+    ("bottom_half", EXIT_BOUNDS), ("ipl", EXIT_OK),
+    ("storm", EXIT_OK), ("counterexample", EXIT_VIOLATION),
     ("override", EXIT_OK), ("override_burst", EXIT_OK),
 ])
 def test_check_demo_scenarios_keep_their_exit_codes(tmp_path, name, code):
@@ -810,6 +810,27 @@ def test_check_demo_scenarios_keep_their_exit_codes(tmp_path, name, code):
         / "scenarios" / f"{name}.json"
     assert main(["check", "--scenario", str(scenario),
                  "--witness", str(tmp_path / "w.csv")]) == code
+
+
+def test_check_decides_vacuous_demos_over_the_bounds(capsys):
+    # storm.json (horizon 70, D=100) is over the horizon bound and
+    # ipl.json (4 tasks, D=50, horizon 12) over the task bound, yet no
+    # deadline falls due within either horizon; bottom_half.json is over
+    # the horizon bound and not vacuous, so it is still refused
+    demos = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+    for name, horizon in (("storm", 70), ("ipl", 12)):
+        scenario = str(demos / f"{name}.json")
+        assert main(["check", "--scenario", scenario, "--verbose"]) \
+            == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out == (f"Feasible: no deadline can fall due within horizon "
+                       f"{horizon} (combinations not counted)\n")
+        assert err == (f"note: no deadline can fall due within horizon "
+                       f"{horizon}, so the check holds vacuously\n")
+    scenario = str(demos / "bottom_half.json")
+    assert main(["check", "--scenario", scenario]) == EXIT_BOUNDS
+    assert capsys.readouterr().err == (
+        "bounds exceeded: horizon 30 exceeds the enumeration bound of 24\n")
 
 
 def test_check_rejects_self_breaching_envelope(tmp_path, capsys):

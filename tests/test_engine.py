@@ -108,26 +108,58 @@ class CountedTicks:
 
 def streamed_run_table(scenario):
     """_run_table over the scenario's specs, read to its end: the table
-    as a dict, and the ticks of each window it filled, in order. A fill
-    reads the specs' ticks and yields at least one tick; the ticks of
-    one window are yielded with no read between them. The ticks are
-    strictly ascending."""
+    as a dict of each tick's runs, and the segments of each window it
+    filled, in order. A step-1 range goes in as it is, which the table
+    reads as an interval; every other spec's ticks are counted as they
+    are read.
+
+    The segments are disjoint and ascending. The windows follow from the
+    raise ticks alone: each starts at the earliest raise tick at or
+    after the last one's end. Every segment lies in one window. The point
+    specs are read as a window that holds a point tick is filled, and
+    not while its segments are yielded. In a window where an interval
+    raises, no two contiguous segments carry equal runs; in any other,
+    each segment is one tick."""
     horizon, rank = scenario.resolved_horizon(), interrupt_rank(scenario)
-    sources = []
+    window = engine_module._RAISE_WINDOW
+    sources, counted, spanned, pointed = [], [], set(), set()
     for line, spec in sorted(scenario.workload, key=lambda ls: rank[ls[0]]):
         count, ticks = engine_module._raises(spec, horizon, scenario.seed)
-        sources.append((line, count, CountedTicks(ticks)))
-    stream, windows, reads = [], [], -1
-    for t, runs in engine_module._run_table(sources):
-        now = sum(ticks.reads for _, _, ticks in sources)
-        if now != reads:
-            windows.append([])
-            reads = now
-        windows[-1].append(t)
-        stream.append((t, runs))
-    ticks = [t for t, _ in stream]
-    assert ticks == sorted(set(ticks))
-    return dict(stream), windows
+        if type(ticks) is range and ticks.step == 1:
+            spanned.update(ticks)
+        else:
+            ticks = CountedTicks(ticks)
+            counted.append(ticks)
+            pointed.update(generate_workload(spec, horizon, scenario.seed))
+        sources.append((line, count, ticks))
+    stream = []
+    for first, last, runs in engine_module._run_table(sources):
+        assert first <= last
+        assert not stream or stream[-1][1] < first
+        stream.append((first, last, runs,
+                       sum(ticks.reads for ticks in counted)))
+    windows, reads = [], -1  # per window: its start, interval, segments
+    for first, last, runs, now in stream:
+        if windows and first < windows[-1][0] + window:
+            assert now == reads
+            start, mixed, segments = windows[-1]
+            before_last, before_runs = segments[-1][1:]
+            if mixed and before_last + 1 == first:
+                assert before_runs != runs
+        else:
+            start, segments = first, []
+            ticks = range(start, start + window)
+            mixed = not spanned.isdisjoint(ticks)
+            windows.append((start, mixed, segments))
+            if not pointed.isdisjoint(ticks):
+                assert now > reads
+        assert last < start + window
+        assert mixed or first == last
+        segments.append((first, last, runs))
+        reads = now
+    table = {t: runs for first, last, runs, _ in stream
+             for t in range(first, last + 1)}
+    return table, [segments for _, _, segments in windows]
 
 
 def raise_windows(monkeypatch):
@@ -138,12 +170,11 @@ def raise_windows(monkeypatch):
         yield window
 
 
-def assert_streamed_run_table(scenario, window):
-    """The streamed run table is the expanded one, each window spanning
-    fewer than window ticks; the table and the windows it filled."""
+def assert_streamed_run_table(scenario):
+    """The streamed run table is the expanded one; the table and the
+    segments of each window it filled."""
     table, windows = streamed_run_table(scenario)
     assert table == expanded_run_table(scenario)
-    assert all(ticks[-1] - ticks[0] < window for ticks in windows)
     return table, windows
 
 
@@ -162,9 +193,26 @@ def test_run_table_matches_the_expanded_workload(monkeypatch):
         ("l_low", Periodic(1, 5)), ("l_high", Storm(6, 1)),
         ("l_low", Burst(10, 12, 2)),
     ]
+    # a storm and a spacing-1 burst on one line, intervals across window
+    # seams, with a sporadic and an explicit spec raising inside them on
+    # that line, and a spacing-1 burst from before 0 on the other line
+    merged = scenario_monotonic(horizon=40)
+    merged.seed = 3
+    sporadic = Sporadic(2, 0.5, 4)
+    merged.workload = [
+        ("l_low", Storm(2, 2)), ("l_low", Burst(5, 20, 1)),
+        ("l_low", sporadic), ("l_low", Explicit((6, 7, 7, 12, 30))),
+        ("l_high", Burst(-4, 10, 1)), ("l_high", Explicit((3, 4, 10))),
+    ]
+    assert set(generate_workload(sporadic, 40, 3)).intersection(range(5, 25))
     for window in raise_windows(monkeypatch):
         for sc in both + [interleaved]:
-            assert_streamed_run_table(sc, window)
+            assert_streamed_run_table(sc)
+        # every tick raises; in windows of more than one tick the
+        # intervals are read as intervals, in fewer segments than ticks
+        table, windows = assert_streamed_run_table(merged)
+        assert len(table) == 40
+        assert window == 1 or sum(map(len, windows)) < 40
 
 
 @pytest.mark.parametrize("w", [engine_module._RAISE_WINDOW, 4, 3, 1])
@@ -187,14 +235,14 @@ def test_run_table_spans_many_windows(w, monkeypatch):
         ("l_high", Storm(2 * w, 2)),
         ("l_low", Explicit((w + 1, w + 1, 3 * w + 1))),
     ]
-    _, windows = assert_streamed_run_table(sc, w)
+    _, windows = assert_streamed_run_table(sc)
     assert len(windows) >= 4
     # a sparse workload: the windows start at the next raise, not at
     # the last window's end
     sc.workload = [("l_low", Explicit((1, 50 * w, 50 * w + w - 1,
                                        50 * w + w, 200 * w)))]
     sc.horizon = 200 * w + 1
-    _, windows = assert_streamed_run_table(sc, w)
+    _, windows = assert_streamed_run_table(sc)
     assert len(windows) <= 6
 
 
@@ -204,8 +252,8 @@ def test_sporadic_ticks_keep_their_stream_across_windows(monkeypatch):
     sc.seed = 11
     sc.workload = [(line, spec) for spec in specs
                    for line in ("l_high", "l_low")]
-    for window in raise_windows(monkeypatch):
-        table, windows = assert_streamed_run_table(sc, window)
+    for _ in raise_windows(monkeypatch):
+        table, windows = assert_streamed_run_table(sc)
         assert len(windows) > 2
         # each line's ticks are the whole-horizon expansion of its specs
         for line in ("l_high", "l_low"):
@@ -239,6 +287,35 @@ def test_engine_holds_no_whole_horizon_run_table():
     # the engine is still alive, so held counts what it keeps
     assert engine._head is not engine_module._END
     assert held < 1_000_000
+
+
+def test_a_storm_is_read_in_segments_not_ticks(monkeypatch):
+    # the storm probe: one interval over 10^5 ticks is a segment per
+    # window, in the table and as the engine pulls it
+    horizon = 10 ** 5
+    probe = one_task_scenario(
+        task_kw=dict(period=100, importance=0, envelope_n=2,
+                     envelope_w=20),
+        policy=Policy(fault_policy=FaultPolicy.AUTO_RESUME, delta_th=1),
+        workload=[("l", Storm(0, 3))], horizon=horizon)
+    bound = -(-horizon // engine_module._RAISE_WINDOW)
+    sources = [("l", *engine_module._raises(Storm(0, 3), horizon))]
+    assert len(list(engine_module._run_table(sources))) <= bound
+    pulled = 0
+    run_table = engine_module._run_table
+
+    def counted(sources):
+        nonlocal pulled
+        for segment in run_table(sources):
+            pulled += 1
+            yield segment
+
+    monkeypatch.setattr(engine_module, "_run_table", counted)
+    engine = Engine(probe)
+    trace, metrics = engine.run()
+    assert engine._head is engine_module._END
+    assert pulled <= bound
+    assert metrics.per_line["l"]["raised"] == 3 * horizon
 
 
 def test_burst_times():
@@ -424,9 +501,9 @@ def test_run_table_matches_the_ladder_oracle(monkeypatch):
                 + oracle_generate_workload(other, horizon):
             counts[t] = counts.get(t, 0) + 1
         cases.append((sc, {t: ["l", n] for t, n in counts.items()}))
-    for window in raise_windows(monkeypatch):
+    for _ in raise_windows(monkeypatch):
         for sc, expected in cases:
-            table, _ = assert_streamed_run_table(sc, window)
+            table, _ = assert_streamed_run_table(sc)
             assert table == expected
 
 

@@ -300,6 +300,50 @@ def test_bounds_pattern_count():
                            bounds=EnumerationBounds(max_patterns=5))
 
 
+def test_vacuous_instance_over_the_bounds_is_feasible_uncounted(
+        monkeypatch):
+    # every deadline lies past the horizon: no combination is counted or
+    # swept, however many there would be
+    def refused(*args):
+        raise AssertionError("combinations counted or swept")
+
+    monkeypatch.setattr(feasibility, "count_admissible_patterns", refused)
+    monkeypatch.setattr(feasibility, "_sweep", refused)
+    far = 2 * 10 ** 9
+    tasks = [envelope_task(2, 20, period=far, id=f"t{i}", line=f"l{i}",
+                           importance=i) for i in range(3)]
+    tasks.append(envelope_task(1, 5, period=INFINITE_PERIOD,
+                               deadline=far, id="x", line="lx",
+                               importance=9))
+    for ts, horizon in ((TaskSet(tasks[:1]), 10 ** 9),
+                        (TaskSet(tasks), 10 ** 9), (TaskSet(tasks), 12)):
+        result = check_ooe_feasible(ts, None, horizon)
+        assert result.feasible and result.vacuous
+        assert (result.patterns_checked, result.ticks_simulated,
+                result.snapshots) == (0, 0, 0)
+
+
+def test_instance_over_the_bounds_is_refused_unless_vacuous(monkeypatch):
+    # one deadline falls due within the horizon: refused as before
+    monkeypatch.setattr(feasibility, "_sweep", None)
+    far = 2 * 10 ** 9
+    for deadline, horizon in ((10 ** 9, 10 ** 9), (24, 25)):
+        ts = TaskSet([envelope_task(2, 20, period=far, id="a", line="la"),
+                      envelope_task(2, 20, period=far, deadline=deadline,
+                                    id="b", line="lb", importance=1)])
+        with pytest.raises(BoundsExceeded, match=f"horizon {horizon} "):
+            check_ooe_feasible(ts, None, horizon)
+    # over the pattern bound, a vacuous instance is counted, not swept:
+    # the sweep would count every combination and find no miss
+    ts = two_task_set(override=True)
+    bounds = EnumerationBounds(max_patterns=1)
+    with pytest.raises(BoundsExceeded, match="3 pattern combinations"):
+        check_ooe_feasible(ts, Policy(assignment="explicit"), 3, bounds)
+    result = check_ooe_feasible(ts, Policy(assignment="explicit"), 2, bounds)
+    assert result.feasible and result.vacuous
+    assert result.patterns_checked == 2
+
+
 def random_small_instance(seed):
     rng = random.Random(seed)
     n_tasks = rng.randint(1, 2)
@@ -402,9 +446,11 @@ def test_sweep_matches_product_on_accepted_demo_scenarios():
     for path in sorted(SCENARIOS.glob("*.json")):
         scenario = load_scenario(str(path))
         try:
-            check_ooe_feasible(scenario.task_set, scenario.policy,
-                               scenario.horizon)
+            result = check_ooe_feasible(scenario.task_set, scenario.policy,
+                                        scenario.horizon)
         except BoundsExceeded:
+            continue
+        if not result.patterns_checked:  # vacuous over a bound: no sweep
             continue
         assert_sweep_matches_product(scenario.task_set, scenario.policy,
                                      scenario.horizon)
