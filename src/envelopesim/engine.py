@@ -18,7 +18,9 @@ visited step t it runs the phases in a fixed order:
    episodes where an internalization, a decay timer or a window timer's
    unmask opens, moves or ends one, and each line's next-job priority,
    updated at each release; the level is recomputed only when the
-   running job or one of those priorities changed.
+   running job or one of those priorities changed, by one bisection over
+   an index of the priorities, rebuilt at the first recomputation after
+   a release moved one.
 
 The engine then jumps to the earliest of the next raise on a line the
 controller lets through (unmasked, above the interrupt priority level and
@@ -63,7 +65,7 @@ import io
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .model import (
@@ -84,6 +86,7 @@ from .monitor import (
     LineMonitor,
     LineState,
     compute_ipl,
+    ipl_index,
 )
 from .scheduler import Scheduler, job_priority
 from .vic import InterruptLine, RaiseOutcome, VicState
@@ -698,34 +701,61 @@ class Trace:
         return len(self._entries) + self._extra
 
 
-# Every row of the metrics, a flat mapping of scalars, sits at the same
-# depth, so one encoder writes them all: json's C encoder, with each item
-# on its own line at the indent json.dumps(indent=2) gives that depth
-_encode_row = json.JSONEncoder(
-    sort_keys=True, separators=(",\n      ", ": ")).encode
+# json's C encoder, with separators that mark the structure: it escapes
+# every newline inside a string, so each newline in its text is one of
+# these
+_encode = json.JSONEncoder(sort_keys=True, separators=(",\n", ":\n")).encode
 _NESTED = (dict, list, tuple)
+# the rows of one encoder call: the encoder holds all its pieces at once
+_JSON_BATCH = 8
+_ROWS_APART = "\n    },\n    "  # a row's close, the comma, the next item
+_ROW_OPEN = "{\n      "
+_LIST_ROWS_APART = _ROWS_APART + _ROW_OPEN
 
 
-def _is_row(row) -> bool:
-    """Whether row is a dict with no dict, list or tuple value."""
-    return isinstance(row, dict) and not any(
-        [isinstance(value, _NESTED) for value in row.values()])
+def _mapping_rows(head: str, rows: dict, out: list) -> bool:
+    r"""Append head, then the text json.dumps(indent=2) writes for a
+    top-level mapping of rows, str keys and every row a non-empty dict,
+    but with ",\n" between the items of a row. False, with out
+    unfinished, when a row holds a dict or a list: each row then brings
+    more than its own ":\n{", or a ":\n["."""
+    out.append(head)
+    if not rows:
+        out.append("{}")
+        return True
+    out.append("{\n    ")
+    keys = sorted(rows)  # no (key, row) pairs: they would all be held
+    for i in range(0, len(keys), _JSON_BATCH):
+        batch = {key: rows[key] for key in keys[i:i + _JSON_BATCH]}
+        text = _encode(batch)
+        if text.count(":\n{") != len(batch) or ":\n[" in text:
+            return False
+        if i:
+            out.append(_ROWS_APART)
+        out.append(text[1:-2].replace("},\n", _ROWS_APART)
+                   .replace(":\n{", ": " + _ROW_OPEN).replace(":\n", ": "))
+    out.append("\n    }\n  }")
+    return True
 
 
-def _row(row: dict) -> str:
-    """A row as json.dumps with a 2-space indent writes it inside a
-    top-level mapping or list: the encoder's items between braces on
-    their own lines."""
-    return "{\n      " + _encode_row(row)[1:-1] + "\n    }" if row else "{}"
-
-
-def _block(brackets: str, items: List[str]) -> str:
-    """A top-level mapping's or list's written items, as json.dumps with a
-    2-space indent joins them."""
-    if not items:
-        return brackets
-    return (brackets[0] + "\n    " + ",\n    ".join(items) + "\n  "
-            + brackets[1])
+def _list_rows(head: str, rows, out: list) -> bool:
+    r"""_mapping_rows for a top-level list or tuple of rows: False when a
+    row holds a dict or a list, which only then puts one after a ":\n"."""
+    out.append(head)
+    if not rows:
+        out.append("[]")
+        return True
+    out.append("[\n    " + _ROW_OPEN)
+    for i in range(0, len(rows), _JSON_BATCH):
+        text = _encode(rows[i:i + _JSON_BATCH])
+        if ":\n{" in text or ":\n[" in text:
+            return False
+        if i:
+            out.append(_LIST_ROWS_APART)
+        out.append(text[2:-2].replace("},\n{", _LIST_ROWS_APART)
+                   .replace(":\n", ": "))
+    out.append("\n    }\n  ]")
+    return True
 
 
 @dataclass
@@ -744,37 +774,51 @@ class Metrics:
         }
 
     def to_json_string(self) -> str:
-        """The metrics as json.dumps(self.to_dict(), indent=2,
+        r"""The metrics as json.dumps(self.to_dict(), indent=2,
         sort_keys=True) + "\n" writes them. With an indent, json uses its
-        pure-Python encoder, so the fixed shape is joined here from rows
-        json's C encoder writes. The shape: per_line and per_task are
-        dicts with str keys, alarms is a list or tuple, every row under
-        them is a dict, and neither a row's values nor
-        total_top_half_time is a dict, list or tuple. Metrics of any other
-        shape go through json.dumps."""
+        pure-Python encoder, so the fixed shape is written here by json's
+        C encoder, a batch of rows per call, and joined. The shape:
+        per_line and per_task are dicts with str keys, alarms is a list or
+        tuple, every row under them is a non-empty dict, and neither a
+        row's values nor total_top_half_time is a dict, list or tuple.
+        Metrics of any other shape go through json.dumps.
+
+        Why the text is the same: the C encoder writes what the Python
+        one does for every key and scalar, and it escapes each newline
+        inside a string, so every newline in its text is a separator:
+        ",\n" between items, ":\n" after a key. A "}" right before ",\n"
+        closes a dict, since a string ends in a quote and a number or a
+        constant in neither brace; with rows holding only scalars, that
+        dict is a row. ":\n{" opens a dict value: with every row a dict,
+        a mapping's batch holds exactly one per row and a list's none,
+        unless some row holds a dict; a list anywhere in a row shows as
+        ":\n[". So the rows are known to hold only scalars before any
+        text is kept, and the replacements rewrite only separators and
+        the braces around rows, into the newlines and indents json.dumps
+        writes at those depths. The ",\n" between the items of a row are
+        the only ",\n" followed by a quote in the joined text, the rest
+        having become ",\n" and an indent, and are indented last, in one
+        pass over the whole text: the pieces it is joined from are then
+        shorter than the text, and gone before it grows."""
         per_line, per_task = self.per_line, self.per_task
         alarms, total = self.alarms, self.total_top_half_time
-        if not (isinstance(per_line, dict) and isinstance(per_task, dict)
-                and isinstance(alarms, (list, tuple))
-                and not isinstance(total, _NESTED)
-                and all([isinstance(key, str)
-                         for key in (*per_line, *per_task)])
-                and all([_is_row(row) for row in (
-                    *per_line.values(), *per_task.values(), *alarms)])):
+        rows = (per_line.values(), per_task.values(), alarms) \
+            if isinstance(per_line, dict) and isinstance(per_task, dict) \
+            and isinstance(alarms, (list, tuple)) else None
+        out = []
+        if (rows is None or isinstance(total, _NESTED)
+                or not all(map(isinstance, chain(per_line, per_task),
+                               repeat(str)))
+                or not all(map(isinstance, chain(*rows), repeat(dict)))
+                or not all(chain(*rows))
+                or not _list_rows('{\n  "alarms": ', alarms, out)
+                or not _mapping_rows(',\n  "per_line": ', per_line, out)
+                or not _mapping_rows(',\n  "per_task": ', per_task, out)):
             return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        return "".join((
-            '{\n  "alarms": ',
-            _block("[]", [_row(row) for row in alarms]),
-            ',\n  "per_line": ',
-            _block("{}", [_encode_row(key) + ": " + _row(row)
-                          for key, row in sorted(per_line.items())]),
-            ',\n  "per_task": ',
-            _block("{}", [_encode_row(key) + ": " + _row(row)
-                          for key, row in sorted(per_task.items())]),
-            ',\n  "total_top_half_time": ',
-            _encode_row(total),
-            "\n}\n",
-        ))
+        out += ',\n  "total_top_half_time": ', _encode(total), "\n}\n"
+        text = "".join(out)
+        del out
+        return text.replace(',\n"', ',\n      "')
 
     def write_json(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -846,15 +890,16 @@ class Engine:
         self.alarms: List[Dict[str, object]] = []
         order = interrupt_order(self.task_set)
         self._irq_rank = {task.line: i for i, task in enumerate(order)}
-        # per line in interrupt priority order, what compute_ipl reads:
-        # its task's importance and the priority of the task's next job.
-        # Only a release advances the task's seq, so only a release
-        # updates an entry; it marks the level stale when the value moves
+        # per line in interrupt priority order, what ipl_index reads: its
+        # task's importance and the priority of the task's next job. Only
+        # a release advances the task's seq, so only a release updates an
+        # entry; when the value moves it drops the index, which the next
+        # level computation rebuilds, and so marks the level stale
         self._irq_order: List[Tuple[int, int]] = [
             (task.importance, self.pmap.priority(task.id, 0))
             for task in order
         ]
-        self._ipl_stale = True
+        self._ipl_index = None
         # the running job the current level was computed for
         self._ipl_running: Optional[Job] = None
         # the run table (see _run_table) and its head, the next segment
@@ -946,18 +991,22 @@ class Engine:
         at a time, and only a segment that opens a stretch is asked
         whether it delivers. A segment reaching past the step leaves its
         rest, from the step on, as the head."""
-        candidates = [self.horizon]
-        if self.timers:
-            candidates.append(self.timers[0][0])
-        candidates.extend(job.abs_deadline for job in self.sched.active)
-        running = self.sched.running
+        sched = self.sched
+        until = self.horizon
+        if self.timers and self.timers[0][0] < until:
+            until = self.timers[0][0]
+        for job in sched.active:
+            if job.abs_deadline < until:
+                until = job.abs_deadline
+        running = sched.running
         if running is not None:
-            candidates.append(
-                t + self.sched.kernel_pending + running.remaining
-            )
+            done = t + sched.kernel_pending + running.remaining
+            if done < until:
+                until = done
         # every candidate lies after t (timers due at t have fired and
         # deadlines at t were shed); the floor keeps time moving anyway
-        until = max(min(candidates), t + 1)
+        if until < t + 1:
+            until = t + 1
         head = self._head
         if head[0] >= until:
             return until
@@ -1135,7 +1184,7 @@ class Engine:
             nxt = self.pmap.priority(task.id, reff.job.seq + 1)
             if nxt != self._irq_order[i][1]:
                 self._irq_order[i] = (task.importance, nxt)
-                self._ipl_stale = True
+                self._ipl_index = None
         elif reff.notified is not None:
             self._log(now, NOTIFY, line, task.id, reff.notified.seq,
                       detail="ooe" if ooe else "in_envelope")
@@ -1239,14 +1288,14 @@ class Engine:
         cached line priorities, and only this method sets it, so while
         neither input changed the level in force is still right."""
         running = self.sched.running
-        if running is self._ipl_running and not self._ipl_stale:
+        index = self._ipl_index
+        if running is self._ipl_running and index is not None:
             return False
         self._ipl_running = running
-        self._ipl_stale = False
+        if index is None:
+            index = self._ipl_index = ipl_index(self._irq_order)
         level = compute_ipl(
-            None if running is None else job_priority(running),
-            self._irq_order,
-        )
+            None if running is None else job_priority(running), index)
         if level == self.vic.ipl:
             return False
         released = self.vic.set_ipl(level, t)

@@ -25,10 +25,12 @@ both call.
 """
 
 import math
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, List, Optional, Tuple
+from itertools import accumulate
+from operator import itemgetter
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .model import Task
 from .vic import VicState
@@ -240,15 +242,35 @@ class LineMonitor:
         self.decay(t)
 
 
-def compute_ipl(running_priority: Optional[int],
-                lines: Iterable[Tuple[int, int]]) -> int:
+class IplIndex(NamedTuple):
+    """What compute_ipl bisects (see ipl_index)."""
+
+    priorities: List[int]
+    levels: List[int]
+
+
+def ipl_index(lines: Iterable[Tuple[int, int]]) -> IplIndex:
+    """The index compute_ipl bisects, from each line's task importance
+    and the priority the line's next released job would get: the
+    priorities in ascending order, and for each position the least
+    importance of the lines from there on, with the greatest importance
+    plus one past the end (0 when there are no lines)."""
+    ordered = sorted(lines, key=itemgetter(1))
+    importances = [imp for imp, _ in ordered]
+    top = max(importances) + 1 if importances else 0
+    levels = list(accumulate(reversed(importances), min, initial=top))
+    levels.reverse()
+    return IplIndex([prio for _, prio in ordered], levels)
+
+
+def compute_ipl(running_priority: Optional[int], index: IplIndex) -> int:
     """Interrupt priority level that suppresses lines whose next job
     would not preempt the running job.
 
     running_priority is the running job's priority, or None when the
-    processor is idle; lines gives, per line, its task's importance and
-    the priority the line's next released job would get. When nothing
-    runs, lines is not read.
+    processor is idle; index is ipl_index over the lines, each given as
+    its task's importance and the priority the line's next released job
+    would get. When nothing runs, index is not read.
 
     Device lines carry irq priority importance + 1, so a level L
     suppresses exactly the lines with importance below L. The level is
@@ -258,13 +280,14 @@ def compute_ipl(running_priority: Optional[int],
     non-preempting line at or above the bound stays enabled, and
     over-suppressed lines are corrected at the next schedule point via
     their counters.
+
+    The lines that would preempt are those whose priority lies above
+    running_priority: a suffix of the index, found by one bisection.
+    The level is the least importance in that suffix, or the greatest
+    importance plus one when it is empty, so with no lines at all the
+    level is 0.
     """
     if running_priority is None:
         return 0
-    lines = list(lines)
-    if not lines:
-        return 0
-    preempting = [imp for imp, prio in lines if prio > running_priority]
-    if not preempting:
-        return max(imp for imp, _ in lines) + 1
-    return min(preempting)
+    priorities, levels = index
+    return levels[bisect_right(priorities, running_priority)]

@@ -66,6 +66,16 @@ def _held(ln: InterruptLine) -> Optional[Tuple[int, int]]:
 
 
 class VicState:
+    """The lines in interrupt order, the level, and how many lines are
+    pending. Only raise_event sets a pending bit, on a delivered raise,
+    which finds the bit clear; only poll_deliverable clears one, on the
+    line it returns. So the count starts at the lines passed in with the
+    bit set, goes up at each delivered raise and down at each line
+    polled, and equals the pending lines between any two calls: with it
+    at 0, poll_deliverable returns None without a scan. Nothing else of
+    the controller touches the bit; a caller that sets or clears it on a
+    line directly must not poll afterwards."""
+
     def __init__(self, lines: Iterable[InterruptLine]):
         self.lines: Dict[str, InterruptLine] = {}
         for ln in sorted(lines, key=lambda ln: (-ln.irq_priority, ln.id)):
@@ -83,6 +93,7 @@ class VicState:
         # (ascending) for bisecting the band a level change touches
         self._order: List[InterruptLine] = list(self.lines.values())
         self._neg_priority = [-ln.irq_priority for ln in self._order]
+        self._pending = sum([ln.pending for ln in self._order])
 
     def _line(self, line_id: str) -> InterruptLine:
         try:
@@ -122,6 +133,7 @@ class VicState:
         outcome = self._outcome(ln)
         if outcome is _DELIVERED_NOW:
             ln.pending = True
+            self._pending += 1
         return outcome
 
     def delivers(self, line_id: str) -> bool:
@@ -182,9 +194,12 @@ class VicState:
 
     def poll_deliverable(self) -> Optional[str]:
         """Return the first deliverable line in interrupt order and clear
-        its pending flag."""
-        for ln in self.lines.values():
+        its pending flag; None at once when no line is pending."""
+        if not self._pending:
+            return None
+        for ln in self._order:
             if ln.pending and ln.hold is None:
                 ln.pending = False
+                self._pending -= 1
                 return ln.id
         return None

@@ -10,7 +10,9 @@ every line on a level change, as the controller did before it walked
 only the band between the old and the new level; the confirming engine follows every
 schedule-point round that changed anything with one more and polls every
 monitor and line priority in each, as the engine did before it stopped
-at the first round without a backfill and kept that state from events;
+at the first round without a backfill and kept that state from events,
+and computes the level by scanning every line, as compute_ipl did before
+it bisected an index;
 the workload oracles expand each spec kind by its own ladder, and count
 its raises by a second one, as the engine did before every spec became
 one (count, ticks) source; the product check simulates every pattern
@@ -52,7 +54,6 @@ from envelopesim import (
     Storm,
     Task,
     TaskSet,
-    compute_ipl,
     hyperperiod,
 )
 from envelopesim.engine import (
@@ -521,13 +522,29 @@ def full_scan_set_ipl(vic, level, t):
     return released
 
 
+def linear_compute_ipl(running_priority, lines):
+    """compute_ipl over the lines as they are, (importance, next-job
+    priority) each, without an index: the least importance among the
+    lines whose priority lies above running_priority, else the greatest
+    importance plus one; 0 when idle or without lines."""
+    if running_priority is None:
+        return 0
+    lines = list(lines)
+    if not lines:
+        return 0
+    preempting = [imp for imp, prio in lines if prio > running_priority]
+    if not preempting:
+        return max(imp for imp, _ in lines) + 1
+    return min(preempting)
+
+
 class ConfirmingEngine(Engine):
     """The schedule point as a fixed-point loop: a round that dispatched
     or backfilled is followed by another, so the last round of every
     point confirms that nothing changes, within 2 * (lines + 1) rounds.
     Every round asks every monitor whether its episode is live and looks
     up every line's next-job priority, and the level is computed afresh
-    each time. The engine's schedule point, which stops at the first
+    each time, by the linear oracle rather than the engine's index. The engine's schedule point, which stops at the first
     round without a backfill and keeps the elevated set and the line
     priorities from events, must reproduce its traces byte for byte."""
 
@@ -538,7 +555,7 @@ class ConfirmingEngine(Engine):
     def _apply_ipl(self, t):
         running = self.sched.running
         priority, seq = self.pmap.priority, self.sched.seq
-        level = compute_ipl(
+        level = linear_compute_ipl(
             None if running is None
             else priority(running.task_id, running.seq),
             [(task.importance, priority(task.id, seq[task.id]))

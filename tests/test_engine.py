@@ -1,7 +1,9 @@
 import gc
+import importlib.util
 import random
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -26,15 +28,17 @@ from envelopesim import (
     Trace,
     TraceRecord,
     generate_workload,
+    ipl_index,
     run_scenario,
 )
+from envelopesim.cli import parse_scenario
 import envelopesim.engine as engine_module
 from envelopesim.engine import _validate_scenario, estimate_raises
 from envelopesim.model import interrupt_order
 from conftest import scenario_monotonic, scenario_override, \
     scenario_override_burst
 from support import ConfirmingEngine, conservation_counts, \
-    internalize_timestamps, oracle_estimate_raises, \
+    internalize_timestamps, linear_compute_ipl, oracle_estimate_raises, \
     oracle_generate_workload, random_scenario, storm_scenario, \
     with_ipl_and_overrides
 
@@ -812,6 +816,59 @@ def test_schedule_point_matches_the_confirming_loop():
             assert trace.to_csv_string() == want.to_csv_string(), seed
             assert metrics.to_json_string() \
                 == want_metrics.to_json_string(), seed
+
+
+def test_level_computations_read_a_current_index(monkeypatch):
+    # the index is rebuilt only after a release moved a line priority, so
+    # at every level computation it must equal the index of the lines'
+    # current next-job priorities, and give the linear oracle's level
+    engines, compute_ipl = [], engine_module.compute_ipl
+    checked = [0]
+
+    def checking(running_priority, index):
+        engine = engines[-1]
+        seq, priority = engine.sched.seq, engine.pmap.priority
+        lines = [(task.importance, priority(task.id, seq[task.id]))
+                 for task in interrupt_order(engine.task_set)]
+        assert index == ipl_index(lines)
+        level = compute_ipl(running_priority, index)
+        assert level == linear_compute_ipl(running_priority, lines)
+        checked[0] += running_priority is not None
+        return level
+
+    monkeypatch.setattr(engine_module, "compute_ipl", checking)
+    for seed in range(300):
+        engines.append(Engine(
+            with_ipl_and_overrides(random_scenario(seed), seed)))
+        engines[-1].run()
+    assert checked[0] > 1000
+
+
+def bench_batch(name, seed):
+    """The benchmark's batch of run items for a workload and seed, parsed
+    as `envelopesim run` parses them."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" \
+        / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [parse_scenario(item.scenario)
+            for item in workloads.generate(name, seed)]
+
+
+def test_ipl_wide_computes_each_level_once(monkeypatch):
+    # compute_ipl runs once per level computation, as many times as the
+    # linear scan did before the index; the index is rebuilt only at the
+    # computations that follow a moved line priority
+    calls = {"compute_ipl": 0, "ipl_index": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(engine_module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(engine_module, name, counted)
+    for scenario in bench_batch("ipl_wide", 0):
+        run_scenario(scenario)
+    assert calls == {"compute_ipl": 5025, "ipl_index": 420}
 
 
 def test_schedule_points_do_not_poll_monitors_or_priorities(monkeypatch):

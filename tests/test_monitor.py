@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from envelopesim import (
@@ -10,7 +12,9 @@ from envelopesim import (
     Task,
     VicState,
     compute_ipl,
+    ipl_index,
 )
+from support import linear_compute_ipl
 
 
 def setup_line(n, w, period, policy=FaultPolicy.PERMANENT, line="l"):
@@ -220,23 +224,81 @@ def test_unmask_during_a_live_episode_reads_out_of_envelope():
     assert mon.state is LineState.IN_ENVELOPE
 
 
+def ipl(running_priority, lines):
+    """The level compute_ipl bisects from the lines' index, checked
+    against the linear oracle over the lines themselves."""
+    level = compute_ipl(running_priority, ipl_index(lines))
+    assert level == linear_compute_ipl(running_priority, lines)
+    return level
+
+
 def test_ipl_idle_is_zero():
-    assert compute_ipl(None, [(8, 7)]) == 0
+    assert ipl(None, [(8, 7)]) == 0
+    assert compute_ipl(None, None) == 0  # the index is not read
 
 
 def test_ipl_no_lines_is_zero():
-    assert compute_ipl(5, []) == 0
+    assert ipl(5, []) == 0
 
 
 def test_ipl_least_important_preemptor_sets_level():
     # b preempts and is least important; only c sits below level 6
-    assert compute_ipl(5, [(8, 7), (6, 6), (4, 4)]) == 6
+    assert ipl(5, [(8, 7), (6, 6), (4, 4)]) == 6
 
 
 def test_ipl_no_preemptor_suppresses_everything():
     # above every line's irq priority
-    assert compute_ipl(9, [(8, 7), (6, 6)]) == 9
+    assert ipl(9, [(8, 7), (6, 6)]) == 9
 
 
 def test_ipl_importance_zero_preemptor_stays_deliverable():
-    assert compute_ipl(5, [(0, 7)]) == 0
+    assert ipl(5, [(0, 7)]) == 0
+
+
+def test_ipl_index_lists_priorities_with_suffix_minima():
+    # sorted by priority, ties in either order; the least importance from
+    # each position on, and the greatest importance plus one at the end
+    priorities, levels = ipl_index([(8, 7), (3, 2), (6, 7), (9, 1)])
+    assert priorities == [1, 2, 7, 7]
+    assert levels == [3, 3, 6, 6, 10]
+    assert ipl_index([]) == ([], [0])
+
+
+def random_lines(rng):
+    """A random line set, possibly empty, with priorities and importances
+    drawn from small ranges so that ties are common."""
+    spread = rng.choice((2, 5, 40))
+    return [(rng.randrange(spread), rng.randrange(1, spread + 1))
+            for _ in range(rng.randrange(8))]
+
+
+def test_ipl_index_matches_the_linear_oracle():
+    rng = random.Random(0)
+    sets = ties = 0
+    for _ in range(3000):
+        lines = random_lines(rng)
+        sets += not lines
+        ties += len({prio for _, prio in lines}) < len(lines)
+        index = ipl_index(lines)
+        # every running priority around and between the lines' own
+        for running in [None, 0, *range(1, 42)]:
+            assert compute_ipl(running, index) \
+                == linear_compute_ipl(running, lines), (lines, running)
+    assert sets and ties  # the empty set and tied priorities came up
+
+
+def test_ipl_index_follows_next_priority_moves():
+    # a release moves its line's next-job priority, which a task's
+    # job_priority_overrides can set to any value, tied ones included;
+    # the index rebuilt after each move answers as the oracle does
+    rng = random.Random(1)
+    for _ in range(200):
+        lines = random_lines(rng) or [(0, 1)]
+        overrides = [rng.randint(1, 12) for _ in range(4)]
+        for _ in range(20):
+            i = rng.randrange(len(lines))
+            lines[i] = (lines[i][0], rng.choice(overrides))
+            index = ipl_index(lines)
+            for running in (None, *range(14)):
+                assert compute_ipl(running, index) \
+                    == linear_compute_ipl(running, lines)

@@ -8,6 +8,7 @@ import gc
 import io
 import json
 import math
+import random
 import tracemalloc
 from dataclasses import replace
 from enum import IntEnum
@@ -482,6 +483,181 @@ def test_run_metrics_take_the_direct_path(monkeypatch):
 
     monkeypatch.setattr(json, "dumps", no_dumps)
     assert [m.to_json_string() for m in runs] == expected
+
+
+# the metrics JSON's marked text: the separators hold a newline, which the
+# encoder escapes inside strings, so no id or value can pass for one
+
+# strings that would read as a separator, a row's brace or a key's colon
+# if a newline inside a string were written as it is
+TRICKY = ["a:\n{", "},\n", ":\n[", 'x: {"', "{}", '"}', "\\", '\\"',
+          "\n", ',\n"', "é☃", "k\u2028", ":", "{", "}", ""]
+
+
+def rows_of(n, row):
+    return {f"{TRICKY[i % len(TRICKY)]}#{i}": dict(row, i=i)
+            for i in range(n)}
+
+
+SHAPED_CASES = {
+    "tricky_ids": metrics(
+        {s + "t": ROW for s in TRICKY}, {s + "l": {"raised": 1}
+                                          for s in TRICKY}),
+    "tricky_values": metrics(
+        {"t": {f"k{i}": s for i, s in enumerate(TRICKY)}},
+        {s: {s: s} for s in TRICKY},
+        [{"time": i, "line": s, "kind": s} for i, s in enumerate(TRICKY)],
+        total=TRICKY[0]),
+    "tricky_row_keys": metrics({"t": {s: 1 for s in TRICKY}}),
+    "one_batch": metrics(rows_of(8, ROW), rows_of(8, {"raised": 2}),
+                         (ALARMS * 3)[:8]),
+    "batch_and_one": metrics(rows_of(9, ROW), rows_of(9, {"raised": 2}),
+                             (ALARMS * 3)[:9]),
+    "many_batches": metrics(rows_of(44, ROW), rows_of(44, {"raised": 2}),
+                            ALARMS * 17),
+    "only_alarms": metrics(alarms=ALARMS),
+    "only_per_line": metrics(per_line=rows_of(3, {"raised": 2})),
+}
+
+# outside the fixed shape, or rows the direct path leaves to json.dumps:
+# each must still come out as json.dumps writes it
+FALLBACK_CASES = {
+    "empty_row_in_a_batch": metrics(dict(rows_of(9, ROW), e={})),
+    "empty_alarm_late": metrics(alarms=ALARMS * 4 + [{}]),
+    "empty_dict_value_late": metrics(rows_of(12, ROW) | {"z": {"v": {}}}),
+    "empty_list_value": metrics(per_line={"l": {"raised": []}}),
+    "nested_in_a_later_batch": metrics(
+        per_line=rows_of(20, {"raised": 1}) | {"zz": {"d": {"x": 1}}}),
+    "nested_list_in_alarm": metrics(
+        alarms=ALARMS * 4 + [{"time": 1, "lines": ("l", "m")}]),
+    "nested_where_a_row_is_missing": metrics(
+        per_line={"a": 5, "b": {"x": {"y": 1}}}),
+    "tricky_row_not_a_dict": metrics(per_task={"t": "a:\n{"}),
+    "int_keys_past_nine": metrics(per_task={i: ROW for i in range(12)}),
+}
+
+
+@pytest.mark.parametrize("case", SHAPED_CASES.values(), ids=SHAPED_CASES)
+def test_shaped_metrics_match_json_dumps_without_it(case, monkeypatch):
+    expected = json_oracle(case)
+
+    def no_dumps(*args, **kwargs):
+        raise AssertionError("json.dumps used for metrics of the run shape")
+
+    monkeypatch.setattr(json, "dumps", no_dumps)
+    assert case.to_json_string() == expected
+
+
+@pytest.mark.parametrize("case", FALLBACK_CASES.values(), ids=FALLBACK_CASES)
+def test_metrics_outside_the_shape_match_json_dumps(case):
+    assert case.to_json_string() == json_oracle(case)
+
+
+def random_value(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice(TRICKY) + rng.choice(TRICKY)
+    if kind == 1:
+        return rng.randrange(-5, 10 ** 6)
+    if kind == 2:
+        return rng.choice([0.1, -0.0, 1e300, math.inf, 7 / 3])
+    if kind == 3:
+        return rng.choice([None, True, False])
+    if kind == 4 and rng.random() < 0.05:  # now and then outside the shape
+        return rng.choice([{}, [], {"x": 1}, (1, "}")])
+    return rng.randrange(100)
+
+
+def random_rows(rng, n):
+    return [{rng.choice(TRICKY) + str(k): random_value(rng)
+             for k in range(rng.randrange(0 if rng.random() < 0.05 else 1,
+                                          6))}
+            for _ in range(n)]
+
+
+def test_random_metrics_match_json_dumps(monkeypatch):
+    rng = random.Random(0)
+    dumps, fallbacks = json.dumps, [0]
+
+    def counted(*args, **kwargs):
+        fallbacks[0] += 1
+        return dumps(*args, **kwargs)
+
+    def section():
+        n = rng.choice((0, 1, 7, 8, 9, 20))
+        return {f"{rng.choice(TRICKY)}{i}": row
+                for i, row in enumerate(random_rows(rng, n))}
+
+    cases = 400
+    for _ in range(cases):
+        case = metrics(section(), section(),
+                       random_rows(rng, rng.choice((0, 3, 17))),
+                       random_value(rng) if rng.random() < 0.9 else [1])
+        expected = json_oracle(case)
+        monkeypatch.setattr(json, "dumps", counted)
+        assert case.to_json_string() == expected
+        monkeypatch.setattr(json, "dumps", dumps)
+    # both paths were taken, the direct one more often
+    assert 0 < fallbacks[0] < cases / 2
+
+
+def per_row_json(metrics):
+    """The fixed shape's JSON as the engine wrote it before it encoded a
+    batch of rows per call: one encoder call per row, each section's rows
+    joined, then the sections."""
+    encode = json.JSONEncoder(sort_keys=True,
+                              separators=(",\n      ", ": ")).encode
+
+    def row(r):
+        return "{\n      " + encode(r)[1:-1] + "\n    }" if r else "{}"
+
+    def block(brackets, items):
+        if not items:
+            return brackets
+        return (brackets[0] + "\n    " + ",\n    ".join(items) + "\n  "
+                + brackets[1])
+
+    return "".join((
+        '{\n  "alarms": ', block("[]", [row(r) for r in metrics.alarms]),
+        ',\n  "per_line": ', block("{}", [
+            encode(k) + ": " + row(r)
+            for k, r in sorted(metrics.per_line.items())]),
+        ',\n  "per_task": ', block("{}", [
+            encode(k) + ": " + row(r)
+            for k, r in sorted(metrics.per_task.items())]),
+        ',\n  "total_top_half_time": ', encode(metrics.total_top_half_time),
+        "\n}\n"))
+
+
+def json_peak(write, metrics):
+    """The peak bytes tracemalloc sees while write(metrics) runs, the
+    least of three runs."""
+    peaks = []
+    for _ in range(3):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            write(metrics)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
+
+
+def test_metrics_json_peaks_no_higher_than_the_per_row_writer():
+    # the encoder holds every piece of one call at once, so the rows go
+    # in batches; the document is joined from pieces shorter than itself
+    lines = 44
+    case = metrics(
+        {f"w{i:02d}": dict(ROW, avg_response=i / 7) for i in range(lines)},
+        {f"lw{i:02d}": {"raised": i, "internalized": i, "suppressed": 0,
+                        "top_half_time": 2 * i, "mask_ops": 1}
+         for i in range(lines)},
+        [{"time": i, "line": f"lw{i % lines:02d}",
+          "kind": "out_of_envelope_entered"} for i in range(52)], 140)
+    assert per_row_json(case) == case.to_json_string() == json_oracle(case)
+    assert json_peak(Metrics.to_json_string, case) \
+        <= json_peak(per_row_json, case)
 
 
 # Trace.extend

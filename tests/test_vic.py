@@ -270,3 +270,29 @@ def test_set_ipl_band_matches_full_scan(seed):
                 assert band.poll_deliverable() == full.poll_deliverable()
         assert band.ipl == full.ipl
         assert band.lines == full.lines
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pending_count_follows_the_pending_bits(seed):
+    # poll_deliverable skips its scan when the count reads 0, so the count
+    # must equal the lines with the pending bit after every operation,
+    # lines built pending included, and a poll must find what a scan does
+    rng = random.Random(seed)
+    specs = [dict(id=f"l{i}", irq_priority=rng.randint(1, 8),
+                  pending=rng.random() < 0.2)
+             for i in range(rng.randint(1, 9))]
+    vic = make_vic(*specs)
+    for t in range(80):
+        action = rng.randrange(4)
+        line = rng.choice(specs)["id"]
+        if action == 0:
+            vic.set_ipl(rng.randint(0, 9), t)
+        elif action == 1:
+            vic.set_line_mask(line, rng.random() < 0.5, t)
+        elif action == 2:
+            vic.raise_event(line, t, rng.randint(1, 3))
+        else:
+            scan = next((ln.id for ln in vic.lines.values()
+                         if ln.pending and ln.hold is None), None)
+            assert vic.poll_deliverable() == scan
+        assert vic._pending == sum(ln.pending for ln in vic.lines.values())
