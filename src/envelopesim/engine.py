@@ -48,7 +48,7 @@ mostly such pairs. The held runs of a step, between two delivered
 raises, are a stretch of one tick. Trace expands stretches when its
 records are read, counts their records as they are added, and writes
 each tick of one as one joined string of CSV rows, in chunks of a
-bounded number of rows, unquoted when the engine's ids need no quoting.
+bounded number of rows, each field quoted where csv.writer quotes it.
 
 Both deferral optimizations live here: the interrupt priority level and
 the bottom-half mask. The controller counts what either holds back, and
@@ -110,6 +110,10 @@ ALARM = "ALARM"
 
 CSV_HEADER = ["time", "kind", "line", "task", "job", "detail"]
 _CSV_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
+# the characters csv.writer quotes a field for under "\n" line ends: "\r"
+# differs between versions. writerow returns the length, 2 for c unquoted
+_QUOTED = "".join([c for c in ',"\n\r' if csv.writer(
+    io.StringIO(), lineterminator="\n").writerow(c) > 2])
 
 # the SUPPRESS record's detail for each outcome that holds a raise back.
 # The raise path reads an outcome's value through _value_ and keys on it:
@@ -337,7 +341,7 @@ def _backwards(first, last) -> EngineError:
 
 # The most CSV rows write_csv renders to text at once: it writes each
 # chunk as it is made, so it never holds a string per row of the whole
-# trace. to_csv_string renders a plain trace this many entries at a time.
+# trace. to_csv_string renders this many entries at a time.
 # Measured, not derived: on the bench batches, chunks of 128 to 2048 rows
 # gave storm peaks within 1.5% of each other, and 1024 or more raised the
 # peak of traces of about a thousand records by 14%
@@ -479,7 +483,7 @@ def _cut(live, points: dict, end: int, rank: dict):
 
 
 def _csv_rows(entries, head: str, memo: list) -> str:
-    """head, then the CSV rows of entries joined unquoted (see
+    """head, then the CSV rows of entries joined as they are (see
     _stretch_rows for a held stretch's, and for memo)."""
     parts = [head]
     # in a held stretch's entry, t is its last tick, l its first and ta
@@ -509,6 +513,24 @@ def _stretch_rows(first: int, last: int, runs: tuple, memo: list) -> str:
     if first == last:  # a step's stretch: some 15% faster without the list
         return str(first).join(suffixes)
     return "".join([str(t).join(suffixes) for t in range(first, last + 1)])
+
+
+def _csv_field(x) -> str:
+    """x as csv.writer writes a field: None as empty, a float by repr,
+    anything else by str, quoted when it holds a character of _QUOTED."""
+    if not isinstance(x, str):
+        x = "" if x is None else repr(x) if isinstance(x, float) else str(x)
+    quoted = any([c in x for c in _QUOTED])
+    return '"' + x.replace('"', '""') + '"' if quoted else x
+
+
+def _csv_form(entries) -> list:
+    """entries with each field, or a held stretch's line and task ids, as
+    csv.writer writes it (see _csv_field); stretches stay unexpanded."""
+    return [tuple(map(_csv_field, e)) if e[1] is not _HELD else
+            (*e[:3], tuple([_csv_field(x) if i % 4 < 2 else x
+                            for i, x in enumerate(e[3])]), *e[4:])
+            for e in entries]
 
 
 def _narrow(entry, size: int):
@@ -564,22 +586,20 @@ class Trace:
     for RAISE or SUPPRESS, and the CSV writes each tick of one as one
     joined string. Every other entry is a TraceRecord.
 
-    write_csv renders and writes the CSV in chunks of at most _CSV_CHUNK
-    rows, weighing the entries as it goes (see _pieces), so it holds one
-    chunk's text beside the entries. to_csv_string holds the whole text
-    anyway: on a plain trace it renders slices of _CSV_CHUNK entries and
-    weighs nothing; on any other it takes write_csv's chunks, because
-    csv.writer is given each chunk's records built.
-    Quoting is decided from the ids, not by scanning the text: in the
-    engine's records only a line or task id can hold a comma, a quote or
-    a newline (kinds are constants and details are built from ints and
-    fixed words; a detail that names a task, as a DROP cause would, must
-    extend this rule to its own text). The engine marks its trace plain
-    when none does, and renders a plain trace unquoted, any other through
-    csv.writer. It adds through _append and _extend, which check nothing
-    per record. append, extend and reading records, whose list the
-    caller may change, can bring in any string, so they drop the mark:
-    such a trace is written more slowly, never wrongly."""
+    write_csv writes the CSV in chunks of at most _CSV_CHUNK rows,
+    weighing the entries as it goes (see _pieces), so it holds one
+    chunk's text beside the entries; to_csv_string, which holds the whole
+    text anyway, renders slices of _CSV_CHUNK entries. _write renders
+    every chunk, held stretches unexpanded, from the entries as they are
+    when the trace is plain, and from their CSV form (see _csv_form)
+    otherwise. The engine marks its trace plain from its ids, not by
+    scanning the text: in its records only a line or task id can hold a
+    character of _QUOTED (kinds are constants and details are built from
+    ints and fixed words; a detail that names a task, as a DROP cause
+    would, must extend this rule to its own text). It adds through
+    _append and _extend, which check nothing per record. append, extend
+    and reading records, whose list the caller may change, can bring in
+    any string, so they drop the mark."""
 
     def __init__(self):
         self._entries: list = []
@@ -651,49 +671,28 @@ class Trace:
                 and (line is None or r[2] == line)
                 and (task is None or r[3] == task)]
 
-    def _row_chunks(self):
-        """The entries in lists of at most _CSV_CHUNK rows (see _pieces):
-        the entries themselves when the whole trace fits in one."""
-        if len(self) <= _CSV_CHUNK:
-            return (self._entries,)
-        return _pieces(self._entries, _CSV_CHUNK)
-
-    def _write(self, fh, chunks) -> None:
-        """Write the CSV to fh one chunk, a list of the entries, at a
-        time: a plain trace's rows joined unquoted, with one memo for the
-        call (see _stretch_rows), any other's through csv.writer."""
-        if self._plain:
-            head, memo = _CSV_HEADER_LINE, [None, None]
-            for chunk in chunks:
-                fh.write(_csv_rows(chunk, head, memo))
-                head = ""
-            return
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for chunk in chunks:
-            writer.writerows(_expand(chunk))
+    def _write(self, write, chunks) -> None:
+        """Pass write the CSV's text one chunk, a list of the entries, at a
+        time, rendered with one memo for the call (see _stretch_rows): the
+        entries themselves when the trace fits in one, else chunks."""
+        head, memo = _CSV_HEADER_LINE, [None, None]
+        for chunk in (self._entries,) if len(self) <= _CSV_CHUNK else chunks:
+            write(_csv_rows(chunk if self._plain else _csv_form(chunk), head,
+                            memo))
+            head = ""
 
     def to_csv_string(self) -> str:
         """The trace as csv.writer writes it with "\n" line ends."""
-        if self._plain and len(self) <= _CSV_CHUNK:  # one text, no buffer
-            return _csv_rows(self._entries, _CSV_HEADER_LINE, [None, None])
-        buf = io.StringIO()
-        if self._plain:
-            # the text is whole in the end, so a chunk is a slice of
-            # entries, whatever rows they stand for
-            entries, size = self._entries, _CSV_CHUNK
-            self._write(buf, (entries[i:i + size]
-                              for i in range(0, len(entries), size)))
-        else:
-            # _expand builds a chunk's records: bound them
-            self._write(buf, self._row_chunks())
-        return buf.getvalue()
+        entries, size, texts = self._entries, _CSV_CHUNK, []
+        self._write(texts.append, (entries[i:i + size]
+                                   for i in range(0, len(entries), size)))
+        return "".join(texts)
 
     def write_csv(self, path) -> None:
-        """Write to_csv_string()'s text to path, streamed: each chunk of
-        at most _CSV_CHUNK rows is written as soon as it is rendered."""
+        """Write to_csv_string()'s text to path in chunks of at most
+        _CSV_CHUNK rows (see _pieces), each as soon as it is rendered."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            self._write(fh, self._row_chunks())
+            self._write(fh.write, _pieces(self._entries, _CSV_CHUNK))
 
     def __len__(self):
         """The number of records, held stretches counted without
@@ -886,7 +885,7 @@ class Engine:
         self.trace = Trace()
         # only an id can bring a character csv.writer quotes (see Trace)
         ids = "".join([t.line + t.id for t in self.task_set])
-        self.trace._plain = not any([c in ids for c in ',"\n'])
+        self.trace._plain = not any([c in ids for c in _QUOTED])
         self.alarms: List[Dict[str, object]] = []
         order = interrupt_order(self.task_set)
         self._irq_rank = {task.line: i for i, task in enumerate(order)}

@@ -189,8 +189,8 @@ def validate_task_set(task_set: TaskSet) -> ValidationReport:
             problems.append(f"task {t.id}: envelope_n must be at least 1")
         if t.envelope_w < 1:
             problems.append(f"task {t.id}: envelope_w must be at least 1")
-        # csv.writer leaves a carriage return unquoted under the trace's
-        # "\n" line ends, and csv.reader then splits the record there
+        # some csv.writer versions leave a carriage return unquoted under
+        # the trace's "\n" line ends, and csv.reader splits a record there
         if "\r" in t.id or "\r" in t.line:
             problems.append(
                 f"task {t.id!r}: task and line ids may not hold a "

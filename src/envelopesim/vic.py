@@ -87,6 +87,7 @@ class VicState:
                     f"{ln.irq_priority} < 1"
                 )
             self.lines[ln.id] = ln
+            ln.hold = (0, ln.device_counter) if ln.masked else None
         self.ipl = 0
         self.mask_ops: Dict[str, int] = {ln: 0 for ln in self.lines}
         # the lines in interrupt order, and their negated priorities

@@ -119,17 +119,18 @@ def test_quoted_ids_read_back():
     assert any(r.line == line for r in trace.records)
 
 
-def test_plain_ids_take_the_unquoted_path(monkeypatch):
+def test_plain_ids_take_the_unquoted_path(monkeypatch, tmp_path):
     trace, _ = run_scenario(scenario_with_ids("line", "task"))
     # reading the records makes a trace quoted: the oracle reads a twin
     expected = csv_oracle(run_scenario(scenario_with_ids("line", "task"))[0])
 
-    def no_writer(*args, **kwargs):
-        raise AssertionError("csv.writer used for a trace without quoting")
+    def no_quoting(*args, **kwargs):
+        raise AssertionError("a trace without quoting put in its CSV form")
 
-    monkeypatch.setattr(csv, "writer", no_writer)
+    monkeypatch.setattr(engine_module, "_csv_form", no_quoting)
     text = trace.to_csv_string()
     assert text == expected
+    assert written(trace, tmp_path / "trace.csv") == expected
     assert '"' not in text
 
 
@@ -150,7 +151,7 @@ def written(trace, path):
 
 
 def counting_chunks(monkeypatch):
-    """A list that gets one item per CSV chunk rendered unquoted."""
+    """A list that gets each chunk of entries _csv_rows renders."""
     rendered = []
     csv_rows = engine_module._csv_rows
 
@@ -203,7 +204,7 @@ def test_an_id_to_quote_in_a_late_chunk_is_quoted_from_the_start(
     expected = csv_oracle(trace)
     assert trace.to_csv_string() == expected
     # the engine knew of the id before the first row, so the early
-    # chunks go through csv.writer as the late one does
+    # chunks are put in their CSV form as the late one is
     assert written(trace, tmp_path / "trace.csv") == expected
 
 
@@ -241,7 +242,14 @@ def test_an_id_to_quote_renders_no_chunk_unquoted(char, csv_chunk,
     assert trace.to_csv_string() == expected
     trace.write_csv("trace.csv")
     assert [f.text for f in files] == [expected]
-    assert rendered == []
+    # every chunk reaches the renderer with the id in its quoted form only
+    quoted = '"' + line.replace('"', '""') + '"'
+    fields = [[f for e in chunk
+               for f in (e[3] if e[1] is engine_module._HELD else e)]
+              for chunk in rendered]
+    assert len(fields) >= 2
+    assert not any(line in chunk for chunk in fields)
+    assert any(quoted in chunk for chunk in fields)
 
 
 # the characters csv.writer quotes, and "\r", which it leaves as it is
@@ -268,6 +276,99 @@ def test_records_added_from_outside_are_written_as_csv_writer_does(
     assert written(trace, tmp_path / "trace.csv") == text
     assert text == csv_oracle(trace)
     assert '"a,b"' in text and '"a""b"' in text and "a\rb" in text
+
+
+# a seeded batch of traces built by hand, with any strings in any field
+
+TEXT = [",", '"', "\n", "\r", " ", "é", "ü€", "", "x"]
+
+
+def random_text(rng):
+    return "".join(rng.choice(TEXT) for _ in range(rng.randint(0, 3)))
+
+
+def random_record(rng, t):
+    job = rng.choice([None, rng.randint(-3, 99), random_text(rng),
+                      rng.uniform(-1e3, 1e3), 1e20, float("nan")])
+    return TraceRecord(t, random_text(rng), random_text(rng),
+                       random_text(rng), job, random_text(rng))
+
+
+def random_stretch(rng, first):
+    """A held stretch from first, its ids drawn like any field; and the
+    records it stands for beyond one."""
+    last = first + rng.choice([0, 0, 1, rng.randint(2, 60)])
+    runs = ()
+    for _ in range(rng.randint(1, 3)):
+        runs += (random_text(rng), random_text(rng),
+                 rng.choice(sorted(SUPPRESS_REASON)), rng.randint(1, 4))
+    rows = 2 * sum(runs[3::4])
+    ticks = last - first + 1
+    return (last, engine_module._HELD, first, runs, rows, ticks), \
+        rows * ticks - 1
+
+
+def random_built_trace(rng):
+    """A trace built through append, extend (records and held stretches)
+    and the records list, in time order."""
+    trace, t = Trace(), 0
+    for _ in range(rng.randint(0, 12)):
+        t += rng.randint(0, 2)
+        how = rng.random()
+        if how < 0.3:
+            trace.append(random_record(rng, t))
+        elif how < 0.9:
+            entries, extra = [], 0
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.5:
+                    entries.append(random_record(rng, t))
+                    continue
+                stretch, more = random_stretch(rng, t)
+                entries.append(stretch)
+                extra += more
+                if stretch[0] > t:  # a wider stretch ends the step
+                    t = stretch[0]
+                    break
+            trace.extend(entries, extra)
+        else:
+            trace.records.append(random_record(rng, t))
+    return trace
+
+
+def no_expand(entries):
+    raise AssertionError("a write path built the records")
+
+
+def test_built_traces_match_the_oracle(csv_chunk, tmp_path, monkeypatch):
+    rng = random.Random(20261020)
+    path = tmp_path / "trace.csv"
+    stretches = wide = 0
+    for _ in range(300):
+        trace = random_built_trace(rng)
+        stretches += len(held_runs(trace))
+        wide += len(trace) > csv_chunk
+        entries = list(trace._entries)
+        with monkeypatch.context() as m:
+            m.setattr(engine_module, "_expand", no_expand)
+            text = trace.to_csv_string()
+            assert written(trace, path) == text
+        assert trace._entries == entries
+        # the oracle expands the held stretches the writers rendered
+        assert text == csv_oracle(trace)
+    assert stretches > 300 and wide > 30
+
+
+def test_a_quoted_storm_is_written_without_building_records(csv_chunk,
+                                                            tmp_path,
+                                                            monkeypatch):
+    trace, _ = run_scenario(storm_probe(300, line='l,"1"'))
+    assert len(trace) > 4 * trace.entry_count
+    with monkeypatch.context() as m:
+        m.setattr(engine_module, "_expand", no_expand)
+        text = trace.to_csv_string()
+        assert written(trace, tmp_path / "trace.csv") == text
+    assert text == csv_oracle(trace)
+    assert '"l,""1"""' in text
 
 
 def test_empty_and_one_chunk_traces_are_one_text(monkeypatch, tmp_path):
@@ -325,7 +426,7 @@ def test_write_csv_holds_one_chunk_beside_the_trace(tmp_path):
 
 
 def test_the_quoted_csv_streams_and_leaves_held_runs_unexpanded(tmp_path):
-    # a comma in the line id: every row goes through csv.writer
+    # a comma in the line id: every chunk is put in its CSV form
     trace, _ = run_scenario(storm_probe(3 * 10 ** 4, line="l,1"))
     entries = len(trace._entries)
     assert entries < len(trace)

@@ -88,6 +88,29 @@ def test_masked_without_latch_drops_pending():
     assert vic.poll_deliverable() is None
 
 
+def test_a_line_built_masked_is_held_from_tick_0():
+    # as if masked through set_line_mask at tick 0: its raises are held
+    # back and counted in the hold, and unmasking reports them
+    built = make_vic(dict(id="a", irq_priority=5, masked=True,
+                          device_counter=2))
+    masked_at_0 = make_vic(dict(id="a", irq_priority=5, device_counter=2))
+    masked_at_0.set_line_mask("a", True, 0)
+    assert built.lines == masked_at_0.lines
+    assert built.held("a") == (0, 0)
+    assert built.raise_event("a", 1, 3) is RaiseOutcome.SUPPRESSED_MASKED
+    assert built.held("a") == (0, 3)
+    assert built.set_line_mask("a", False, 4) == (0, 3)
+    assert built.held("a") is None
+
+
+def test_a_line_built_masked_and_pending_waits_for_the_unmask():
+    vic = make_vic(dict(id="a", irq_priority=5, masked=True, pending=True))
+    assert not vic.delivers("a")
+    assert vic.poll_deliverable() is None
+    assert vic.set_line_mask("a", False, 2) == (0, 0)
+    assert vic.poll_deliverable() == "a"
+
+
 # exhaustive around the strict ipl comparison: irq must exceed ipl
 @pytest.mark.parametrize("irq,ipl,outcome", [
     (4, 5, RaiseOutcome.SUPPRESSED_IPL),
