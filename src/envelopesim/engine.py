@@ -36,11 +36,12 @@ its raises are taken on the way, as counters and records that land
 before the span's completion. A line's raises at one tick are one run:
 one raise_event call takes them all and classifies the first, and the
 rest coalesce with it or meet the same hold. The run table hands the
-raises over as segments, stretches of ticks with the same runs, so a
-storm or any other spec that raises on every tick costs nothing per
-tick. The raise ticks in a span that follow each other tick by tick
-with the same runs are one held stretch: one raise_event call per line
-takes the whole stretch, since every raise of it meets the same hold.
+raises over as maximal segments, stretches of ticks with the same runs,
+so a storm or any other spec that raises on every tick costs nothing
+per tick. A segment in a span is one held stretch: one raise_event call
+per line takes the whole stretch, since every raise of it meets the
+same hold. One method raises a step's tick and a held stretch alike and
+builds their trace entries (_raise_runs).
 
 The raises the controller holds back are one trace entry per held
 stretch, not a RAISE and a SUPPRESS record each: a storm's trace is
@@ -347,11 +348,11 @@ def _backwards(first, last) -> EngineError:
 # peak of traces of about a thousand records by 14%
 _CSV_CHUNK = 512
 
-# The ticks the run table is filled for at once (see _run_table): a
-# window's point ticks are all the table holds, and no segment crosses a
+# The ticks the run table is filled for at once (see _run_pieces): a
+# window's point ticks are all the table holds, and no piece crosses a
 # window's end. Each fill costs a few microseconds per spec, which a
 # window of 1024 ticks made about 4% of a long, sparse run. Intervals
-# add nothing to the table, and one per window to the segments
+# add nothing to the table, and one per window to the pieces
 _RAISE_WINDOW = 4096
 # the next tick of a spec that raises no more, later than every tick
 _NEVER = float("inf")
@@ -360,13 +361,34 @@ _END = (_NEVER, _NEVER, None)
 
 
 def _run_table(sources):
-    """The run table: the raises as segments (first, last, runs) in
-    ascending, disjoint tick order, where every tick from first to last
-    has exactly these raises. runs is flat: line, count, line, count, ...
-    in interrupt priority order. A line's raises at one tick are one run,
-    whichever specs made them: each spec adds its count at each of its
-    ticks. sources holds each spec's (line, count, ticks), in interrupt
-    priority order, so each tick's runs keep that order.
+    """The run table: the raises as maximal segments (first, last, runs)
+    in ascending, disjoint tick order, where every tick from first to
+    last has exactly these raises. runs is flat: line, count, line,
+    count, ... in interrupt priority order. A line's raises at one tick
+    are one run, whichever specs made them: each spec adds its count at
+    each of its ticks. sources holds each spec's (line, count, ticks), in
+    interrupt priority order, so each tick's runs keep that order.
+
+    The segments are _run_pieces's pieces with each contiguous pair of
+    equal runs joined, across window seams and point ticks too, so no two
+    contiguous segments carry equal runs. A segment is yielded once the
+    piece after it is read: the table reads at most one window ahead."""
+    pieces = _run_pieces(sources)
+    del sources  # _run_pieces drops the spec tuples once it has read them
+    first, last, runs = next(pieces, _END)
+    for lo, hi, more in pieces:
+        if lo == last + 1 and more == runs:
+            last = hi
+        else:
+            yield first, last, runs
+            first, last, runs = lo, hi, more
+    if runs is not None:
+        yield first, last, runs
+
+
+def _run_pieces(sources):
+    """The run table's pieces, window by window: (first, last, runs) as
+    _run_table's segments, but none crossing a window's end.
 
     A spec whose ticks are a range of step 1 (a storm, a burst of spacing
     1 or a period-1 spec) is an interval, which costs nothing per tick.
@@ -374,9 +396,9 @@ def _run_table(sources):
     _RAISE_WINDOW ticks at a time, starting at the earliest tick a spec
     has not yet raised at, so an idle stretch costs no fills and the
     table holds at most a window's points. In a window where no interval
-    is live, each point tick is a segment of its own, and its runs leave
-    the table as it is yielded; in any other the segments are cut (see
-    _cut). No segment crosses a window's end."""
+    is live, each point tick is a piece of its own, and its runs leave
+    the table as it is yielded; in any other the window is cut (see
+    _cut)."""
     rank = {}
     # per point spec: [its next tick, line, count, its later ticks], the
     # next tick _NEVER once it has none; per interval: [its next tick,
@@ -432,14 +454,14 @@ def _run_table(sources):
 
 
 def _cut(live, points: dict, end: int, rank: dict):
-    """The segments of a window, up to end, where the intervals in live
+    """The pieces of a window, up to end, where the intervals in live
     raise beside the point ticks' runs in points. The window is cut at
     the intervals' ends, clipped to it, and at each point tick and the
     tick after it. Each piece carries the runs of the intervals over it,
     a line's counts summed, and at a point tick also that tick's runs,
     merged by interrupt rank (rank) with a shared line's counts summed.
-    Pieces with no runs are left out, and contiguous pieces with equal
-    runs are one segment."""
+    Pieces with no runs are left out; the rest are yielded as they are,
+    contiguous ones with equal runs too (_run_table joins them)."""
     cuts = {end}
     for a, stop, _, _ in live:
         cuts.add(a)
@@ -449,8 +471,6 @@ def _cut(live, points: dict, end: int, rank: dict):
         cuts.add(t)
         cuts.add(t + 1)
     cuts = sorted(cuts)
-    first = last = -1
-    held = None
     for lo, hi in zip(cuts, cuts[1:]):
         runs = []
         for a, stop, line, count in live:
@@ -472,14 +492,7 @@ def _cut(live, points: dict, end: int, rank: dict):
                 runs = more
         elif not runs:
             continue
-        if lo == last + 1 and runs == held:
-            last = hi - 1
-            continue
-        if held is not None:
-            yield first, last, held
-        first, last, held = lo, hi - 1, runs
-    if held is not None:
-        yield first, last, held
+        yield lo, hi - 1, runs
 
 
 def _csv_rows(entries, head: str, memo: list) -> str:
@@ -574,11 +587,14 @@ class Trace:
     """A run's records in time order.
 
     Most records of a storm are RAISE and SUPPRESS pairs of raises the
-    controller held back. The engine stores them as held stretches: an
-    entry (last, _HELD, first, runs, rows, ticks) stands for, at every
-    tick from first to last, each run's count such pairs. runs holds
-    line, task, outcome value and count per line, flat, in interrupt
-    order; rows is the records of one tick, and ticks last - first + 1.
+    controller held back. The engine stores them as held stretches,
+    built only in Engine._raise_runs: one per run table segment taken
+    between two steps, and one per step's held runs between two
+    delivered raises. An entry (last, _HELD, first, runs, rows, ticks)
+    stands for, at every tick from first to last, each run's count such
+    pairs. runs holds line, task, outcome value and count per line,
+    flat, in interrupt order; rows is the records of one tick, and ticks
+    last - first + 1.
     The time slot holds the last tick, which appending checks against.
     Only this class reads entries: `records` expands stretches when it is
     first read after an extend, len adds the records they stand for (a
@@ -945,10 +961,15 @@ class Engine:
         while True:
             self.steps += 1
             self._process_timers(t)
-            # a drain clears every pending line, so only a delivered raise
-            # leaves one for this step's drain
-            if self._process_raises(t):
-                self._drain_deliverable(t)
+            head = self._head
+            if head[0] == t:  # take tick t off the head: its rest stays
+                _, last, runs = head
+                self._head = (t + 1, last, runs) if last > t \
+                    else next(self._table, _END)
+                # a drain clears every pending line, so only a delivered
+                # raise leaves one for this step's drain
+                if self._raise_runs(t, t, runs):
+                    self._drain_deliverable(t)
             self._process_shed(t)
             self._process_timers(t)
             if self._needs_dispatch:
@@ -984,12 +1005,10 @@ class Engine:
         unmasks, moves the level or clears a pending bit, so they change
         only the counters and the trace, and their records land before
         the span's COMPLETE. For the same reason every raise of a line
-        meets the same hold on the way, so ticks that follow each other
-        tick by tick with the same runs are one held stretch, taken at
-        once (see _take_stretch). The walk goes a segment of the run table
-        at a time, and only a segment that opens a stretch is asked
-        whether it delivers. A segment reaching past the step leaves its
-        rest, from the step on, as the head."""
+        meets the same hold on the way, so each segment of the run table
+        below the step, once its lines are found held, is one held
+        stretch, raised at once (see _raise_runs). A segment reaching
+        past the step leaves its rest, from the step on, as the head."""
         sched = self.sched
         until = self.horizon
         if self.timers and self.timers[0][0] < until:
@@ -1010,54 +1029,68 @@ class Engine:
         if head[0] >= until:
             return until
         held = set()  # lines found held back; none changes before until
-        table = self._table
-        # the open stretch: its first and last tick and its runs
-        first = last = -1
-        stretch = None
         while head[0] < until:
-            r, r_last, runs = head
-            if r != last + 1 or runs != stretch:
-                if stretch is not None:
-                    self._take_stretch(first, last, stretch)
-                for line in runs[::2]:
-                    if line not in held:
-                        if self.vic.delivers(line):
-                            self._head = head
-                            return r
-                        held.add(line)
-                first, stretch = r, runs
-            if r_last < until:
-                last = r_last
-                head = next(table, _END)
+            first, last, runs = head
+            for line in runs[::2]:
+                if line not in held:
+                    if self.vic.delivers(line):
+                        self._head = head
+                        return first
+                    held.add(line)
+            if last < until:
+                head = next(self._table, _END)
             else:  # the segment reaches past until: its rest is the head
+                head = (until, last, runs)
                 last = until - 1
-                head = (until, r_last, runs)
+            self._raise_runs(first, last, runs)
         self._head = head
-        if stretch is not None:
-            self._take_stretch(first, last, stretch)
         return until
 
-    def _take_stretch(self, first: int, last: int, runs: list) -> None:
-        """Raise a held stretch: runs, as the run table holds them, at
-        every tick from first to last, on lines the controller holds
-        back. Each line's raises meet one hold, so one raise_event call
-        per line takes them all, and one trace entry stands for their
-        records (see Trace)."""
+    def _raise_runs(self, first: int, last: int, runs: list) -> bool:
+        """Raise runs, as the run table holds them, at every tick from
+        first to last; True when a raise was delivered, which only a
+        step's tick (first == last) can have: the ticks _next_step takes
+        on the way meet only held lines. A run of count raises on one
+        line per tick is one raise_event call, which classifies the first
+        and finds every later one held as it is, or, after a delivery,
+        coalesced. The held runs between two delivered raises are one
+        held stretch (see Trace)."""
         ticks = last - first + 1
         if ticks == 1:  # the entry holds one int for both ends, not two
             last = first
         vic = self.vic
         suppressed = self.line_suppressed
-        taken = []
-        rows = 0
+        entries = []
+        taken = []  # the held runs since the last delivered raise
+        rows = extra = 0
+        delivered = False
         pairs = iter(runs)
         for line, count in zip(pairs, pairs):
+            task = self.line_task[line].id
             value = vic.raise_event(line, first, count * ticks)._value_
+            if value == _DELIVERED:
+                delivered = True
+                if taken:
+                    entries.append((last, _HELD, first, tuple(taken), rows,
+                                    ticks))
+                    extra += rows * ticks - 1
+                    taken = []
+                    rows = 0
+                entries.append(_record(TraceRecord,
+                                       (first, RAISE, line, task, None,
+                                        value)))
+                count -= 1
+                if not count:
+                    continue
+                value = _COALESCED
             suppressed[line] += count * ticks
-            taken += (line, self.line_task[line].id, value, count)
+            taken += (line, task, value, count)
             rows += 2 * count
-        self.trace._extend([(last, _HELD, first, tuple(taken), rows, ticks)],
-                           rows * ticks - 1)
+        if taken:
+            entries.append((last, _HELD, first, tuple(taken), rows, ticks))
+            extra += rows * ticks - 1
+        self.trace._extend(entries, extra)
+        return delivered
 
     def line_of(self, job: Job) -> str:
         return self.sched.tasks[job.task_id].line
@@ -1094,50 +1127,6 @@ class Engine:
                   detail=f"{kind}_expiry={due}")
         rank = 0 if kind == "window" else 1
         heapq.heappush(self.timers, (max(due, now), rank, line))
-
-    def _process_raises(self, t: int) -> bool:
-        """Raise the tick's occurrences; True when one was delivered.
-        A run of count raises on one line is one raise_event call, which
-        classifies the first. After a delivery, the rest of the run is
-        held as coalesced. The held runs between two delivered raises are
-        one held stretch of one tick (see Trace). Takes tick t off the
-        run table's head when the head starts at t: the rest of its
-        segment, if any, is the head then."""
-        r, last, runs = self._head
-        if r != t:
-            return False
-        self._head = (t + 1, last, runs) if last > t \
-            else next(self._table, _END)
-        entries = []
-        taken = []  # the held runs since the last delivered raise
-        rows = extra = 0
-        vic = self.vic
-        delivered = False
-        pairs = iter(runs)
-        for line, count in zip(pairs, pairs):
-            task = self.line_task[line].id
-            value = vic.raise_event(line, t, count)._value_
-            if value == _DELIVERED:
-                delivered = True
-                if taken:
-                    entries.append((t, _HELD, t, tuple(taken), rows, 1))
-                    extra += rows - 1
-                    taken = []
-                    rows = 0
-                entries.append(_record(TraceRecord,
-                                       (t, RAISE, line, task, None, value)))
-                count -= 1
-                if not count:
-                    continue
-                value = _COALESCED
-            self.line_suppressed[line] += count
-            taken += (line, task, value, count)
-            rows += 2 * count
-        if taken:
-            entries.append((t, _HELD, t, tuple(taken), rows, 1))
-            extra += rows - 1
-        self.trace._extend(entries, extra)
-        return delivered
 
     def _drain_deliverable(self, t: int) -> None:
         while True:

@@ -66,10 +66,11 @@ started before a stepped combination's resume tick d: had it been
 skipped, or settled by d, every combination after it up to that one
 would start at or after the settled tick and be skipped too. So it was
 stepped past d and snapshotted d on the way. When no deadline at all can
-fall due within the horizon (D > horizon), the first combination is
-settled after tick 0 and the check is vacuous (OoeCheckResult.vacuous);
-such an instance is decided before the bounds are asked, so one over a
-bound is feasible with no sweep.
+fall due within the horizon (D > horizon), every combination would be
+settled after tick 0 and the check is vacuous (OoeCheckResult.vacuous):
+such an instance is feasible with no sweep, its combinations counted
+when it is within the task and horizon bounds and not counted when it
+is over one, and its ticks_simulated, snapshots and patterns_built 0.
 
 patterns_checked is the 1-based product-order index of the first
 violating combination, or the number of combinations when the instance
@@ -644,9 +645,9 @@ def check_ooe_feasible(
     Raises ScenarioError when the task set or policy is invalid, and
     BoundsExceeded when the instance is too large to enumerate; the
     pattern count is checked before any pattern is built. A vacuous
-    instance (see OoeCheckResult.vacuous) is feasible whatever its size:
-    over a bound it is decided without the sweep, and over max_tasks or
-    max_horizon without a pattern count.
+    instance (see OoeCheckResult.vacuous) is feasible whatever its size
+    and is decided without the sweep: over max_tasks or max_horizon
+    without a pattern count.
     On a violation the witness pattern is replayed through the full
     engine; the resulting trace is attached to the verdict.
     """
@@ -684,10 +685,10 @@ def check_ooe_feasible(
                 f"breaches envelope ({task.envelope_n}, {task.envelope_w})"
             )
     total = math.prod(counts)
+    if vacuous:  # the sweep would count every combination, feasible
+        return OoeCheckResult(feasible=True, patterns_checked=total,
+                              horizon=horizon, vacuous=True)
     if total > bounds.max_patterns:
-        if vacuous:  # the sweep would count every combination, feasible
-            return OoeCheckResult(feasible=True, patterns_checked=total,
-                                  horizon=horizon, vacuous=True)
         raise BoundsExceeded(
             f"{total} pattern combinations exceed the enumeration bound "
             f"of {bounds.max_patterns}"
@@ -698,7 +699,6 @@ def check_ooe_feasible(
     result = OoeCheckResult(
         feasible=witness is None, patterns_checked=checked, horizon=horizon,
         ticks_simulated=ticks, patterns_built=built, snapshots=snapshots,
-        vacuous=vacuous,
     )
     if witness is None:
         return result

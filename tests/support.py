@@ -28,6 +28,7 @@ checker, the parser and the writers against them.
 """
 
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -84,6 +85,37 @@ def csv_oracle(trace) -> str:
 def json_oracle(metrics) -> str:
     """The metrics JSON as json.dumps writes it."""
     return json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def _sha256(text) -> str:
+    if isinstance(text, str):
+        text = text.encode("utf-8", "surrogatepass")
+    return hashlib.sha256(text).hexdigest()
+
+
+def assert_same_text(got, expected) -> None:
+    """assert got == expected for two texts, str or bytes, that may run to
+    megabytes, failing at once: pytest's diff of two such texts takes
+    minutes. Compares their sha256 digests first, then, only when those
+    agree, the texts themselves, so it fails on exactly the inputs ==
+    fails on (a str never equals a bytes). The failure names the digests,
+    the lengths and the first differing line, not the texts."""
+    digests = _sha256(got), _sha256(expected)
+    if digests[0] == digests[1] and got == expected:
+        return
+    head = (f"texts differ: sha256 {digests[0][:16]} and {digests[1][:16]}, "
+            f"{len(got)} and {len(expected)} long")
+    if type(got) is not type(expected):
+        raise AssertionError(f"{head}; a {type(got).__name__} is not a "
+                             f"{type(expected).__name__}")
+    newline = "\n" if isinstance(got, str) else b"\n"
+    lines, want = got.split(newline), expected.split(newline)
+    i = next((i for i, pair in enumerate(zip(lines, want))
+              if pair[0] != pair[1]), min(len(lines), len(want)))
+    shown = [repr(side[i])[:200] if i < len(side) else "no such line"
+             for side in (lines, want)]
+    raise AssertionError(f"{head}; first at line {i + 1}: {shown[0]} != "
+                         f"{shown[1]}")
 
 
 def window_violations(timestamps, n, w):

@@ -699,6 +699,10 @@ def test_check_notes_a_vacuous_instance(tmp_path, capsys):
                    "horizon 2, no deadline miss\n")
     assert err == ("note: no deadline can fall due within horizon 2, so "
                    "the check holds vacuously\n")
+    # counted, not swept: no tick stepped, no state saved, no list built
+    assert main(["check", "--scenario", scenario, "--verbose"]) == EXIT_OK
+    assert capsys.readouterr() == (out, err + (
+        "combinations=2 ticks=0 of 6 patterns_built=0 snapshots=0\n"))
     # at horizon 3 the low line's first job falls due at 3: no note
     obj["horizon"] = 3
     scenario = write_scenario(tmp_path, obj)

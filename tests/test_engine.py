@@ -1,3 +1,4 @@
+import bisect
 import gc
 import importlib.util
 import random
@@ -110,22 +111,14 @@ class CountedTicks:
         return next(self.ticks)
 
 
-def streamed_run_table(scenario):
-    """_run_table over the scenario's specs, read to its end: the table
-    as a dict of each tick's runs, and the segments of each window it
-    filled, in order. A step-1 range goes in as it is, which the table
-    reads as an interval; every other spec's ticks are counted as they
-    are read.
-
-    The segments are disjoint and ascending. The windows follow from the
-    raise ticks alone: each starts at the earliest raise tick at or
-    after the last one's end. Every segment lies in one window. The point
-    specs are read as a window that holds a point tick is filled, and
-    not while its segments are yielded. In a window where an interval
-    raises, no two contiguous segments carry equal runs; in any other,
-    each segment is one tick."""
+def read_stream(stream, scenario):
+    """stream(sources) over the scenario's specs, in interrupt order, read
+    to its end: each segment (first, last, runs) with the point ticks
+    read when it was yielded, checked to be ascending and disjoint; also
+    the interval ticks and the point ticks. A step-1 range goes in as it
+    is, which the table reads as an interval, and every other spec's
+    ticks are counted as they are read."""
     horizon, rank = scenario.resolved_horizon(), interrupt_rank(scenario)
-    window = engine_module._RAISE_WINDOW
     sources, counted, spanned, pointed = [], [], set(), set()
     for line, spec in sorted(scenario.workload, key=lambda ls: rank[ls[0]]):
         count, ticks = engine_module._raises(spec, horizon, scenario.seed)
@@ -136,34 +129,70 @@ def streamed_run_table(scenario):
             counted.append(ticks)
             pointed.update(generate_workload(spec, horizon, scenario.seed))
         sources.append((line, count, ticks))
-    stream = []
-    for first, last, runs in engine_module._run_table(sources):
+    out = []
+    for first, last, runs in stream(sources):
         assert first <= last
-        assert not stream or stream[-1][1] < first
-        stream.append((first, last, runs,
-                       sum(ticks.reads for ticks in counted)))
-    windows, reads = [], -1  # per window: its start, interval, segments
+        assert not out or out[-1][1] < first
+        out.append((first, last, runs,
+                    sum(ticks.reads for ticks in counted)))
+    return out, spanned, pointed
+
+
+def streamed_run_table(scenario):
+    """_run_pieces over the scenario's specs, read to its end: the table
+    as a dict of each tick's runs, and the pieces of each window it
+    filled, in order.
+
+    The pieces are disjoint and ascending. The windows follow from the
+    raise ticks alone: each starts at the earliest raise tick at or
+    after the last one's end. Every piece lies in one window. The point
+    specs are read as a window that holds a point tick is filled, and
+    not while its pieces are yielded. In a window where no interval
+    raises, each piece is one tick."""
+    window = engine_module._RAISE_WINDOW
+    stream, spanned, pointed = read_stream(engine_module._run_pieces,
+                                           scenario)
+    windows, reads = [], -1  # per window: its start, interval, pieces
     for first, last, runs, now in stream:
         if windows and first < windows[-1][0] + window:
             assert now == reads
-            start, mixed, segments = windows[-1]
-            before_last, before_runs = segments[-1][1:]
-            if mixed and before_last + 1 == first:
-                assert before_runs != runs
+            start, mixed, pieces = windows[-1]
         else:
-            start, segments = first, []
+            start, pieces = first, []
             ticks = range(start, start + window)
             mixed = not spanned.isdisjoint(ticks)
-            windows.append((start, mixed, segments))
+            windows.append((start, mixed, pieces))
             if not pointed.isdisjoint(ticks):
                 assert now > reads
         assert last < start + window
         assert mixed or first == last
-        segments.append((first, last, runs))
+        pieces.append((first, last, runs))
         reads = now
     table = {t: runs for first, last, runs, _ in stream
              for t in range(first, last + 1)}
-    return table, [segments for _, _, segments in windows]
+    return table, [pieces for _, _, pieces in windows]
+
+
+def joined_run_table(scenario):
+    """_run_table over the scenario's specs, read to its end, as a list
+    of segments (first, last, runs). They are ascending and disjoint, no
+    two contiguous ones carry equal runs, and they expand to the expanded
+    run table. Each is yielded before the table reads past the window of
+    the piece after it: the point ticks read by then are at most those
+    read when _run_pieces yields that piece."""
+    joined, _, _ = read_stream(engine_module._run_table, scenario)
+    pieces, _, _ = read_stream(engine_module._run_pieces, scenario)
+    starts = [first for first, _, _, _ in pieces]
+    for (_, last, runs, _), (first, _, more, _) in zip(joined, joined[1:]):
+        assert last + 1 < first or runs != more
+    for _, last, _, reads in joined:
+        after = bisect.bisect_right(starts, last)
+        assert reads <= (pieces[after][3] if after < len(pieces)
+                         else pieces[-1][3])
+    table = {t: runs for first, last, runs, _ in joined
+             for t in range(first, last + 1)}
+    assert table == expanded_run_table(scenario)
+    return [segment[:3] for segment in joined]
 
 
 def raise_windows(monkeypatch):
@@ -182,41 +211,75 @@ def assert_streamed_run_table(scenario):
     return table, windows
 
 
-def test_run_table_matches_the_expanded_workload(monkeypatch):
-    # a storm adds its rate at each tick, beside the raises of a burst
-    # or a periodic spec on the same line and of other lines
+def storms_beside_bursts():
+    """The storm scenarios of seeds 0-199 where a storm adds its rate at
+    each tick beside a burst on the same line."""
     both = [sc for sc in map(storm_scenario, range(200))
             if any(isinstance(a, Storm) and isinstance(b, Burst)
                    and la == lb
                    for la, a in sc.workload for lb, b in sc.workload)]
     assert len(both) >= 20
-    interleaved = scenario_monotonic(horizon=30)
-    interleaved.workload = [
+    return both
+
+
+def interleaved_scenario():
+    """Storms, bursts and a periodic spec on two lines, interleaved."""
+    sc = scenario_monotonic(horizon=30)
+    sc.workload = [
         ("l_low", Storm(4, 3)), ("l_high", Burst(2, 6, 1)),
         ("l_low", Burst(0, 8, 0)), ("l_high", Storm(20, 2)),
         ("l_low", Periodic(1, 5)), ("l_high", Storm(6, 1)),
         ("l_low", Burst(10, 12, 2)),
     ]
-    # a storm and a spacing-1 burst on one line, intervals across window
-    # seams, with a sporadic and an explicit spec raising inside them on
-    # that line, and a spacing-1 burst from before 0 on the other line
-    merged = scenario_monotonic(horizon=40)
-    merged.seed = 3
+    return sc
+
+
+def merged_scenario():
+    """A storm and a spacing-1 burst on one line, intervals across window
+    seams, with a sporadic and an explicit spec raising inside them on
+    that line, and a spacing-1 burst from before 0 on the other line:
+    every tick of its 40 raises."""
+    sc = scenario_monotonic(horizon=40)
+    sc.seed = 3
     sporadic = Sporadic(2, 0.5, 4)
-    merged.workload = [
+    sc.workload = [
         ("l_low", Storm(2, 2)), ("l_low", Burst(5, 20, 1)),
         ("l_low", sporadic), ("l_low", Explicit((6, 7, 7, 12, 30))),
         ("l_high", Burst(-4, 10, 1)), ("l_high", Explicit((3, 4, 10))),
     ]
     assert set(generate_workload(sporadic, 40, 3)).intersection(range(5, 25))
+    return sc
+
+
+def test_run_table_matches_the_expanded_workload(monkeypatch):
+    # a storm adds its rate at each tick, beside the raises of a burst
+    # or a periodic spec on the same line and of other lines
+    scenarios = storms_beside_bursts() + [interleaved_scenario()]
+    merged = merged_scenario()
     for window in raise_windows(monkeypatch):
-        for sc in both + [interleaved]:
+        for sc in scenarios:
             assert_streamed_run_table(sc)
         # every tick raises; in windows of more than one tick the
-        # intervals are read as intervals, in fewer segments than ticks
+        # intervals are read as intervals, in fewer pieces than ticks
         table, windows = assert_streamed_run_table(merged)
         assert len(table) == 40
         assert window == 1 or sum(map(len, windows)) < 40
+
+
+def test_run_table_yields_maximal_segments(monkeypatch):
+    # the pieces joined across window seams and point ticks: the same
+    # segments at every window, many of them longer than a window
+    scenarios = [*map(storm_scenario, range(200)), interleaved_scenario(),
+                 merged_scenario()]
+    seen = {}
+    crossed = 0
+    for window in raise_windows(monkeypatch):
+        for i, sc in enumerate(scenarios):
+            segments = joined_run_table(sc)
+            assert seen.setdefault(i, segments) == segments
+            crossed += any(last - first >= window
+                           for first, last, _ in segments)
+    assert crossed >= 600
 
 
 @pytest.mark.parametrize("w", [engine_module._RAISE_WINDOW, 4, 3, 1])
@@ -275,6 +338,17 @@ def test_engine_reads_the_run_table_to_its_end():
         engine = Engine(sc)
         engine.run()
         assert engine._head is engine_module._END
+
+
+def test_the_run_table_drops_the_spec_tuples():
+    # once the first window is filled, neither the table nor its pieces
+    # keep the sources they were built from
+    engine = Engine(one_task_scenario(
+        workload=[("l", Periodic(0, 3)), ("l", Storm(5, 1))],
+        horizon=10 ** 4))
+    table = engine._table.gi_frame.f_locals
+    assert "sources" not in table
+    assert "sources" not in table["pieces"].gi_frame.f_locals
 
 
 def test_engine_holds_no_whole_horizon_run_table():

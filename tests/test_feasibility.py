@@ -408,6 +408,10 @@ def assert_sweep_matches_product(ts, policy=None, horizon=None):
     result = check_ooe_feasible(ts, policy, horizon)
     assert (result.feasible, result.patterns_checked,
             result.witness_pattern) == product_check(ts, policy, horizon)
+    if result.vacuous:  # decided once counted: nothing stepped or built
+        assert (result.ticks_simulated, result.snapshots,
+                result.patterns_built) == (0, 0, 0)
+        return result
     assert 0 < result.ticks_simulated \
         <= result.patterns_checked * (result.horizon + 1)
     # a feasible sweep advances every slot that can, so it holds every
@@ -678,28 +682,48 @@ def test_cutoff_matches_product_on_shortened_horizons(monkeypatch):
         (stopped, skipped, late)
 
 
-@pytest.mark.parametrize("ts,horizon,checked,ticks", [
-    # periodic arrivals at 0 only: the first combination steps tick 0,
-    # and every later one resumes after it
+@pytest.mark.parametrize("ts,horizon,checked", [
+    # periodic arrivals at 0 only
     (TaskSet([envelope_task(2, 6, period=6, id="t0", line="l0"),
               envelope_task(2, 8, period=8, id="t1", line="l1",
-                            importance=1)]), 5, 25, 1),
-    # t1 is exception-only: of its 19 patterns the last 9 arrive at 0,
-    # so each of t0's 5 patterns steps tick 0 again when t1 first
-    # arrives there, and each wrap of t1 back to () does too (4 times)
+                            importance=1)]), 5, 25),
+    # t1 is exception-only, with 19 patterns
     (TaskSet([envelope_task(2, 6, period=6, id="t0", line="l0"),
               envelope_task(2, 4, period=INFINITE_PERIOD, deadline=6,
                             id="t1", line="l1", importance=1)]),
-     5, 95, 10),
+     5, 95),
 ], ids=["periodic", "exception_only"])
 def test_vacuous_instance_is_decided_at_tick_zero(ts, horizon, checked,
-                                                  ticks):
+                                                  monkeypatch):
+    # decided before the sweep: the combinations are counted, no tick is
+    # stepped, no state saved and no pattern list built
     result = assert_sweep_matches_product(ts, None, horizon)
     assert result.feasible and result.vacuous
     assert (result.patterns_checked, result.ticks_simulated,
-            result.snapshots) == (checked, ticks, 1)
+            result.snapshots, result.patterns_built) == (checked, 0, 0, 0)
     # one tick more and the shortest deadline (6) falls due within it
     assert not check_ooe_feasible(ts, None, 6).vacuous
+    monkeypatch.setattr(feasibility, "_sweep", None)
+    assert check_ooe_feasible(ts, None, horizon) == result
+
+
+def test_a_large_vacuous_instance_is_counted_not_swept(monkeypatch):
+    # two exception-only tasks due 20 ticks after each arrival, over
+    # horizon 16: 250 * 1873 combinations, none of them walked
+    def refused(*args):
+        raise AssertionError("a pattern built or a combination swept")
+
+    for name in ("_sweep", "_admissible_masks"):
+        monkeypatch.setattr(feasibility, name, refused)
+    ts = TaskSet([
+        envelope_task(1, 4, period=INFINITE_PERIOD, deadline=20, id="a",
+                      line="la"),
+        envelope_task(2, 6, period=INFINITE_PERIOD, deadline=20, id="b",
+                      line="lb", importance=1)])
+    result = check_ooe_feasible(ts, None, 16)
+    assert result.feasible and result.vacuous
+    assert (result.patterns_checked, result.ticks_simulated,
+            result.snapshots, result.patterns_built) == (468_250, 0, 0, 0)
 
 
 # the sweep's work counters and the step's cached facts
@@ -761,7 +785,8 @@ def test_sweep_snapshots_only_up_to_the_next_divergence_tick():
     for seed in range(120):
         ts, policy, horizon = random_check_instance(seed)
         result = check_ooe_feasible(ts, policy, horizon)
-        if result.feasible and result.patterns_checked > 1:
+        if result.feasible and result.patterns_checked > 1 \
+                and not result.vacuous:
             assert result.snapshots == expected_snapshots(
                 ts, policy, horizon), seed
             checked += 1

@@ -25,6 +25,7 @@ from envelopesim.cli import load_scenario
 from envelopesim.model import Task
 from support import (
     TickEngine,
+    assert_same_text,
     random_scenario,
     sparse_coincident_scenario,
     storm_scenario,
@@ -47,7 +48,7 @@ def assert_same_run(scenario):
     engine = Engine(scenario)
     trace, metrics = engine.run()
     ticked, ticked_metrics = TickEngine(scenario).run()
-    assert trace.to_csv_string() == ticked.to_csv_string()
+    assert_same_text(trace.to_csv_string(), ticked.to_csv_string())
     assert metrics.to_json_string() == ticked_metrics.to_json_string()
     return engine
 
@@ -186,7 +187,7 @@ def test_held_raises_are_not_steps():
     assert metrics.per_line["l"]["raised"] == 30_000
     assert metrics.per_line["l"]["suppressed"] == 30_000 - 1
     ticked, ticked_metrics = TickEngine(scenario).run()
-    assert trace.to_csv_string() == ticked.to_csv_string()
+    assert_same_text(trace.to_csv_string(), ticked.to_csv_string())
     assert metrics.to_json_string() == ticked_metrics.to_json_string()
 
 

@@ -6,6 +6,7 @@ stand for."""
 import csv
 import gc
 import io
+import itertools
 import json
 import math
 import random
@@ -37,8 +38,8 @@ from envelopesim import (
     run_scenario,
 )
 from envelopesim.cli import load_scenario
-from support import TickEngine, csv_oracle, json_oracle, random_scenario, \
-    storm_scenario
+from support import TickEngine, assert_same_text, csv_oracle, \
+    json_oracle, random_scenario, storm_scenario
 
 DEMO_SCENARIOS = sorted(
     (Path(__file__).parent.parent / "demos" / "scenarios").glob("*.json")
@@ -366,8 +367,8 @@ def test_a_quoted_storm_is_written_without_building_records(csv_chunk,
     with monkeypatch.context() as m:
         m.setattr(engine_module, "_expand", no_expand)
         text = trace.to_csv_string()
-        assert written(trace, tmp_path / "trace.csv") == text
-    assert text == csv_oracle(trace)
+        assert_same_text(written(trace, tmp_path / "trace.csv"), text)
+    assert_same_text(text, csv_oracle(trace))
     assert '"l,""1"""' in text
 
 
@@ -420,6 +421,42 @@ def assert_write_csv_streams(trace, path):
     assert peak < size / 8
 
 
+def same_text(got, expected) -> bool:
+    try:
+        assert_same_text(got, expected)
+    except AssertionError:
+        return False
+    return True
+
+
+def test_assert_same_text_fails_exactly_where_equality_does():
+    # every pair of texts of up to 3 characters of "a\n,", as str and as
+    # bytes, a str against its bytes, and unpaired surrogates
+    texts = ["".join(chars) for n in range(4)
+             for chars in itertools.product("a\n,", repeat=n)]
+    cases = [(a, b) for a in texts for b in texts]
+    cases += [(a.encode(), b.encode()) for a, b in cases]
+    cases += [(a, a.encode()) for a in texts]
+    cases += [("\ud800", "\ud800"), ("\ud800", "\udc00"), ("é", "é")]
+    for got, expected in cases:
+        assert same_text(got, expected) == (got == expected), (got, expected)
+
+
+def test_assert_same_text_names_the_first_differing_line():
+    # a storm probe's text with one character changed in its last row
+    text = run_scenario(storm_probe(3 * 10 ** 4))[0].to_csv_string()
+    assert len(text) > 5_000_000
+    rows = text.count("\n")
+    changed = text[:-3] + "X" + text[-2:]
+    with pytest.raises(AssertionError,
+                       match=f"; first at line {rows}: ") as failure:
+        assert_same_text(changed, text)
+    assert len(str(failure.value)) < 1000
+    with pytest.raises(AssertionError, match=f"first at line {rows + 1}: "
+                       "'' != no such line"):
+        assert_same_text(text, text[:-1])
+
+
 def test_write_csv_holds_one_chunk_beside_the_trace(tmp_path):
     trace, _ = run_scenario(storm_probe(3 * 10 ** 4))
     assert_write_csv_streams(trace, tmp_path / "trace.csv")
@@ -436,8 +473,8 @@ def test_the_quoted_csv_streams_and_leaves_held_runs_unexpanded(tmp_path):
     text = trace.to_csv_string()
     assert len(trace._entries) == entries
     expected = csv_oracle(trace)
-    assert text == expected
-    assert path.read_bytes().decode("utf-8") == expected
+    assert_same_text(text, expected)
+    assert_same_text(path.read_bytes().decode("utf-8"), expected)
 
 
 def test_to_csv_string_slices_entries_and_write_csv_bounds_rows(
@@ -459,7 +496,7 @@ def test_to_csv_string_slices_entries_and_write_csv_bounds_rows(
     assert [e for chunk in rendered for e in chunk] == trace._entries
     monkeypatch.setattr(engine_module, "_pieces", pieces)
     rendered.clear()
-    assert written(trace, tmp_path / "trace.csv") == text
+    assert_same_text(written(trace, tmp_path / "trace.csv"), text)
     rows = [sum(e[4] * e[5] if e[1] is engine_module._HELD else 1
                 for e in chunk) for chunk in rendered]
     assert sum(rows) == len(trace) == text.count("\n") - 1
@@ -480,7 +517,7 @@ def assert_streams_whole(trace, path):
     entries = list(trace._entries)
     assert_write_csv_streams(trace, path)
     assert trace._entries == entries
-    assert path.read_bytes().decode("utf-8") == csv_oracle(trace)
+    assert_same_text(path.read_bytes().decode("utf-8"), csv_oracle(trace))
 
 
 @QUOTING
