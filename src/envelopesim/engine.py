@@ -2,14 +2,14 @@
 
 Time is measured in integer ticks, but the engine only visits the time
 steps where something can happen (next-event time advance). At each
-visited step t it runs the phases in a fixed order:
+visited step t it runs, in a fixed order, the phases that have work at t:
 
-1. due timers (window expiries before episode decays, then line id);
+1. due timers, if any (window expiries before episode decays, then line id);
 2. the raises scheduled at t, in interrupt priority order;
 3. internalization of whatever the controller delivers, at steps where
    a raise was delivered: no other step leaves a line pending;
-4. finalization of overdue jobs (shed);
-5. due timers;
+4. finalization of the jobs whose deadline has come (shed), if any;
+5. due timers, if any;
 6. a schedule point, when anything above changed the ready set
    (dispatch plus, when enabled, recomputation of the interrupt
    priority level), repeated only after a round that backfilled, so
@@ -17,7 +17,7 @@ visited step t it runs the phases in a fixed order:
    engine keeps the scheduler's elevated set in step with the recorded
    episodes where an internalization, a decay timer or a window timer's
    unmask opens, moves or ends one, and each line's next-job priority,
-   updated at each release; the level is recomputed only when the
+   updated at each release; a round recomputes the level only when the
    running job or one of those priorities changed, by one bisection over
    an index of the priorities, rebuilt at the first recomputation after
    a release moved one.
@@ -79,6 +79,7 @@ from .model import (
     explicit_priority_map,
     hyperperiod,
     interrupt_order,
+    is_ticks,
     validate_task_set,
 )
 from .monitor import (
@@ -613,7 +614,7 @@ class Trace:
     character of _QUOTED (kinds are constants and details are built from
     ints and fixed words; a detail that names a task, as a DROP cause
     would, must extend this rule to its own text). It adds through
-    _append and _extend, which check nothing per record. append, extend
+    _add and _extend, which check no field's text. append, extend
     and reading records, whose list the caller may change, can bring in
     any string, so they drop the mark."""
 
@@ -644,11 +645,13 @@ class Trace:
     def append(self, rec: TraceRecord) -> None:
         """Append a record, whose fields may hold any string."""
         self._plain = False
-        self._append(rec)
+        self._add(*rec)
 
-    def _append(self, rec: TraceRecord) -> None:
+    def _add(self, time, kind, line="", task="", job=None, detail=""):
+        """Append the record of these fields: the engine's _log."""
+        rec = _record(TraceRecord, (time, kind, line, task, job, detail))
         entries = self._entries
-        if entries and rec.time < entries[-1][0]:
+        if entries and time < entries[-1][0]:
             raise _backwards(rec, entries[-1])
         entries.append(rec)
 
@@ -848,9 +851,16 @@ def _validate_scenario(scenario: Scenario) -> None:
             problems.append(f"workload references unknown line '{line}'")
     if scenario.horizon is not None and scenario.horizon < 1:
         problems.append(f"horizon must be positive, got {scenario.horizon}")
-    if scenario.policy.delta_th < 0:
+    policy = scenario.policy
+    if not is_ticks(policy.delta_th):
+        problems.append(
+            f"delta_th {policy.delta_th!r} is not an integer tick count")
+    elif policy.delta_th < 0:
         problems.append("delta_th must be >= 0")
-    assignment = scenario.policy.assignment
+    if not isinstance(policy.fault_policy, FaultPolicy):
+        problems.append(
+            f"fault_policy {policy.fault_policy!r} is not a FaultPolicy")
+    assignment = policy.assignment
     if assignment == "explicit":
         problems += [f"task {t.id}: explicit priority assignment requires "
                      f"a priority value"
@@ -899,6 +909,8 @@ class Engine:
         self.sched = Scheduler(self.task_set, self.pmap,
                                scenario.policy.delta_th)
         self.trace = Trace()
+        # appends a record of its arguments (see Trace._add)
+        self._log = self.trace._add
         # only an id can bring a character csv.writer quotes (see Trace)
         ids = "".join([t.line + t.id for t in self.task_set])
         self.trace._plain = not any([c in ids for c in _QUOTED])
@@ -930,6 +942,8 @@ class Engine:
         # decays (rank 1), then line id; a line has at most one window
         # entry, and equal decay entries are interchangeable
         self.timers: List[Tuple[int, int, str]] = []
+        # the earliest deadline of the jobs active at the last _next_step
+        self._due = _NEVER
         self.steps = 0
         # line -> the job whose finalization lifts its bottom-half mask;
         # the only record that a bottom-half mask is on
@@ -944,10 +958,6 @@ class Engine:
 
     # logging helpers
 
-    def _log(self, time, kind, line="", task="", job=None, detail=""):
-        self.trace._append(
-            _record(TraceRecord, (time, kind, line, task, job, detail)))
-
     def _alarm(self, time, line, kind: AlarmKind):
         self.alarms.append({"time": time, "line": line, "kind": kind.value})
         self._log(time, ALARM, line, self.line_task[line].id,
@@ -957,10 +967,12 @@ class Engine:
 
     def run(self) -> Tuple[Trace, Metrics]:
         sched = self.sched
+        timers = self.timers
         t = 0
         while True:
             self.steps += 1
-            self._process_timers(t)
+            if timers and timers[0][0] <= t:
+                self._process_timers(t)
             head = self._head
             if head[0] == t:  # take tick t off the head: its rest stays
                 _, last, runs = head
@@ -970,8 +982,13 @@ class Engine:
                 # raise leaves one for this step's drain
                 if self._raise_runs(t, t, runs):
                     self._drain_deliverable(t)
-            self._process_shed(t)
-            self._process_timers(t)
+            # a job released since _next_step took _due, by a drain or a
+            # backfill, is released at t with a deadline D >= C >= 1 ticks
+            # on: it falls due after t
+            if self._due <= t:
+                self._process_shed(t)
+            if timers and timers[0][0] <= t:
+                self._process_timers(t)
             if self._needs_dispatch:
                 self._schedule_point(t)
                 self._needs_dispatch = False
@@ -1000,22 +1017,28 @@ class Engine:
         """The earliest time after t at which anything can happen: a
         raise the controller would deliver, a timer, a deadline, the
         running job's completion after the pending kernel time, or the
-        horizon. The raise ticks before it, whose raises all meet held
-        lines, are taken on the way: until the next step nothing masks,
-        unmasks, moves the level or clears a pending bit, so they change
-        only the counters and the trace, and their records land before
-        the span's COMPLETE. For the same reason every raise of a line
-        meets the same hold on the way, so each segment of the run table
-        below the step, once its lines are found held, is one held
-        stretch, raised at once (see _raise_runs). A segment reaching
-        past the step leaves its rest, from the step on, as the head."""
+        horizon. It keeps the earliest active deadline as _due: the
+        next step sheds only when that deadline has come. The raise ticks
+        before the step, whose raises all meet held lines, are taken on
+        the way: until the next step nothing masks, unmasks, moves the
+        level or clears a pending bit, so they change only the counters
+        and the trace, and their records land before the span's
+        COMPLETE. For the same reason every raise of a line meets the
+        same hold on the way, so each segment of the run table below the
+        step, once its lines are found held, is one held stretch, raised
+        at once (see _raise_runs). A segment reaching past the step
+        leaves its rest, from the step on, as the head."""
         sched = self.sched
+        due = _NEVER
+        for job in sched.active:
+            if job.abs_deadline < due:
+                due = job.abs_deadline
+        self._due = due
         until = self.horizon
         if self.timers and self.timers[0][0] < until:
             until = self.timers[0][0]
-        for job in sched.active:
-            if job.abs_deadline < until:
-                until = job.abs_deadline
+        if due < until:
+            until = due
         running = sched.running
         if running is not None:
             done = t + sched.kernel_pending + running.remaining
@@ -1254,10 +1277,13 @@ class Engine:
         # max(d, now) when it is recorded, so every episode that has
         # decayed by t retired in _process_timers(t), which runs before
         # the point and after each backfilling round; an episode with an
-        # infinite decay time is live forever.
+        # infinite decay time is live forever. The level depends only on
+        # the running job and the cached line priorities: it stands while
+        # neither moved, since only _apply_ipl sets it.
+        sched = self.sched
         for _ in range(len(self.line_task) + 1):
-            target = self.sched.pick_next(t)
-            preempted, started = self.sched.dispatch(target, t)
+            target = sched.pick_next(t)
+            preempted, started = sched.dispatch(target, t)
             if preempted is not None:
                 self._log(t, PREEMPT, self.line_of(preempted),
                           preempted.task_id, preempted.seq,
@@ -1265,20 +1291,20 @@ class Engine:
             if started:
                 self._log(t, START, self.line_of(target), target.task_id,
                           target.seq, detail=f"remaining={target.remaining}")
-            if not (self.policy.ipl_optimization and self._apply_ipl(t)):
+            if not self.policy.ipl_optimization or (
+                    sched.running is self._ipl_running
+                    and self._ipl_index is not None) \
+                    or not self._apply_ipl(t):
                 return
             self._process_timers(t)
         raise EngineError(f"schedule point at t={t} did not stabilize")
 
     def _apply_ipl(self, t: int) -> bool:
         """Set the level the running job calls for; True if it backfilled.
-        The level depends only on the running job's priority and the
-        cached line priorities, and only this method sets it, so while
-        neither input changed the level in force is still right."""
+        The schedule point calls it only when the running job or a line
+        priority moved since the level was last computed."""
         running = self.sched.running
         index = self._ipl_index
-        if running is self._ipl_running and index is not None:
-            return False
         self._ipl_running = running
         if index is None:
             index = self._ipl_index = ipl_index(self._irq_order)

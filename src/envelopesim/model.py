@@ -137,6 +137,11 @@ class ValidationReport:
         return not self.problems
 
 
+def is_ticks(value) -> bool:
+    """True for a tick count the engine takes: an int, a bool excluded."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_task_set(task_set: TaskSet) -> ValidationReport:
     """Static sanity checks. Returns a report instead of raising so a
     caller can show every problem at once."""
@@ -164,6 +169,13 @@ def validate_task_set(task_set: TaskSet) -> ValidationReport:
                 problems.append(
                     f"task {t.id}: {name} {value} is not a whole number "
                     f"of ticks"
+                )
+        # a fractional wcet or deadline would put fractional times in traces
+        for name, value in (("wcet", t.wcet), ("deadline", t.deadline)):
+            if not is_ticks(value):
+                problems.append(
+                    f"task {t.id}: {name} {value!r} is not an integer tick "
+                    f"count"
                 )
         if t.deadline is not None and t.deadline < 1:
             problems.append(f"task {t.id}: zero or negative deadline")

@@ -2,6 +2,7 @@ import bisect
 import gc
 import importlib.util
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -28,6 +29,7 @@ from envelopesim import (
     TaskSet,
     Trace,
     TraceRecord,
+    check_ooe_feasible,
     generate_workload,
     ipl_index,
     run_scenario,
@@ -605,6 +607,45 @@ def test_fractional_period_or_window_is_refused():
     assert "envelope_w 3.5 is not a whole number of ticks" in str(exc.value)
 
 
+@pytest.mark.parametrize("task_kw, policy, field", [
+    ({}, Policy(delta_th=0.5), "delta_th 0.5"),
+    ({}, Policy(delta_th=True), "delta_th True"),
+    (dict(wcet=1.5), Policy(), "wcet 1.5"),
+    (dict(wcet=True), Policy(), "wcet True"),
+    (dict(deadline=5.5), Policy(), "deadline 5.5"),
+    (dict(deadline=2.0), Policy(), "deadline 2.0"),
+], ids=["delta_th", "delta_th_bool", "wcet", "wcet_bool", "deadline",
+        "deadline_float"])
+def test_fractional_or_bool_tick_counts_are_refused(task_kw, policy, field):
+    # each was run as fractional ticks: delta_th 0.5 completed at 2.5 and
+    # made the checker find its replay disagreeing, wcet 1.5 completed at
+    # 1.5 and deadline 5.5 was released with deadline=5.5
+    sc = one_task_scenario(task_kw=task_kw, policy=policy,
+                           workload=[("l", Explicit((0, 3)))], horizon=20)
+    message = re.escape(f"{field} is not an integer tick count")
+    with pytest.raises(ScenarioError, match=message):
+        run_scenario(sc)
+    with pytest.raises(ScenarioError, match=message):
+        check_ooe_feasible(sc.task_set, policy, horizon=20)
+
+
+def test_fault_policy_must_be_a_member():
+    # a string was run as permanent: this burst's auto-resume lifts the
+    # sensor fault, which a string never did
+    sc = one_task_scenario(task_kw=dict(envelope_n=2, envelope_w=10),
+                           workload=[("l", Burst(0, 15, 1))], horizon=40,
+                           policy=Policy(fault_policy=FaultPolicy.AUTO_RESUME))
+    _, metrics = run_scenario(sc)
+    assert metrics.alarms[-1]["kind"] == "sensor_resumed"
+    for value in ("auto_resume", "bogus", None):
+        policy = Policy(fault_policy=value)
+        message = re.escape(f"fault_policy {value!r} is not a FaultPolicy")
+        with pytest.raises(ScenarioError, match=message):
+            run_scenario(replace(sc, policy=policy))
+        with pytest.raises(ScenarioError, match=message):
+            check_ooe_feasible(sc.task_set, policy)
+
+
 def test_explicit_assignment_requires_priorities():
     sc = one_task_scenario(policy=Policy(assignment="explicit"),
                            workload=[], horizon=5)
@@ -843,20 +884,24 @@ def test_lines_are_served_by_importance_not_line_id():
 
 
 class RoundCountingEngine(Engine):
-    """Counts the IPL rounds (calls of _apply_ipl) of each schedule
-    point."""
+    """Counts the rounds of each schedule point: each round picks the job
+    to run once, while _apply_ipl is entered only in the rounds where the
+    running job or a line priority moved."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
         self.rounds = []
+        pick_next = self.sched.pick_next
+
+        def counted(t):
+            self.rounds[-1] += 1
+            return pick_next(t)
+
+        self.sched.pick_next = counted
 
     def _schedule_point(self, t):
         self.rounds.append(0)
         super()._schedule_point(t)
-
-    def _apply_ipl(self, t):
-        self.rounds[-1] += 1
-        return super()._apply_ipl(t)
 
 
 def test_schedule_point_rounds_stay_under_the_derived_cap():
@@ -943,6 +988,33 @@ def test_ipl_wide_computes_each_level_once(monkeypatch):
     for scenario in bench_batch("ipl_wide", 0):
         run_scenario(scenario)
     assert calls == {"compute_ipl": 5025, "ipl_index": 420}
+
+
+# per seed-0 batch, how often a run enters the timer, shed and IPL
+# phases. Entered at every step, they were (2316, 1158, 0) on sparse_long,
+# (9344, 4672, 0) on storm_defense and (13097, 6438, 6543) on ipl_wide
+PHASE_ENTRIES = {
+    "sparse_long": (0, 0, 0),
+    "storm_defense": (3901, 18, 0),
+    "ipl_wide": (1646, 4, 5025),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PHASE_ENTRIES))
+def test_phases_are_entered_only_when_due(name, monkeypatch):
+    # a timer phase only with a timer due, a shed only with a deadline
+    # come, a level computation only after the running job or a line
+    # priority moved
+    phases = ("_process_timers", "_process_shed", "_apply_ipl")
+    calls = dict.fromkeys(phases, 0)
+    for phase in phases:
+        def counted(self, t, _phase=phase, _fn=getattr(Engine, phase)):
+            calls[_phase] += 1
+            return _fn(self, t)
+        monkeypatch.setattr(Engine, phase, counted)
+    for scenario in bench_batch(name, 0):
+        run_scenario(scenario)
+    assert tuple(calls.values()) == PHASE_ENTRIES[name]
 
 
 def test_schedule_points_do_not_poll_monitors_or_priorities(monkeypatch):

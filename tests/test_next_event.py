@@ -10,6 +10,7 @@ import pytest
 
 from envelopesim import (
     Engine,
+    Explicit,
     FaultPolicy,
     Periodic,
     Policy,
@@ -24,6 +25,7 @@ import envelopesim.engine as engine_module
 from envelopesim.cli import load_scenario
 from envelopesim.model import Task
 from support import (
+    ConfirmingEngine,
     TickEngine,
     assert_same_text,
     random_scenario,
@@ -189,6 +191,87 @@ def test_held_raises_are_not_steps():
     ticked, ticked_metrics = TickEngine(scenario).run()
     assert_same_text(trace.to_csv_string(), ticked.to_csv_string())
     assert metrics.to_json_string() == ticked_metrics.to_json_string()
+
+
+# The run enters the timer, shed and IPL phases only at steps where
+# something is due; each edge below must still match the tick loop
+
+def line_task(id, importance, wcet, n=2, w=10, deadline=None):
+    return Task(id=id, wcet=wcet, period=10, importance=importance,
+                line=f"l{id}", envelope_n=n, envelope_w=w, deadline=deadline)
+
+
+def kinds_at(trace, time):
+    return [(r.kind, r.task) for r in trace.records if r.time == time]
+
+
+def test_a_deadline_at_a_step_a_timer_sets_is_shed():
+    # lo's window expiry and deadline fall at 8, where nothing is raised
+    # and nothing completes
+    scenario = Scenario(
+        task_set=TaskSet([line_task("hi", 2, 6),
+                          line_task("lo", 1, 5, n=1, w=8, deadline=8)]),
+        workload=[("lhi", Explicit((0,))), ("llo", Explicit((0,)))],
+        horizon=12)
+    engine = assert_same_run(scenario)
+    assert kinds_at(engine.trace, 8) == [("UNMASK", "lo"), ("MISS", "lo")]
+
+
+def test_a_deadline_at_the_horizon_is_shed():
+    scenario = Scenario(
+        task_set=TaskSet([line_task("hi", 2, 6),
+                          line_task("lo", 1, 5, deadline=8)]),
+        workload=[("lhi", Explicit((0,))), ("llo", Explicit((0,)))],
+        horizon=8)
+    engine = assert_same_run(scenario)
+    assert kinds_at(engine.trace, 8) == [("MISS", "lo")]
+
+
+def test_a_job_completing_on_its_deadline_tick_is_not_shed():
+    # one tick of top-half time and three of execution: done at 4
+    scenario = Scenario(task_set=TaskSet([line_task("t", 1, 3, deadline=4)]),
+                        policy=Policy(delta_th=1),
+                        workload=[("lt", Explicit((0,)))], horizon=10)
+    engine = assert_same_run(scenario)
+    assert kinds_at(engine.trace, 4) == [("COMPLETE", "t")]
+
+
+def test_a_backfill_release_beside_a_due_job():
+    # a's completion at 4 lifts its bottom-half mask and backfills the
+    # raise held at 2, a release at 4, where b's deadline falls
+    scenario = Scenario(
+        task_set=TaskSet([line_task("a", 2, 4),
+                          line_task("b", 1, 2, deadline=4)]),
+        policy=Policy(mask_until_bottom_half=True),
+        workload=[("la", Explicit((0, 2))), ("lb", Explicit((0,)))],
+        horizon=10)
+    engine = assert_same_run(scenario)
+    at_4 = kinds_at(engine.trace, 4)
+    assert at_4.index(("RELEASE", "a")) < at_4.index(("MISS", "b"))
+
+
+def test_an_ipl_point_where_the_running_job_comes_back():
+    # k preempts j at 3; j comes back at 5 and leaves again in the same
+    # point for m, whose raise the level held back, and comes back at 6.
+    # Each return recomputes the level
+    scenario = Scenario(
+        task_set=TaskSet([line_task("j", 1, 6, n=3), line_task("m", 2, 1),
+                          line_task("k", 3, 2)]),
+        policy=Policy(ipl_optimization=True),
+        workload=[("lj", Explicit((0, 2))), ("lk", Explicit((3,))),
+                  ("lm", Explicit((4,)))],
+        horizon=20)
+    engine = assert_same_run(scenario)
+    trace = engine.trace
+    assert kinds_at(trace, 5) == [
+        ("COMPLETE", "k"), ("START", "j"), ("IPL_SET", ""),
+        ("INTERNALIZE", "m"), ("RELEASE", "m"), ("PREEMPT", "j"),
+        ("START", "m"), ("IPL_SET", "")]
+    assert kinds_at(trace, 6) == [
+        ("COMPLETE", "m"), ("START", "j"), ("IPL_SET", "")]
+    # the schedule point as a fixed-point loop that computes every level
+    confirmed, _ = ConfirmingEngine(scenario).run()
+    assert_same_text(trace.to_csv_string(), confirmed.to_csv_string())
 
 
 def test_execute_tick_serves_a_span():
