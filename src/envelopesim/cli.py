@@ -63,7 +63,7 @@ from .engine import (
     _validate_scenario,
 )
 from .feasibility import BoundsExceeded, FeasibilityError, check_ooe_feasible
-from .model import INFINITE_PERIOD, Task, TaskSet
+from .model import FIELD_RULES, INFINITE_PERIOD, Task, TaskSet
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -78,9 +78,14 @@ EXIT_BOUNDS = 5
 # so a typo cannot silently fall back to a default
 
 
-def _expect(noun: str, accept: type, reject=bool):
+# the scalar readers test a value with the rule the library gate applies
+# to its annotation (model.FIELD_RULES), as the gate does, and refuse it
+# in their own words
+def _expect(noun: str, annotation):
+    accepts, _, exact = FIELD_RULES[annotation]
+
     def read(value, where: str, key: str):
-        if isinstance(value, reject) or not isinstance(value, accept):
+        if type(value) not in exact and not accepts(value):
             raise ScenarioError(
                 [f"{where}.{key}: expected {noun}, got {value!r}"])
         return value
@@ -88,12 +93,13 @@ def _expect(noun: str, accept: type, reject=bool):
 
 
 _as_int = _expect("an integer", int)
-_as_bool = _expect("a boolean", bool, ())
+_as_bool = _expect("a boolean", bool)
 _as_str = _expect("a string", str)
+_is_number, _, _NUMBERS = FIELD_RULES[float]
 
 
 def _as_float(value, where: str, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in _NUMBERS and not _is_number(value):
         raise ScenarioError([f"{where}.{key}: expected a number"])
     return float(value)
 
@@ -300,7 +306,7 @@ def cmd_run(args) -> int:
         1 for a in metrics.alarms if a["kind"] == "sensor_fault"
     )
     print(
-        f"horizon={scenario.resolved_horizon()} records={len(trace)} "
+        f"horizon={engine.horizon} records={len(trace)} "
         f"misses={misses} drops={drops} sensor_faults={faults}"
     )
     if misses:

@@ -77,9 +77,9 @@ from .model import (
     TaskSet,
     assign_importance_monotonic,
     explicit_priority_map,
+    field_problems,
     hyperperiod,
     interrupt_order,
-    is_ticks,
     validate_task_set,
 )
 from .monitor import (
@@ -185,6 +185,8 @@ class Explicit:
 
 
 WorkloadSpec = Union[Periodic, Sporadic, Burst, Storm, Explicit]
+# the spec classes: isinstance tests a tuple of them in C, a Union in Python
+_SPECS = WorkloadSpec.__args__
 
 
 def _raises(spec: WorkloadSpec, horizon: int, seed: int = 0):
@@ -265,7 +267,11 @@ def estimate_raises(spec: WorkloadSpec, horizon: int) -> int:
     lists, counted without listing them; for a sporadic spec, horizon:
     its random draws, at most one per tick, bound its raises, and none is
     taken. An invalid spec raises its ScenarioError."""
-    count, ticks = _raises(spec, horizon)
+    return _raise_count(spec, *_raises(spec, horizon), horizon)
+
+
+def _raise_count(spec: WorkloadSpec, count: int, ticks, horizon: int) -> int:
+    """What estimate_raises counts for spec, from its expansion."""
     return horizon if isinstance(spec, Sporadic) else count * len(ticks)
 
 
@@ -843,23 +849,44 @@ class Metrics:
             fh.write(self.to_json_string())
 
 
-def _validate_scenario(scenario: Scenario) -> None:
-    problems = list(validate_task_set(scenario.task_set).problems)
+def _validate_scenario(scenario: Scenario) -> Tuple[int, list]:
+    """Refuse a scenario that cannot be simulated, with a ScenarioError
+    that carries every problem found, or else return what the engine is
+    built from: the horizon, and each workload entry's raise source
+    (line, count, ticks), its spec expanded by _raises once, with the
+    scenario's seed. The gate goes first: every field of the scenario,
+    its task set, tasks, policy and workload specs must pass the rule of
+    its annotation (model.field_problems), and each workload entry must
+    be a (line, spec) pair. The value rules run only on what passed it.
+    An invalid spec raises its own ScenarioError, the first in scenario
+    order, once everything else is valid."""
+    problems = field_problems(scenario) \
+        or field_problems(scenario.task_set, "task set: ")
+    if problems:
+        raise ScenarioError(problems)
+    policy = scenario.policy
+    problems = field_problems(policy)
+    for entry in scenario.workload:
+        if isinstance(entry, tuple) and len(entry) == 2 \
+                and isinstance(entry[0], str) \
+                and isinstance(entry[1], _SPECS):
+            problems += field_problems(
+                entry[1], f"{type(entry[1]).__name__.lower()} workload: ")
+        else:
+            problems.append(
+                f"workload entry {entry!r} is not a (line, spec) pair")
+    report = validate_task_set(scenario.task_set)
+    if problems or not report.typed:
+        raise ScenarioError(report.problems + problems)
+    problems = report.problems
     lines = {t.line for t in scenario.task_set}
     for line, spec in scenario.workload:
         if line not in lines:
             problems.append(f"workload references unknown line '{line}'")
     if scenario.horizon is not None and scenario.horizon < 1:
         problems.append(f"horizon must be positive, got {scenario.horizon}")
-    policy = scenario.policy
-    if not is_ticks(policy.delta_th):
-        problems.append(
-            f"delta_th {policy.delta_th!r} is not an integer tick count")
-    elif policy.delta_th < 0:
+    if policy.delta_th < 0:
         problems.append("delta_th must be >= 0")
-    if not isinstance(policy.fault_policy, FaultPolicy):
-        problems.append(
-            f"fault_policy {policy.fault_policy!r} is not a FaultPolicy")
     assignment = policy.assignment
     if assignment == "explicit":
         problems += [f"task {t.id}: explicit priority assignment requires "
@@ -867,18 +894,21 @@ def _validate_scenario(scenario: Scenario) -> None:
                      for t in scenario.task_set if t.priority is None]
     elif assignment != "importance_monotonic":
         problems.append(f"unknown priority assignment '{assignment}'")
-    if not problems and scenario.workload:
-        horizon = scenario.resolved_horizon()
-        raises = sum(estimate_raises(spec, horizon)
-                     for _, spec in scenario.workload)
-        if raises > MAX_WORKLOAD_RAISES:
-            problems.append(
-                f"the workload expands to {raises} raises (sporadic lines "
-                f"count one draw per tick) over horizon {horizon}, above "
-                f"the limit of {MAX_WORKLOAD_RAISES}"
-            )
     if problems:
         raise ScenarioError(problems)
+    horizon = scenario.resolved_horizon()
+    sources, raises = [], 0
+    for line, spec in scenario.workload:
+        count, ticks = _raises(spec, horizon, scenario.seed)
+        raises += _raise_count(spec, count, ticks, horizon)
+        sources.append((line, count, ticks))
+    if raises > MAX_WORKLOAD_RAISES:
+        raise ScenarioError([
+            f"the workload expands to {raises} raises (sporadic lines "
+            f"count one draw per tick) over horizon {horizon}, above "
+            f"the limit of {MAX_WORKLOAD_RAISES}"
+        ])
+    return horizon, sources
 
 
 def select_priority_map(task_set: TaskSet, policy: Policy) -> PriorityMap:
@@ -890,10 +920,9 @@ def select_priority_map(task_set: TaskSet, policy: Policy) -> PriorityMap:
 
 class Engine:
     def __init__(self, scenario: Scenario):
-        self._validate(scenario)
+        self.horizon, sources = _validate_scenario(scenario)
         self.scenario = scenario
         self.policy = scenario.policy
-        self.horizon = scenario.resolved_horizon()
         self.task_set = scenario.task_set
         self.line_task: Dict[str, Task] = {t.line: t for t in self.task_set}
         # irq = importance + 1: level 0 must mean "nothing suppressed"
@@ -933,10 +962,9 @@ class Engine:
         # (first, last, runs) or what is left of it, or _END; reading the
         # head fills the first window
         rank = self._irq_rank
-        self._table = _run_table(sorted(
-            ((line, *_raises(spec, self.horizon, scenario.seed))
-             for line, spec in scenario.workload),
-            key=lambda source: rank[source[0]]))
+        sources.sort(key=lambda source: rank[source[0]])
+        self._table = _run_table(sources)
+        del sources  # the table alone holds the spec tuples, and drops them
         self._head = next(self._table, _END)
         # (due, rank, line): window expiries (rank 0) before episode
         # decays (rank 1), then line id; a line has at most one window
@@ -952,9 +980,6 @@ class Engine:
         self.line_internalized = {l: 0 for l in self.line_task}
         self.line_suppressed = {l: 0 for l in self.line_task}
         self.line_top_half = {l: 0 for l in self.line_task}
-
-    def _validate(self, scenario: Scenario) -> None:
-        _validate_scenario(scenario)
 
     # logging helpers
 

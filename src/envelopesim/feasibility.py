@@ -94,8 +94,9 @@ first advances, so a sweep that stops early builds few patterns;
 patterns_built counts those it holds at the end.
 
 The violating combination is confirmed by a reference_verdicts run from
-t=0 and replayed through the full engine to produce the witness trace;
-both must show the miss. An independent re-implementation of the rules,
+t=0 and replayed through the full engine, a plain Engine that validates
+its scenario like any other run, to produce the witness trace; both must
+show the miss. An independent re-implementation of the rules,
 the product loop that simulated every combination from t=0, and the
 enumeration that built each pattern as a tuple of event times, the
 oracles the tests compare against, live in tests/support.py.
@@ -579,19 +580,6 @@ def _sweep(
             arrive_at(i, changed)
 
 
-class _Replay(Engine):
-    """The engine for a pattern replay. Its scenario is built from a task
-    set, policy and horizon the caller has validated, and only its trace
-    is read: it does not validate them again, and run returns no
-    metrics."""
-
-    def _validate(self, scenario: Scenario) -> None:
-        pass
-
-    def _metrics(self) -> None:
-        return None
-
-
 # each job's verdict from the last of its records of these kinds
 _VERDICT_OF_KIND = {
     RELEASE: INCOMPLETE,
@@ -608,9 +596,9 @@ def engine_verdicts(
     horizon: int,
 ) -> Tuple[Dict[Tuple[str, int], str], Trace]:
     """Replay one arrival pattern through the full engine and classify
-    every released job from the trace. The task set, policy and horizon
-    must be valid, as check_ooe_feasible makes sure: the replay does not
-    validate them again."""
+    every released job from the trace. The replay is a plain engine run:
+    the scenario it builds is validated like any other, and an invalid
+    one raises ScenarioError."""
     tasks = {t.id: t for t in task_set}
     workload = [
         (tasks[tid].line, Explicit(times=tuple(times)))
@@ -619,17 +607,16 @@ def engine_verdicts(
     scenario = Scenario(
         task_set=task_set, policy=policy, workload=workload, horizon=horizon
     )
-    trace, _ = _Replay(scenario).run()
+    trace, _ = Engine(scenario).run()
     verdicts = {(rec.task, rec.job): _VERDICT_OF_KIND[rec.kind]
                 for rec in trace.of_kind(*_VERDICT_OF_KIND)}
     return verdicts, trace
 
 
-def _normalized_policy(policy: Optional[Policy]) -> Policy:
+def _normalized_policy(policy: Policy) -> Policy:
     """The feasibility question is about arrival patterns, therefore the
     deferral optimizations are switched off for the check. Top-half cost
     stays, it is load rather than an optimization."""
-    policy = policy if policy is not None else Policy()
     return replace(policy, ipl_optimization=False, mask_until_bottom_half=False)
 
 
@@ -642,19 +629,22 @@ def check_ooe_feasible(
     """Exhaustively decide whether every admissible arrival pattern meets
     all deadlines, sanctioned drops aside.
 
-    Raises ScenarioError when the task set or policy is invalid, and
-    BoundsExceeded when the instance is too large to enumerate; the
-    pattern count is checked before any pattern is built. A vacuous
-    instance (see OoeCheckResult.vacuous) is feasible whatever its size
-    and is decided without the sweep: over max_tasks or max_horizon
-    without a pattern count.
+    Raises ScenarioError when the task set, policy or horizon is invalid,
+    a field of the wrong type included, as the engine would refuse it;
+    the policy is checked as given, before the deferral optimizations are
+    switched off. Raises BoundsExceeded when the instance is too large to
+    enumerate; the pattern count is checked before any pattern is built.
+    A vacuous instance (see OoeCheckResult.vacuous) is feasible whatever
+    its size and is decided without the sweep: over max_tasks or
+    max_horizon without a pattern count.
     On a violation the witness pattern is replayed through the full
     engine; the resulting trace is attached to the verdict.
     """
-    policy = _normalized_policy(policy)
+    policy = policy if policy is not None else Policy()
     _validate_scenario(
         Scenario(task_set=task_set, policy=policy, horizon=horizon)
     )
+    policy = _normalized_policy(policy)
     if horizon is None:
         horizon = hyperperiod(task_set)
     pmap = select_priority_map(task_set, policy)

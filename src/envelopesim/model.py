@@ -14,11 +14,14 @@ W ticks. Event sources that exceed the envelope are throttled and
 eventually declared faulty by the monitor layer.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from collections import abc
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional
+from itertools import chain
+from typing import Dict, List, Mapping, Optional, Tuple, get_origin
 
 TimeInstant = int
 Duration = int
@@ -87,7 +90,9 @@ class Task:
                     f"task {self.id}: an explicit deadline is required when "
                     f"the period is infinite"
                 )
-            object.__setattr__(self, "deadline", int(self.period))
+            # any other period is the gate's to report (validate_task_set)
+            if _is_whole(self.period):
+                object.__setattr__(self, "deadline", int(self.period))
 
     @property
     def exception_only(self) -> bool:
@@ -131,6 +136,8 @@ def utilization(task_set: TaskSet) -> Fraction:
 @dataclass
 class ValidationReport:
     problems: list
+    # False when the gate refused a type, and so no value rule ran
+    typed: bool = True
 
     @property
     def valid(self) -> bool:
@@ -142,10 +149,86 @@ def is_ticks(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_whole(value) -> bool:
+    """True for a finite number without a fractional part."""
+    return _is_number(value) and value % 1 == 0
+
+
+_TICKS = "an integer tick count"
+_WHOLE_TICKS = "a whole number of ticks"
+
+# The one rule each field annotation sets for its values, as (accepts,
+# noun, exact): what a value must pass, what a refusal says it is not,
+# and the types whose every value passes, which the gate takes without a
+# call. A field keyed by (class, name) has its own rule. The library gate
+# (field_problems) and the CLI's readers test with these.
+FIELD_RULES = {
+    int: (is_ticks, _TICKS, {int}),
+    Optional[int]: (lambda v: v is None or is_ticks(v), _TICKS,
+                    {int, type(None)}),
+    float: (_is_number, "a number", {int, float}),
+    str: (lambda v: isinstance(v, str), "a string", {str}),
+    bool: (lambda v: isinstance(v, bool), "a boolean", {bool}),
+    Tuple[int, ...]: (lambda v: isinstance(v, tuple)
+                      and all(map(is_ticks, v)),
+                      "a tuple of integer tick counts", ()),
+    Mapping[int, int]: (lambda v: isinstance(v, (dict, abc.Mapping)) and (
+                            not v or all(map(is_ticks, chain(v, v.values())))),
+                        "a mapping of integers to integers", ()),
+    # a task's period and window set episode decay times, which the decay
+    # timer fires on whole ticks; a period may also be infinite
+    (Task, "period"): (lambda v: v == INFINITE_PERIOD or _is_whole(v),
+                       _WHOLE_TICKS, {int}),
+    (Task, "envelope_w"): (is_ticks, _WHOLE_TICKS, {int}),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _field_rules(cls) -> tuple:
+    """(name, accepts, noun, exact) for each field of the dataclass cls:
+    its own rule, else its annotation's, else the instances of the
+    annotation's class (an Enum, TaskSet, Policy, the list of a List)."""
+    return tuple((f.name, *(FIELD_RULES.get((cls, f.name))
+                            or FIELD_RULES.get(f.type)
+                            or _instances(get_origin(f.type) or f.type)))
+                 for f in fields(cls))
+
+
+def _instances(kind: type):
+    return (lambda v: isinstance(v, kind)), f"a {kind.__name__}", {kind}
+
+
+def field_problems(obj, where: str = "") -> List[str]:
+    """The gate: a problem, prefixed by where, for each field of the
+    dataclass obj whose value its rule refuses."""
+    problems = []
+    for name, accepts, noun, exact in _field_rules(type(obj)):
+        value = getattr(obj, name)
+        if type(value) not in exact and not accepts(value):
+            problems.append(f"{where}{name} {value!r} is not {noun}")
+    return problems
+
+
 def validate_task_set(task_set: TaskSet) -> ValidationReport:
     """Static sanity checks. Returns a report instead of raising so a
-    caller can show every problem at once."""
+    caller can show every problem at once. The gate goes first: every
+    task must be a Task whose fields pass their rules (field_problems).
+    The value rules run only on a task set that does; one that does not
+    gets a report of its type problems, not typed."""
     problems = []
+    for t in task_set:
+        if isinstance(t, Task):
+            problems += field_problems(t, f"task {t.id}: ")
+        else:
+            problems.append(f"task set entry {t!r} is not a Task")
+    if problems:
+        return ValidationReport(problems, typed=False)
+    if not len(task_set):
+        problems.append("the task set holds no task")
     hp = None
     if all(t.exception_only or t.period >= 1 for t in task_set):
         hp = hyperperiod(task_set)
@@ -161,30 +244,13 @@ def validate_task_set(task_set: TaskSet) -> ValidationReport:
             problems.append(f"task {t.id}: wcet must be at least 1 tick")
         if not t.exception_only and t.period < 1:
             problems.append(f"task {t.id}: zero or negative period")
-        # episode decay times are period or window ticks after an
-        # internalization, and the decay timer fires on whole ticks
-        for name, value in (("period", t.period),
-                            ("envelope_w", t.envelope_w)):
-            if value != INFINITE_PERIOD and value != int(value):
-                problems.append(
-                    f"task {t.id}: {name} {value} is not a whole number "
-                    f"of ticks"
-                )
-        # a fractional wcet or deadline would put fractional times in traces
-        for name, value in (("wcet", t.wcet), ("deadline", t.deadline)):
-            if not is_ticks(value):
-                problems.append(
-                    f"task {t.id}: {name} {value!r} is not an integer tick "
-                    f"count"
-                )
-        if t.deadline is not None and t.deadline < 1:
+        if t.deadline < 1:
             problems.append(f"task {t.id}: zero or negative deadline")
-        if t.deadline is not None and t.wcet > t.deadline:
+        if t.wcet > t.deadline:
             problems.append(
                 f"task {t.id}: wcet {t.wcet} exceeds deadline {t.deadline}"
             )
-        if not t.exception_only and t.deadline is not None \
-                and t.deadline > t.period:
+        if not t.exception_only and t.deadline > t.period:
             problems.append(
                 f"task {t.id}: deadline {t.deadline} exceeds period "
                 f"{int(t.period)}"

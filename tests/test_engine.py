@@ -646,6 +646,115 @@ def test_fault_policy_must_be_a_member():
             check_ooe_feasible(sc.task_set, policy)
 
 
+@pytest.mark.parametrize("task_kw, scenario_kw, message, checked", [
+    (dict(envelope_n=1.5), {},
+     "task t: envelope_n 1.5 is not an integer tick count", True),
+    (dict(importance=1.5), {},
+     "task t: importance 1.5 is not an integer tick count", True),
+    (dict(response="notify_running"), {},
+     "task t: response 'notify_running' is not a ResponseOption", True),
+    ({}, dict(policy=Policy(ipl_optimization="yes")),
+     "ipl_optimization 'yes' is not a boolean", True),
+    ({}, dict(workload=[("l", Explicit((1.5,)))]),
+     "explicit workload: times (1.5,) is not a tuple of integer tick "
+     "counts", False),
+    ({}, dict(seed=1.0), "seed 1.0 is not an integer tick count", False),
+    (dict(wcet="x"), {}, "task t: wcet 'x' is not an integer tick count",
+     True),
+    (dict(id=7), {}, "task 7: id 7 is not a string", True),
+    (dict(priority="hi"), {},
+     "task t: priority 'hi' is not an integer tick count", True),
+    ({}, dict(horizon=10.5), "horizon 10.5 is not an integer tick count",
+     True),
+    ({}, dict(workload=[("l", Periodic(0, 2.5))]),
+     "periodic workload: period 2.5 is not an integer tick count", False),
+    ({}, dict(workload=[("l", Storm(0, "3"))]),
+     "storm workload: rate '3' is not an integer tick count", False),
+    (dict(job_priority_overrides={0: "x"}), {},
+     "task t: job_priority_overrides {0: 'x'} is not a mapping of "
+     "integers to integers", True),
+], ids=["envelope_n", "importance", "response", "ipl_optimization",
+        "explicit_times", "seed", "wcet_str", "id", "priority", "horizon",
+        "periodic_period", "storm_rate", "override_value"])
+def test_wrong_typed_fields_are_refused_before_simulation(
+        task_kw, scenario_kw, message, checked):
+    # the first six ran, as fractional counts, as release_all, with the
+    # IPL on or with another random stream; the others escaped as a
+    # TypeError from the first comparison or sum that met them
+    kw = dict(workload=[("l", Explicit((0, 3)))], horizon=20)
+    kw.update(scenario_kw)
+    sc = one_task_scenario(task_kw=task_kw, **kw)
+    with pytest.raises(ScenarioError) as exc:
+        run_scenario(sc)
+    assert exc.value.problems == [message]
+    if checked:  # the field reaches the checker too
+        with pytest.raises(ScenarioError) as exc:
+            check_ooe_feasible(sc.task_set, sc.policy, sc.horizon)
+        assert exc.value.problems == [message]
+
+
+def test_a_float_seed_would_draw_another_stream():
+    # the scenario seed keys the sporadic draws as text, so seed 1.0 drew
+    # another stream than seed 1, and ran it without a word
+    spec = Sporadic(1, 0.5, 0)
+    assert generate_workload(spec, 40, 1) != generate_workload(spec, 40, 1.0)
+    sc = one_task_scenario(workload=[("l", spec)], horizon=40, seed=1.0)
+    with pytest.raises(ScenarioError, match=re.escape(
+            "seed 1.0 is not an integer tick count")):
+        run_scenario(sc)
+
+
+def test_a_response_string_is_refused_not_run_as_release_all():
+    # the string was run as release_all: no job was notified, where the
+    # member notifies the live job of the second, out-of-envelope event
+    kw = dict(wcet=3, envelope_n=3, envelope_w=10)
+    work = dict(workload=[("l", Explicit((0, 1)))], horizon=10)
+    notified, _ = run_scenario(one_task_scenario(
+        task_kw=dict(kw, response=ResponseOption.NOTIFY_RUNNING), **work))
+    released, _ = run_scenario(one_task_scenario(task_kw=kw, **work))
+    assert notified.of_kind("NOTIFY") and not released.of_kind("NOTIFY")
+    with pytest.raises(ScenarioError, match="response 'notify_running'"):
+        run_scenario(one_task_scenario(
+            task_kw=dict(kw, response="notify_running"), **work))
+
+
+def test_a_non_numeric_period_leaves_the_deadline_to_the_gate():
+    # the default deadline was int(period), which raised a bare ValueError
+    # from the constructor
+    task = Task(id="t", wcet=1, period="x", importance=0, line="l",
+                envelope_n=1, envelope_w=1)
+    assert task.deadline is None
+    sc = Scenario(task_set=TaskSet([task]), horizon=5)
+    with pytest.raises(ScenarioError, match=re.escape(
+            "task t: period 'x' is not a whole number of ticks")):
+        run_scenario(sc)
+
+
+def test_engine_expands_each_spec_once_and_replays_on_a_plain_engine(
+        monkeypatch):
+    # validation expands each spec and hands the expansion to the engine,
+    # which expanded every spec a second time
+    expanded, built = [], []
+    expand, init = engine_module._raises, Engine.__init__
+
+    def counted_expand(spec, *args):
+        expanded.append(spec)
+        return expand(spec, *args)
+
+    def recorded_init(self, scenario):
+        built.append(type(self))
+        init(self, scenario)
+
+    monkeypatch.setattr(engine_module, "_raises", counted_expand)
+    sc = scenario_monotonic()
+    Engine(sc)
+    assert expanded == [spec for _, spec in sc.workload]
+    # a witness replay is an ordinary, validating engine run
+    monkeypatch.setattr(Engine, "__init__", recorded_init)
+    result = check_ooe_feasible(sc.task_set, sc.policy)
+    assert not result.feasible and built == [Engine]
+
+
 def test_explicit_assignment_requires_priorities():
     sc = one_task_scenario(policy=Policy(assignment="explicit"),
                            workload=[], horizon=5)
