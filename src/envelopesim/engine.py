@@ -189,31 +189,46 @@ WorkloadSpec = Union[Periodic, Sporadic, Burst, Storm, Explicit]
 _SPECS = WorkloadSpec.__args__
 
 
+def _spec_problems(spec) -> List[str]:
+    """Every problem of a workload spec, the one rule set for specs: an
+    unknown kind; else the gate (model.field_problems) on its fields;
+    else, only once they pass, the first of its value rules it breaks.
+    _raises expands only a spec with none."""
+    if not isinstance(spec, _SPECS):
+        return [f"unknown workload spec {spec!r}"]
+    where = f"{type(spec).__name__.lower()} workload: "
+    problems = field_problems(spec, where)
+    if problems:
+        return problems
+    if isinstance(spec, Periodic) and spec.period < 1:
+        return [f"{where}period {spec.period} < 1"]
+    if isinstance(spec, Sporadic):
+        if not 0.0 < spec.density <= 1.0:
+            return [f"{where}density {spec.density} outside (0, 1]"]
+        if spec.min_sep < 1:
+            return [f"{where}min_sep {spec.min_sep} < 1"]
+    if isinstance(spec, Burst) and (spec.spacing < 0 or spec.count < 0):
+        return [f"{where}negative count or spacing"]
+    if isinstance(spec, Storm) and spec.rate < 1:
+        return [f"{where}rate {spec.rate} < 1"]
+    return problems
+
+
 def _raises(spec: WorkloadSpec, horizon: int, seed: int = 0):
     """What a workload spec raises over [0, horizon), as (count, ticks):
     count raises at each of the ticks, in ascending order, an explicit
-    spec's repeated time listed once per raise. The only place a spec is
-    checked and expanded; an invalid spec raises ScenarioError. A
-    sporadic spec's ticks are drawn as they are read."""
+    spec's repeated time listed once per raise; every kind but sporadic
+    and explicit as a range. The only place a spec is expanded, and only
+    one that _spec_problems passes. A sporadic spec's ticks are drawn as
+    they are read."""
     if isinstance(spec, Periodic):
-        if spec.period < 1:
-            raise ScenarioError([f"periodic workload: period {spec.period} < 1"])
         # a negative offset keeps its phase, as a burst's at does
         return 1, range(max(spec.offset, spec.offset % spec.period),
                         horizon, spec.period)
     if isinstance(spec, Sporadic):
-        if not (0.0 < spec.density <= 1.0):
-            raise ScenarioError(
-                [f"sporadic workload: density {spec.density} outside (0, 1]"]
-            )
-        if spec.min_sep < 1:
-            raise ScenarioError(
-                [f"sporadic workload: min_sep {spec.min_sep} < 1"])
         return 1, _sporadic_ticks(spec, horizon, seed)
     if isinstance(spec, Burst):
         at, step = spec.at, spec.spacing
-        if step < 0 or spec.count < 0:
-            raise ScenarioError(["burst workload: negative count or spacing"])
         if not step:  # all count raises at the one tick at, if any
             return spec.count, (range(max(0, at), min(horizon, at + 1))
                                 if spec.count else range(0))
@@ -222,12 +237,8 @@ def _raises(spec: WorkloadSpec, horizon: int, seed: int = 0):
         return 1, range(at if at >= 0 else at % step,
                         min(horizon, at + spec.count * step), step)
     if isinstance(spec, Storm):
-        if spec.rate < 1:
-            raise ScenarioError([f"storm workload: rate {spec.rate} < 1"])
         return spec.rate, range(max(0, spec.start), horizon)
-    if isinstance(spec, Explicit):
-        return 1, sorted(t for t in spec.times if 0 <= t < horizon)
-    raise ScenarioError([f"unknown workload spec {spec!r}"])
+    return 1, sorted(t for t in spec.times if 0 <= t < horizon)
 
 
 def _sporadic_ticks(spec: Sporadic, horizon: int, seed: int):
@@ -248,31 +259,34 @@ def _sporadic_ticks(spec: Sporadic, horizon: int, seed: int):
 def generate_workload(spec: WorkloadSpec, horizon: int,
                       seed: int = 0) -> List[int]:
     """Expand a workload spec into a sorted list of raise times inside
-    [0, horizon), a tick repeated once per raise at it."""
+    [0, horizon), a tick repeated once per raise at it. A spec that
+    breaks a rule is refused, before any expansion, with a ScenarioError
+    that carries its problems."""
+    problems = _spec_problems(spec)
+    if problems:
+        raise ScenarioError(problems)
     count, ticks = _raises(spec, horizon, seed)
     return [t for t in ticks for _ in range(count)]
 
 
 # The most raises a scenario's workload may expand to, counting a sporadic
-# line's random draws, one per tick, as raises; estimate_raises counts
-# them before the engine reads any spec. The engine spends a few
-# microseconds per raise and, once the records are read, holds one or
-# two trace records per raise, so the limit keeps a run to seconds and
-# hundreds of megabytes.
+# line's random draws, one per tick, as raises; _raise_count counts them
+# before the engine reads any spec. The engine spends a few microseconds
+# per raise and, once the records are read, holds one or two trace
+# records per raise, so the limit keeps a run to seconds and hundreds of
+# megabytes.
 MAX_WORKLOAD_RAISES = 1_000_000
 
 
-def estimate_raises(spec: WorkloadSpec, horizon: int) -> int:
-    """Exactly the number of raise times generate_workload(spec, horizon)
-    lists, counted without listing them; for a sporadic spec, horizon:
-    its random draws, at most one per tick, bound its raises, and none is
-    taken. An invalid spec raises its ScenarioError."""
-    return _raise_count(spec, *_raises(spec, horizon), horizon)
-
-
 def _raise_count(spec: WorkloadSpec, count: int, ticks, horizon: int) -> int:
-    """What estimate_raises counts for spec, from its expansion."""
-    return horizon if isinstance(spec, Sporadic) else count * len(ticks)
+    """The raises the limit counts for spec, from its expansion (count,
+    ticks): horizon for a sporadic spec, whose random draws, at most one
+    per tick, bound its raises; else every raise generate_workload lists,
+    a range's ticks counted from its ends, since len() overflows past
+    sys.maxsize, an explicit spec's list from its length."""
+    if type(ticks) is range:
+        return count * max(0, (ticks.stop - ticks.start - 1) // ticks.step + 1)
+    return horizon if isinstance(spec, Sporadic) else len(ticks)
 
 
 @dataclass
@@ -855,11 +869,11 @@ def _validate_scenario(scenario: Scenario) -> Tuple[int, list]:
     built from: the horizon, and each workload entry's raise source
     (line, count, ticks), its spec expanded by _raises once, with the
     scenario's seed. The gate goes first: every field of the scenario,
-    its task set, tasks, policy and workload specs must pass the rule of
-    its annotation (model.field_problems), and each workload entry must
-    be a (line, spec) pair. The value rules run only on what passed it.
-    An invalid spec raises its own ScenarioError, the first in scenario
-    order, once everything else is valid."""
+    its task set, tasks and policy must pass the rule of its annotation
+    (model.field_problems), each workload entry must be a (line, spec)
+    pair, and each spec must have no problem (_spec_problems), so the
+    problems of every spec are reported at once, beside the task set's.
+    The other value rules run only on what passed it."""
     problems = field_problems(scenario) \
         or field_problems(scenario.task_set, "task set: ")
     if problems:
@@ -868,10 +882,8 @@ def _validate_scenario(scenario: Scenario) -> Tuple[int, list]:
     problems = field_problems(policy)
     for entry in scenario.workload:
         if isinstance(entry, tuple) and len(entry) == 2 \
-                and isinstance(entry[0], str) \
-                and isinstance(entry[1], _SPECS):
-            problems += field_problems(
-                entry[1], f"{type(entry[1]).__name__.lower()} workload: ")
+                and isinstance(entry[0], str):
+            problems += _spec_problems(entry[1])
         else:
             problems.append(
                 f"workload entry {entry!r} is not a (line, spec) pair")

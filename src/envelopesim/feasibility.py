@@ -198,7 +198,14 @@ def admissible_patterns(task: Task, horizon: int) -> List[Tuple[int, ...]]:
     each pattern as a bitmask that this converts to a tuple.
 
     Returns an empty list when even the normal pattern breaches the
-    envelope (a self-contradictory task definition)."""
+    envelope (a self-contradictory task definition). A task that
+    model.validate_task_set refuses alone is refused with a
+    ScenarioError, through the engine's scenario validation; its
+    job_priority_overrides, which the patterns do not read and whose
+    keys its task set's hyperperiod ranges, are left out."""
+    if isinstance(task, Task):
+        task = replace(task, job_priority_overrides={})
+    _validate_scenario(Scenario(task_set=TaskSet([task])))
     return [_times_of(mask) for mask in _admissible_masks(task, horizon)]
 
 
@@ -269,29 +276,20 @@ def count_admissible_patterns(task: Task, horizon: int) -> int:
 def check_normal(task_set: TaskSet,
                  policy: Optional[Policy] = None) -> NormalCheckResult:
     """Simulate synchronous periodic arrivals over one hyperperiod and
-    report the first deadline miss."""
+    report the first deadline miss. The task set and policy go through
+    the engine's intake before the hyperperiod is derived from them: an
+    invalid one is refused with a ScenarioError."""
     policy = policy if policy is not None else Policy()
+    _validate_scenario(Scenario(task_set=task_set, policy=policy))
     horizon = hyperperiod(task_set)
-    workload = [
-        (t.line, Periodic(offset=0, period=int(t.period)))
-        for t in task_set
-        if not t.exception_only
-    ]
-    scenario = Scenario(
-        task_set=task_set, policy=policy, workload=workload, horizon=horizon
-    )
-    trace, metrics = run_scenario(scenario)
-    witness = None
-    for rec in trace.of_kind(MISS):
-        witness = (rec.task, rec.job, rec.time)
-        break
-    return NormalCheckResult(
-        feasible=witness is None,
-        horizon=horizon,
-        witness=witness,
-        trace=trace,
-        metrics=metrics,
-    )
+    workload = [(t.line, Periodic(0, int(t.period)))
+                for t in task_set if not t.exception_only]
+    trace, metrics = run_scenario(
+        Scenario(task_set, policy, workload, horizon))
+    witness = next(((r.task, r.job, r.time) for r in trace.of_kind(MISS)),
+                   None)
+    return NormalCheckResult(feasible=witness is None, horizon=horizon,
+                             witness=witness, trace=trace, metrics=metrics)
 
 
 class _CheckerState:

@@ -133,6 +133,12 @@ def utilization(task_set: TaskSet) -> Fraction:
     return total
 
 
+def _jobs_per_hyperperiod(task: Task, hp: int) -> int:
+    """The jobs task releases per hyperperiod hp, at least 1: the modulus
+    of its job_priority_overrides keys."""
+    return 1 if task.exception_only else max(1, hp // int(task.period))
+
+
 @dataclass
 class ValidationReport:
     problems: list
@@ -289,7 +295,7 @@ def validate_task_set(task_set: TaskSet) -> ValidationReport:
             seen_priorities.setdefault(t.priority, t.id)
         if hp is not None:
             # overrides are keyed by seq mod k, so other keys never apply
-            k = 1 if t.exception_only else max(1, hp // int(t.period))
+            k = _jobs_per_hyperperiod(t, hp)
             for key in sorted(t.job_priority_overrides):
                 if not 0 <= key < k:
                     problems.append(
@@ -343,10 +349,7 @@ def explicit_priority_map(task_set: TaskSet) -> PriorityMap:
         base[t.id] = t.priority
         if t.job_priority_overrides:
             overrides[t.id] = dict(t.job_priority_overrides)
-        if t.exception_only:
-            modulus[t.id] = 1
-        else:
-            modulus[t.id] = max(1, hp // int(t.period))
+        modulus[t.id] = _jobs_per_hyperperiod(t, hp)
     return PriorityMap(base=base, overrides=overrides, seq_modulus=modulus)
 
 

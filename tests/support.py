@@ -445,19 +445,22 @@ def _oracle_burst_indices(spec, horizon: int) -> range:
 def oracle_estimate_raises(spec, horizon: int) -> int:
     """A second ladder over the spec kinds, counting raises from the spec
     alone: a sporadic spec counts its draws, an explicit spec every time
-    it lists, and a spec oracle_generate_workload rejects 0."""
+    it lists, and a spec oracle_generate_workload rejects 0. Counts are
+    taken by arithmetic, not len(), so they may pass sys.maxsize."""
     if isinstance(spec, Periodic):
         if spec.period < 1:
             return 0
         first = spec.offset \
             + max(0, -(spec.offset // spec.period)) * spec.period
-        return len(range(first, horizon, spec.period))
+        return max(0, -((first - horizon) // spec.period))
     if isinstance(spec, Sporadic):
         return horizon if spec.min_sep >= 1 and 0 < spec.density <= 1 \
             else 0
     if isinstance(spec, Burst):
-        return len(_oracle_burst_indices(spec, horizon)) \
-            if spec.spacing >= 0 and spec.count >= 0 else 0
+        if spec.spacing < 0 or spec.count < 0:
+            return 0
+        indices = _oracle_burst_indices(spec, horizon)
+        return max(0, indices.stop - indices.start)
     if isinstance(spec, Storm):
         return max(0, spec.rate) * max(0, horizon - max(0, spec.start))
     if isinstance(spec, Explicit):

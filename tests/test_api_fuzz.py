@@ -1,9 +1,11 @@
 """Seeded fuzz of the library API: the demo scenarios, parsed, then
 mutated in their dataclass fields and in their structure, go through
-`Engine`, `run_scenario` and `check_ooe_feasible`. A wrong-typed field
-must be refused with ScenarioError before any simulation; nothing else
-may escape but the checker's BoundsExceeded and FeasibilityError, and
-each call is bounded in time, as in the CLI fuzz."""
+`Engine`, `run_scenario`, `check_ooe_feasible` and `check_normal`, their
+workload specs through `generate_workload` and their tasks through
+`admissible_patterns`. A wrong-typed field must be refused with
+ScenarioError before any simulation; nothing else may escape but the
+checker's BoundsExceeded and FeasibilityError, and each call is bounded
+in time, as in the CLI fuzz."""
 
 import dataclasses
 import random
@@ -19,11 +21,16 @@ from envelopesim import (
     ResponseOption,
     ScenarioError,
     TaskSet,
+    admissible_patterns,
+    check_normal,
     check_ooe_feasible,
+    generate_workload,
     run_scenario,
 )
 from envelopesim.cli import load_scenario
-from test_cli_fuzz import CALL_LIMIT, DEMOS, time_limit
+from envelopesim.model import is_ticks
+from support import oracle_estimate_raises
+from test_cli_fuzz import CALL_LIMIT, DEMOS, WORD_EDGES, time_limit
 
 MUTANTS_PER_DEMO = 60
 # values of every other type, and edges of the right ones
@@ -31,7 +38,7 @@ ODD_VALUES = ["x", "3", "release_all", "notify_running", "auto_resume",
               "permanent", 1.5, 2.0, -0.5, float("nan"), float("inf"),
               True, False, None, [], [1], {}, {0: 1}, (), (1, 2.5),
               FaultPolicy.AUTO_RESUME, ResponseOption.NOTIFY_RUNNING,
-              Periodic(0, 3), Policy(), 0, -1, 10 ** 9]
+              Periodic(0, 3), Policy(), 0, -1, 10 ** 9, *WORD_EDGES]
 # workload entries that are not (line, spec) pairs
 ODD_ENTRIES = [("l",), ("l", Periodic(0, 3), 1), ["l", Periodic(0, 3)],
                "l", Periodic(0, 3), (3, Periodic(0, 3)), ("l", "periodic")]
@@ -39,6 +46,11 @@ ODD_ENTRIES = [("l",), ("l", Periodic(0, 3), 1), ["l", Periodic(0, 3)],
 # before it normalizes them
 ODD_POLICIES = [{"assignment": "explicit"}, "permanent", 0,
                 FaultPolicy.PERMANENT]
+# the most raise times generate_workload may list for a fuzzed spec; a
+# spec that could list more is expanded over an empty horizon instead
+MAX_LISTED = 10 ** 5
+# admissible_patterns enumerates up to 2**horizon patterns
+PATTERN_HORIZON = 8
 
 
 def other_value(rng, value):
@@ -96,6 +108,24 @@ def mutate(rng, scenario):
     return scenario
 
 
+def listed(items):
+    """items, where a change left it a list, else no items."""
+    return items if isinstance(items, list) else []
+
+
+def expansion_horizon(spec, horizon):
+    """The mutant's horizon, if it is a tick count over which spec, were
+    it accepted, lists at most MAX_LISTED raise times; else 0, over which
+    every spec lists none and is still checked."""
+    if not is_ticks(horizon):
+        return 0
+    try:
+        count = oracle_estimate_raises(spec, horizon)
+    except TypeError:  # a field of the wrong type, which the gate refuses
+        return horizon
+    return horizon if count <= MAX_LISTED else 0
+
+
 def attempt(fn, *args, **kwargs):
     """What fn(*args) did: "ok", or the type of what it raised, which
     must be one a wrong input may raise."""
@@ -125,5 +155,17 @@ def test_mutated_scenarios_raise_only_scenario_error():
             seen.add(attempt(check_ooe_feasible, scenario.task_set,
                              scenario.policy, scenario.horizon,
                              bounds=bounds))
+            seen.add(attempt(check_normal, scenario.task_set,
+                             scenario.policy))
+            entries, tasks = listed(scenario.workload), listed(
+                getattr(scenario.task_set, "tasks", None))
+            for entry in entries:
+                if isinstance(entry, tuple) and len(entry) == 2:
+                    seen.add(attempt(generate_workload, entry[1],
+                                     expansion_horizon(entry[1],
+                                                       scenario.horizon)))
+            for task in tasks:
+                seen.add(attempt(admissible_patterns, task,
+                                 PATTERN_HORIZON))
     # the mutants are refused, but some reach the simulation and the check
     assert {"ok", "ScenarioError"} <= seen, seen

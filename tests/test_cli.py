@@ -358,6 +358,41 @@ def test_run_refuses_an_oversized_workload_before_expanding_it(
         assert f"expands to {raises} raises" in capsys.readouterr().err
 
 
+def huge_horizon_obj():
+    obj = two_task_obj()
+    obj["workload"] = [{"kind": "periodic", "line": "l_low", "offset": 0,
+                        "period": 1}]
+    obj["horizon"] = 2 ** 63
+    return obj
+
+
+def prime_periods_obj():
+    """Five tasks with prime periods near 10^4, a storm, no horizon."""
+    periods = [10007, 10009, 10037, 10039, 10061]
+    return {
+        "tasks": [{"id": f"t{i}", "C": 1, "T": p, "importance": i,
+                   "line": f"l{i}", "n": 5, "W": 5}
+                  for i, p in enumerate(periods)],
+        "workload": [{"kind": "storm", "line": "l0", "start": 0,
+                      "rate": 1}],
+    }
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("make,raises", [
+    (huge_horizon_obj, 2 ** 63), (prime_periods_obj, 203076706819437990903),
+], ids=["horizon_2_63", "prime_periods"])
+def test_a_workload_longer_than_sys_maxsize_exits_invalid(
+        tmp_path, capsys, command, make, raises):
+    # len() of such a range raised OverflowError, a traceback
+    scenario = write_scenario(tmp_path, make())
+    assert main([command, "--scenario", scenario]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: the workload expands to {raises} "
+                          f"raises"), err
+    assert "above the limit" in err and "Traceback" not in out + err
+
+
 def test_run_refuses_a_repeated_key(tmp_path, capsys):
     # json.loads would keep the last of the two and drop the first unseen
     text = json.dumps(two_task_obj()).replace('"C": 2', '"C": 1, "C": 3', 1)

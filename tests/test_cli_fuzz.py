@@ -25,6 +25,8 @@ CHECK_CODES = {cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_VIOLATION,
 # seconds a single call may take; the mutants take milliseconds
 CALL_LIMIT = 10
 KINDS = ["periodic", "sporadic", "burst", "storm", "explicit", "gust"]
+# integers past a 64-bit word, where a range's len() overflows
+WORD_EDGES = [2 ** 63, 2 ** 64, -2 ** 63]
 
 
 class Hung(BaseException):
@@ -57,15 +59,16 @@ def slots(node):
 def other_value(rng, value, key):
     """A value for an int slot: mostly a neighbour or a multiple, else an
     edge of its range, a large number, or one of another type. A horizon
-    stays small."""
+    stays small but for the edges of a 64-bit integer."""
     if key == "horizon":
-        return rng.choice([0, -1, 1, 2, 5, 12, 24, 1.5, "8", None, True])
+        return rng.choice([0, -1, 1, 2, 5, 12, 24, 1.5, "8", None, True,
+                           *WORD_EDGES])
     if isinstance(value, bool) or not isinstance(value, int):
         value = 1
     if rng.random() < 0.7:
         return rng.choice([value - 1, value + 1, 2 * value, value // 2, 0, 1])
-    return rng.choice([-1, 10 ** 9, -10 ** 9, 2.5, float("inf"), "3", None,
-                       True, [], {}])
+    return rng.choice([-1, 10 ** 9, -10 ** 9, *WORD_EDGES, 2.5,
+                       float("inf"), "3", None, True, [], {}])
 
 
 def mutate(rng, obj):

@@ -3,6 +3,7 @@ import gc
 import importlib.util
 import random
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -36,7 +37,7 @@ from envelopesim import (
 )
 from envelopesim.cli import parse_scenario
 import envelopesim.engine as engine_module
-from envelopesim.engine import _validate_scenario, estimate_raises
+from envelopesim.engine import _validate_scenario
 from envelopesim.model import interrupt_order
 from conftest import scenario_monotonic, scenario_override, \
     scenario_override_burst
@@ -71,8 +72,10 @@ def test_first_invalid_workload_in_scenario_order_is_reported():
     # scenario order: the less important line's error comes first
     sc = scenario_monotonic()
     sc.workload = [("l_low", Periodic(0, 0)), ("l_high", Storm(0, 0))]
-    with pytest.raises(ScenarioError, match="periodic workload"):
+    with pytest.raises(ScenarioError) as exc:
         Engine(sc)
+    assert exc.value.problems == ["periodic workload: period 0 < 1",
+                                  "storm workload: rate 0 < 1"]
 
 
 def interrupt_rank(scenario):
@@ -481,13 +484,20 @@ def test_scenario_validation_collects_problems():
         assert fragment in text
 
 
+def limit_count(spec, horizon):
+    """The raises the workload limit counts for a valid spec over
+    horizon, from its expansion."""
+    return engine_module._raise_count(
+        spec, *engine_module._raises(spec, horizon), horizon)
+
+
 def test_raise_estimates_need_no_generation():
-    assert estimate_raises(Periodic(-5, 4), 10) == 2
-    assert estimate_raises(Sporadic(2, 0.5, 42), 60) == 60
-    assert estimate_raises(Burst(8, 4, 1), 10) == 2
-    assert estimate_raises(Burst(3, 10 ** 12, 0), 10) == 10 ** 12
-    assert estimate_raises(Storm(1, 3), 4) == 9
-    assert estimate_raises(Explicit((9, 2, -1, 30)), 10) == 2
+    assert limit_count(Periodic(-5, 4), 10) == 2
+    assert limit_count(Sporadic(2, 0.5, 42), 60) == 60
+    assert limit_count(Burst(8, 4, 1), 10) == 2
+    assert limit_count(Burst(3, 10 ** 12, 0), 10) == 10 ** 12
+    assert limit_count(Storm(1, 3), 4) == 9
+    assert limit_count(Explicit((9, 2, -1, 30)), 10) == 2
     # a burst far longer than the horizon expands only its in-range part
     assert generate_workload(Burst(-3, 10 ** 12, 2), 6) == [1, 3, 5]
 
@@ -553,16 +563,26 @@ def test_workload_matches_the_ladder_oracle():
         expected = outcome(oracle_generate_workload, spec, horizon, seed)
         got = outcome(generate_workload, spec, horizon, seed)
         assert got == expected, (spec, horizon, seed)
-        estimate = outcome(estimate_raises, spec, horizon)
         if isinstance(got, list):
             kinds.add(type(spec))
-            assert estimate == (horizon if isinstance(spec, Sporadic)
-                                else len(got)), (spec, horizon)
+            count = limit_count(spec, horizon)
+            assert count == (horizon if isinstance(spec, Sporadic)
+                             else len(got)), (spec, horizon)
             if not isinstance(spec, Explicit):
-                assert estimate == oracle_estimate_raises(spec, horizon)
-        else:  # the estimate refuses the spec as the expansion does
-            assert estimate == got, (spec, horizon)
+                assert count == oracle_estimate_raises(spec, horizon)
     assert kinds == {Periodic, Sporadic, Burst, Storm, Explicit}
+    # ranges longer than sys.maxsize, whose len() overflows, are counted
+    # from their ends
+    huge = 4 * sys.maxsize
+    for spec, horizon in [
+            (Periodic(0, 1), 2 ** 63), (Periodic(-7, 3), huge),
+            (Periodic(5, 2), 2 ** 65 + 1), (Storm(-3, 2), huge),
+            (Storm(2 ** 63, 5), 2 ** 64), (Burst(0, 2 ** 70, 1), huge),
+            (Burst(-9, 2 ** 66, 3), 2 ** 65), (Burst(1, 2 ** 64, 0), 2),
+            (Sporadic(1, 0.5, 0), huge)]:
+        count = limit_count(spec, horizon)
+        assert count > sys.maxsize, (spec, horizon)
+        assert count == oracle_estimate_raises(spec, horizon), (spec, horizon)
 
 
 def test_run_table_matches_the_ladder_oracle(monkeypatch):
@@ -596,6 +616,66 @@ def test_oversized_workload_is_refused_before_expansion():
     with pytest.raises(ScenarioError, match=r"expands to 1000000001000000 "
                        r"raises .* over horizon 1000000, above the limit"):
         _validate_scenario(sc)
+
+
+def prime_periods_storm():
+    """Five tasks whose periods are primes near 10^4, a storm on one,
+    and no horizon: the resolved horizon, twice the hyperperiod plus the
+    widest window, is about 2 * 10^20 ticks."""
+    periods = [10007, 10009, 10037, 10039, 10061]
+    return Scenario(task_set=TaskSet([
+        Task(id=f"t{i}", wcet=1, period=p, importance=i, line=f"l{i}",
+             envelope_n=5, envelope_w=5) for i, p in enumerate(periods)]),
+        workload=[("l0", Storm(0, 1))])
+
+
+def test_a_workload_longer_than_sys_maxsize_is_refused_by_the_limit():
+    # such a range has no len(), which raised OverflowError
+    for sc, raises in [
+            (one_task_scenario(workload=[("l", Periodic(0, 1))],
+                               horizon=2 ** 63), 2 ** 63),
+            (prime_periods_storm(), 203076706819437990903)]:
+        for build in (Engine, run_scenario):
+            with pytest.raises(ScenarioError) as exc:
+                build(sc)
+            assert exc.value.problems == [
+                f"the workload expands to {raises} raises (sporadic lines "
+                f"count one draw per tick) over horizon {raises}, above "
+                f"the limit of {engine_module.MAX_WORKLOAD_RAISES}"]
+
+
+@pytest.mark.parametrize("spec,message", [
+    (Periodic(0, 2.5), "periodic workload: period 2.5 is not an integer "
+     "tick count"),
+    (Explicit((1.5,)), "explicit workload: times (1.5,) is not a tuple of "
+     "integer tick counts"),
+    (Storm(0, "3"), "storm workload: rate '3' is not an integer tick "
+     "count"),
+    ("periodic", "unknown workload spec 'periodic'"),
+])
+def test_generate_workload_refuses_a_wrong_typed_spec(spec, message):
+    with pytest.raises(ScenarioError) as exc:
+        generate_workload(spec, 10)
+    assert exc.value.problems == [message]
+
+
+def test_every_spec_problem_is_reported_at_once():
+    # two wrong-typed specs, then a bad value beside a task's
+    sc = one_task_scenario(workload=[
+        ("l", Periodic(0, 2.5)), ("l", Storm(0, 1)),
+        ("l", Sporadic("2", 0.5, 0))], horizon=10)
+    with pytest.raises(ScenarioError) as exc:
+        run_scenario(sc)
+    assert exc.value.problems == [
+        "periodic workload: period 2.5 is not an integer tick count",
+        "sporadic workload: min_sep '2' is not an integer tick count"]
+    sc = one_task_scenario(task_kw=dict(wcet=0),
+                           workload=[("l", Burst(0, -1, 1))], horizon=10)
+    with pytest.raises(ScenarioError) as exc:
+        Engine(sc)
+    assert exc.value.problems == [
+        "task t: wcet must be at least 1 tick",
+        "burst workload: negative count or spacing"]
 
 
 def test_fractional_period_or_window_is_refused():

@@ -11,6 +11,7 @@ from envelopesim import (
     INFINITE_PERIOD,
     Policy,
     ResponseOption,
+    ScenarioError,
     Task,
     TaskSet,
     admissible_patterns,
@@ -116,8 +117,10 @@ def test_enumerators_match_the_tuple_oracle_on_random_tasks():
     rng = random.Random(2007)
     for _ in range(300):
         period = rng.choice([INFINITE_PERIOD, 1, 2, 3, 4, 6, 12])
+        # a deadline past the period is refused; the patterns ignore it
         task = envelope_task(rng.randint(1, 4), rng.randint(1, 14),
-                             period=period, deadline=rng.randint(1, 6))
+                             period=period,
+                             deadline=min(rng.randint(1, 6), period))
         assert_enumerators_match_the_oracle(task, rng.randint(0, 13))
 
 
@@ -172,6 +175,38 @@ def test_check_normal_feasible_with_override():
     assert result.feasible
     assert result.witness is None
     assert not result.trace.of_kind("MISS")
+
+
+def test_check_normal_refuses_an_invalid_task_set_before_its_hyperperiod():
+    # int("x") in hyperperiod raised a bare ValueError
+    task = envelope_task(1, 6, period="x", deadline=3)
+    with pytest.raises(ScenarioError) as exc:
+        check_normal(TaskSet([task]))
+    assert exc.value.problems == [
+        "task t: period 'x' is not a whole number of ticks"]
+    with pytest.raises(ScenarioError, match="unknown priority assignment"):
+        check_normal(two_task_set(), Policy(assignment="nope"))
+
+
+@pytest.mark.parametrize("change,message", [
+    (dict(period=2.5, deadline=2),
+     "task t: period 2.5 is not a whole number of ticks"),
+    (dict(envelope_n=1.5), "task t: envelope_n 1.5 is not an integer tick "
+     "count"),
+    (dict(period=0, deadline=1), "task t: zero or negative period"),
+])
+def test_admissible_patterns_refuse_an_invalid_task(change, message):
+    with pytest.raises(ScenarioError) as exc:
+        admissible_patterns(envelope_task(2, 4, **change), 6)
+    assert exc.value.problems[0] == message
+
+
+def test_admissible_patterns_ignore_override_keys_of_the_task_set():
+    # keys up to the task set's jobs per hyperperiod, not the lone task's
+    task = envelope_task(2, 4, priority=1,
+                         job_priority_overrides={1: 5, 3: 8})
+    assert admissible_patterns(task, 6) == admissible_patterns(
+        envelope_task(2, 4), 6)
 
 
 def test_reference_verdicts_normal_monotonic():
